@@ -97,14 +97,16 @@ tenant-smoke:
 
 # Short coverage-guided runs of each fuzz target on top of the checked-in
 # corpora: config intake must never panic, content addresses must survive
-# the wire round trip and vary with the seed, and no byte stream may
-# panic the trace-frame decoder or make it allocate unboundedly.
+# the wire round trip and vary with the seed, no byte stream may panic
+# the trace-frame decoder or make it allocate unboundedly, and the
+# canonical row encoder must match its reference format on any event.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/simconfig
 	$(GO) test -run '^$$' -fuzz FuzzJobKey -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzEventQueueDiff -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTraceFrameDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/tracestream
+	$(GO) test -run '^$$' -fuzz FuzzAppendRow -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/trace
 
 # Event-queue equivalence and throughput smoke. The interrupt-storm
 # scenario run under -queue heap and -queue wheel must produce

@@ -10,6 +10,8 @@ import (
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
 	"hsfq/internal/simconfig"
+	"hsfq/internal/trace"
+	"hsfq/internal/tracestream"
 )
 
 // These tests pin down the PR's zero-allocation property: once a hierarchy
@@ -319,6 +321,42 @@ func TestEventQueueCancelDoesNotAllocate(t *testing.T) {
 				t.Fatalf("%s schedule/cancel cycle allocates %v times, want 0", kind, allocs)
 			}
 		})
+	}
+}
+
+// TestTraceRecordingDoesNotAllocate guards the observation plane that
+// hsfqd attaches to every executed job: folding an event into a
+// trace.Hasher, and a recording Broadcaster encoding, digesting and
+// storing it, allocate nothing per event once their buffers are warm
+// (the recording's amortized growth stays far below one per event).
+func TestTraceRecordingDoesNotAllocate(t *testing.T) {
+	th := sched.NewThread(1, "decoder", 2)
+	now := sim.Time(0)
+
+	h := trace.NewHasher()
+	h.SetNumCores(2)
+	h.OnCharge(th, 1_000_000, now, true) // cold: grows the row buffer
+	allocs := testing.AllocsPerRun(1000, func() {
+		now += sim.Millisecond
+		h.OnCharge(th, 1_000_000, now, true)
+	})
+	if allocs != 0 {
+		t.Fatalf("Hasher.OnCharge allocates %v times per event, want 0", allocs)
+	}
+
+	b := tracestream.New()
+	b.EnableRecording(0)
+	b.Begin([]trace.ThreadMeta{{TID: 1, Name: "decoder", Depth: 1, Path: "/soft"}})
+	allocs = testing.AllocsPerRun(1000, func() {
+		now += sim.Millisecond
+		b.OnDispatch(th, now)
+		b.OnCharge(th, 1_000_000, now, true)
+	})
+	if allocs != 0 {
+		t.Fatalf("recording Broadcaster allocates %v times per dispatch/charge pair, want 0", allocs)
+	}
+	if rows := b.Snapshot().Rows; rows != 2*1001 {
+		t.Fatalf("recording holds %d rows, want %d", rows, 2*1001)
 	}
 }
 

@@ -93,9 +93,30 @@ func main() {
 	}
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	if err := serve(&http.Server{Addr: *addr, Handler: srv}, srv, sigCh, *drainTimeout); err != nil {
+	if err := serve(newHTTPServer(*addr, srv), srv, sigCh, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "hsfqd:", err)
 		os.Exit(1)
+	}
+}
+
+// Connection bounds: a client has readHeaderTimeout to send its request
+// headers, and a keep-alive connection idle for idleTimeout is closed, so
+// slow or silent clients cannot pin connections. There is deliberately
+// no WriteTimeout: it would cut the long-lived SSE streams (watch=1,
+// follow=1), which end on their own.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server with its connection
+// bounds set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -59,6 +60,49 @@ func TestServeAndDrain(t *testing.T) {
 	// The listener is really closed: new connections are refused.
 	if _, err := http.Get(addr + "/healthz"); err == nil {
 		t.Error("listener still accepting after drain")
+	}
+}
+
+// TestStalledHeaderDisconnected plays a slowloris client: it sends part
+// of a request header and stalls. The daemon's server must hang up on it
+// once the header bound passes, and must set no write bound that would
+// cut long SSE streams.
+func TestStalledHeaderDisconnected(t *testing.T) {
+	srv := server.New(server.Config{Workers: 1, QueueDepth: 2})
+	hs := newHTTPServer("127.0.0.1:0", srv)
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.IdleTimeout != idleTimeout || hs.WriteTimeout != 0 {
+		t.Fatalf("bounds: header %v idle %v write %v", hs.ReadHeaderTimeout, hs.IdleTimeout, hs.WriteTimeout)
+	}
+	// The same server with a short header bound, so the test is quick.
+	hs.ReadHeaderTimeout = 200 * time.Millisecond
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigCh := make(chan os.Signal, 1)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- serveListener(hs, srv, sigCh, 5*time.Second, l) }()
+	defer func() {
+		sigCh <- syscall.SIGTERM
+		if err := <-serveErr; err != nil {
+			t.Errorf("serve returned %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: hsfqd\r\nX-Slow: ")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(5 * time.Second))
+	var ne net.Error
+	if _, err := io.ReadAll(conn); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %v", time.Since(start))
 	}
 }
 

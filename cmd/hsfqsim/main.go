@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"hsfq/internal/checkpoint"
@@ -279,12 +280,13 @@ func run(o runOptions) error {
 		}
 	}
 
-	for name, p := range s.Periodics {
+	for _, name := range sortedNames(s.Periodics) {
+		p := s.Periodics[name]
 		fmt.Printf("periodic %q: %d rounds, %d missed deadlines, min slack %v\n",
 			name, len(p.Slack), p.MissedDeadlines(), p.MinSlack())
 	}
-	for name, d := range s.Decoders {
-		fmt.Printf("decoder %q: %d frames decoded\n", name, d.FramesDecoded(s.Config.Horizon.Time()))
+	for _, name := range sortedNames(s.Decoders) {
+		fmt.Printf("decoder %q: %d frames decoded\n", name, s.Decoders[name].FramesDecoded(s.Config.Horizon.Time()))
 	}
 
 	if o.gantt {
@@ -378,3 +380,14 @@ func writeCheckpoint(s *simconfig.Simulation, rec *trace.Recorder, path string) 
 }
 
 func simSecond() sim.Time { return sim.Second }
+
+// sortedNames returns m's keys in order, so reports do not depend on map
+// iteration order.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hsfq/internal/testutil"
 )
 
 // capture runs fn with stdout redirected into a string. The pipe is
@@ -79,6 +81,24 @@ func TestRunWithConfigFileAndGantt(t *testing.T) {
 	}
 	if !strings.Contains(out, "x") {
 		t.Error("thread row missing")
+	}
+}
+
+// TestStdoutDeterministic runs every example config twice and requires
+// byte-identical reports: determinism covers stdout, not only the trace.
+func TestStdoutDeterministic(t *testing.T) {
+	configs, err := filepath.Glob("../../examples/configs/*.json")
+	if err != nil || len(configs) == 0 {
+		t.Fatalf("example configs: %v (%d found)", err, len(configs))
+	}
+	for _, cfg := range configs {
+		t.Run(filepath.Base(cfg), func(t *testing.T) {
+			first := capture(t, func() error { return run(runOptions{configPath: cfg}) })
+			second := capture(t, func() error { return run(runOptions{configPath: cfg}) })
+			if d := testutil.DiffBytes([]byte(second), []byte(first)); d != "" {
+				t.Fatalf("two runs printed different reports: %s", d)
+			}
+		})
 	}
 }
 

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"html/template"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -403,15 +401,11 @@ func (s *Server) serveTraceFollow(w http.ResponseWriter, r *http.Request, tenant
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	// All SSE output goes through one buffered writer, flushed per batch:
-	// a live stream is hundreds of thousands of tiny events, and per-row
-	// writes straight to the ResponseWriter would make SSE delivery the
-	// bottleneck that overflows the subscriber buffer.
-	bw := bufio.NewWriterSize(w, 64<<10)
-	flush := func() {
-		bw.Flush()
-		fl.Flush()
-	}
+	// A live stream is hundreds of thousands of tiny events, flushed per
+	// batch through a large buffer: per-row writes straight to the
+	// ResponseWriter would make SSE delivery the bottleneck that overflows
+	// the subscriber buffer.
+	sse := newSSEWriter(w, fl, 64<<10)
 	dec := tracestream.NewDecoder()
 	drain := s.traces.drainChan()
 	keepalive := time.NewTicker(15 * time.Second)
@@ -420,15 +414,10 @@ func (s *Server) serveTraceFollow(w http.ResponseWriter, r *http.Request, tenant
 		// Drain whatever is pending before waiting.
 		if chunk := sub.Take(); chunk != nil {
 			dec.Feed(chunk)
-			done, err := writeTraceSSE(bw, dec)
-			if err != nil {
-				// The frame stream is producer-encoded; a decode failure is
-				// a server bug, but headers are sent — just end the stream.
-				flush()
-				return http.StatusOK
-			}
-			flush()
-			if done {
+			// A decode failure is a server bug (the frame stream is
+			// producer-encoded), but headers are sent — just end the stream.
+			done, err := writeTraceSSE(sse, dec)
+			if sse.flush() != nil || err != nil || done {
 				return http.StatusOK
 			}
 			continue
@@ -436,14 +425,16 @@ func (s *Server) serveTraceFollow(w http.ResponseWriter, r *http.Request, tenant
 		select {
 		case <-sub.Notify():
 		case <-keepalive.C:
-			fmt.Fprint(bw, ": keepalive\n\n")
-			flush()
+			sse.keepalive()
+			if sse.flush() != nil {
+				return http.StatusOK
+			}
 		case <-r.Context().Done():
 			return http.StatusOK
 		case <-drain:
 			// Server shutdown mid-stream: match the watch=1 protocol.
-			writeSSE(bw, statusEvent("draining"))
-			flush()
+			sse.event(statusEvent("draining"))
+			sse.flush()
 			return http.StatusOK
 		}
 	}
@@ -451,7 +442,7 @@ func (s *Server) serveTraceFollow(w http.ResponseWriter, r *http.Request, tenant
 
 // writeTraceSSE emits SSE events for every complete frame in the
 // decoder; done reports that the end frame was sent.
-func writeTraceSSE(w io.Writer, dec *tracestream.Decoder) (done bool, err error) {
+func writeTraceSSE(sse *sseWriter, dec *tracestream.Decoder) (done bool, err error) {
 	for {
 		f, ferr := dec.Next()
 		if ferr != nil {
@@ -466,23 +457,23 @@ func writeTraceSSE(w io.Writer, dec *tracestream.Decoder) (done bool, err error)
 				Version  int `json:"version"`
 				NumCores int `json:"num_cores"`
 			}{f.Version, f.NumCores})
-			writeSSE(w, watchEvent{"header", b})
+			sse.event(watchEvent{"header", b})
 		case tracestream.FrameThreads:
 			b, _ := json.Marshal(f.Threads)
-			writeSSE(w, watchEvent{"threads", b})
+			sse.event(watchEvent{"threads", b})
 		case tracestream.FrameEvent:
-			writeSSE(w, watchEvent{"row", []byte(trace.RowText(f.Event, dec.NumCores()))})
+			sse.row(f.Event, dec.NumCores())
 		case tracestream.FrameDrop:
 			b, _ := json.Marshal(struct {
 				Dropped uint64 `json:"dropped"`
 			}{f.Dropped})
-			writeSSE(w, watchEvent{"dropped", b})
+			sse.event(watchEvent{"dropped", b})
 		case tracestream.FrameEnd:
 			b, _ := json.Marshal(struct {
 				Rows   uint64 `json:"rows"`
 				Digest string `json:"digest"`
 			}{f.Rows, f.Digest})
-			writeSSE(w, watchEvent{"end", b})
+			sse.event(watchEvent{"end", b})
 			return true, nil
 		}
 	}

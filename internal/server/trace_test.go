@@ -136,7 +136,7 @@ func TestTraceRawAndViews(t *testing.T) {
 	}
 	dec := tracestream.NewDecoder()
 	dec.Feed(raw)
-	rd := tracestream.NewRowDigest(1)
+	rd := trace.NewHasher()
 	var endDigest string
 	for {
 		f, err := dec.Next()

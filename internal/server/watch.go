@@ -1,13 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
+
+	"hsfq/internal/trace"
 )
 
 // This file implements GET /v1/jobs/{key}?watch=1: job status streamed
@@ -140,8 +141,49 @@ func (h *watchHub) reopen() {
 	h.mu.Unlock()
 }
 
-func writeSSE(w io.Writer, ev watchEvent) {
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data)
+// sseWriter is the server's one Server-Sent Events encoder, shared by
+// job watch and trace follow streams. Events collect in a buffered writer
+// and reach the client at flush: once per batch of trace rows, after
+// every lifecycle event of a watched job.
+type sseWriter struct {
+	bw      *bufio.Writer
+	fl      http.Flusher
+	scratch []byte // reused by row
+}
+
+func newSSEWriter(w http.ResponseWriter, fl http.Flusher, size int) *sseWriter {
+	return &sseWriter{bw: bufio.NewWriterSize(w, size), fl: fl}
+}
+
+// event writes one SSE event; ev.data must be a single line.
+func (s *sseWriter) event(ev watchEvent) {
+	s.bw.WriteString("event: ")
+	s.bw.WriteString(ev.name)
+	s.bw.WriteString("\ndata: ")
+	s.bw.Write(ev.data)
+	s.bw.WriteString("\n\n")
+}
+
+// row writes a trace event as a "row" event whose data is the canonical
+// row; the row's own trailing newline ends the data line.
+func (s *sseWriter) row(e trace.Event, numCores int) {
+	s.scratch = append(s.scratch[:0], "event: row\ndata: "...)
+	s.scratch = trace.AppendRow(s.scratch, e, numCores)
+	s.scratch = append(s.scratch, '\n')
+	s.bw.Write(s.scratch)
+}
+
+// keepalive writes an SSE comment that keeps idle connections open.
+func (s *sseWriter) keepalive() { s.bw.WriteString(": keepalive\n\n") }
+
+// flush sends everything buffered to the client. Write errors stick in
+// the buffered writer, so an error here means the client has gone.
+func (s *sseWriter) flush() error {
+	if err := s.bw.Flush(); err != nil {
+		return err
+	}
+	s.fl.Flush()
+	return nil
 }
 
 // serveJobWatch streams a job's status over SSE. Subscribe-then-check
@@ -161,9 +203,10 @@ func (s *Server) serveJobWatch(w http.ResponseWriter, r *http.Request, key strin
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
+	sse := newSSEWriter(w, fl, 4<<10) // a few small events per job
 	if body, ok := s.cache.Get(key); ok {
-		writeSSE(w, watchEvent{"done", body})
-		fl.Flush()
+		sse.event(watchEvent{"done", body})
+		sse.flush()
 		return http.StatusOK
 	}
 	state := "unknown"
@@ -172,8 +215,10 @@ func (s *Server) serveJobWatch(w http.ResponseWriter, r *http.Request, key strin
 		state = "queued"
 	}
 	s.flightMu.Unlock()
-	writeSSE(w, statusEvent(state))
-	fl.Flush()
+	sse.event(statusEvent(state))
+	if sse.flush() != nil {
+		return http.StatusOK
+	}
 
 	keepalive := time.NewTicker(15 * time.Second)
 	defer keepalive.Stop()
@@ -183,12 +228,13 @@ func (s *Server) serveJobWatch(w http.ResponseWriter, r *http.Request, key strin
 			if !open {
 				return http.StatusOK
 			}
-			writeSSE(w, ev)
-			fl.Flush()
+			sse.event(ev)
 		case <-keepalive.C:
-			fmt.Fprint(w, ": keepalive\n\n")
-			fl.Flush()
+			sse.keepalive()
 		case <-r.Context().Done():
+			return http.StatusOK
+		}
+		if sse.flush() != nil {
 			return http.StatusOK
 		}
 	}

@@ -2,7 +2,7 @@ package trace
 
 import (
 	"crypto/sha256"
-	"fmt"
+	"encoding/hex"
 	"hash"
 
 	"hsfq/internal/cpu"
@@ -10,11 +10,13 @@ import (
 	"hsfq/internal/sim"
 )
 
-// Hasher is a cpu.Listener that folds every scheduling event into a
-// streaming SHA-256 instead of storing it. hsfqdiff uses it to compare
-// two runs' event streams without holding either in memory, and to grab
-// prefix digests at checkpoint instants: Sum does not disturb the
-// running state, so the digest of the stream so far can be sampled at
+// Hasher folds canonical event rows (AppendRow) into a streaming SHA-256
+// instead of storing them. As a cpu.Listener it is fed by a machine;
+// through Add it is fed already-materialized events — a tracestream
+// recording, or a client checking the rows it received. hsfqdiff uses it
+// to compare two runs' event streams without holding either in memory,
+// and to grab prefix digests at checkpoint instants: Sum does not disturb
+// the running state, so the digest of the stream so far can be sampled at
 // any event boundary.
 type Hasher struct {
 	cpu.BaseListener
@@ -37,67 +39,61 @@ func (s *Hasher) SetNumCores(n int) {
 	s.numCores = n
 }
 
-func (s *Hasher) row(at sim.Time, kind Kind, thread string, tid int, used sched.Work, runnable bool, service sim.Time) {
-	s.coreRow(0, at, kind, thread, tid, used, runnable, service)
-}
-
-func (s *Hasher) coreRow(core int, at sim.Time, kind Kind, thread string, tid int, used sched.Work, runnable bool, service sim.Time) {
-	s.buf = AppendRow(s.buf[:0], Event{
-		At: at, Kind: kind, Thread: thread, ThreadID: tid,
-		Used: used, Runnable: runnable, Service: service, Core: core,
-	}, s.numCores)
+// Add folds one event into the digest.
+func (s *Hasher) Add(e Event) {
+	s.buf = AppendRow(s.buf[:0], e, s.numCores)
 	s.h.Write(s.buf)
 	s.rows++
 }
 
 // OnDispatch implements cpu.Listener.
 func (s *Hasher) OnDispatch(t *sched.Thread, now sim.Time) {
-	s.row(now, Dispatch, t.Name, t.ID, 0, false, 0)
+	s.Add(Event{At: now, Kind: Dispatch, Thread: t.Name, ThreadID: t.ID})
 }
 
 // OnCharge implements cpu.Listener.
 func (s *Hasher) OnCharge(t *sched.Thread, used sched.Work, now sim.Time, runnable bool) {
-	s.row(now, Charge, t.Name, t.ID, used, runnable, 0)
+	s.Add(Event{At: now, Kind: Charge, Thread: t.Name, ThreadID: t.ID, Used: used, Runnable: runnable})
 }
 
 // OnWake implements cpu.Listener.
 func (s *Hasher) OnWake(t *sched.Thread, now sim.Time) {
-	s.row(now, Wake, t.Name, t.ID, 0, false, 0)
+	s.Add(Event{At: now, Kind: Wake, Thread: t.Name, ThreadID: t.ID})
 }
 
 // OnBlock implements cpu.Listener.
 func (s *Hasher) OnBlock(t *sched.Thread, now sim.Time) {
-	s.row(now, Block, t.Name, t.ID, 0, false, 0)
+	s.Add(Event{At: now, Kind: Block, Thread: t.Name, ThreadID: t.ID})
 }
 
 // OnExit implements cpu.Listener.
 func (s *Hasher) OnExit(t *sched.Thread, now sim.Time) {
-	s.row(now, Exit, t.Name, t.ID, 0, false, 0)
+	s.Add(Event{At: now, Kind: Exit, Thread: t.Name, ThreadID: t.ID})
 }
 
 // OnInterrupt implements cpu.Listener.
 func (s *Hasher) OnInterrupt(now, service sim.Time) {
-	s.row(now, Interrupt, "", 0, 0, false, service)
+	s.Add(Event{At: now, Kind: Interrupt, Service: service})
 }
 
 // OnIdle implements cpu.Listener.
 func (s *Hasher) OnIdle(now sim.Time) {
-	s.row(now, Idle, "", 0, 0, false, 0)
+	s.Add(Event{At: now, Kind: Idle})
 }
 
 // OnDispatchCore implements cpu.SMPListener.
 func (s *Hasher) OnDispatchCore(core int, t *sched.Thread, now sim.Time) {
-	s.coreRow(core, now, Dispatch, t.Name, t.ID, 0, false, 0)
+	s.Add(Event{At: now, Kind: Dispatch, Thread: t.Name, ThreadID: t.ID, Core: core})
 }
 
 // OnChargeCore implements cpu.SMPListener.
 func (s *Hasher) OnChargeCore(core int, t *sched.Thread, used sched.Work, now sim.Time, runnable bool) {
-	s.coreRow(core, now, Charge, t.Name, t.ID, used, runnable, 0)
+	s.Add(Event{At: now, Kind: Charge, Thread: t.Name, ThreadID: t.ID, Used: used, Runnable: runnable, Core: core})
 }
 
 // OnIdleCore implements cpu.SMPListener.
 func (s *Hasher) OnIdleCore(core int, now sim.Time) {
-	s.coreRow(core, now, Idle, "", 0, 0, false, 0)
+	s.Add(Event{At: now, Kind: Idle, Core: core})
 }
 
 // Rows returns how many events have been hashed.
@@ -106,5 +102,6 @@ func (s *Hasher) Rows() int { return s.rows }
 // Sum returns the hex digest of the stream so far without disturbing the
 // running state.
 func (s *Hasher) Sum() string {
-	return fmt.Sprintf("%x", s.h.Sum(nil))
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(s.h.Sum(sum[:0]))
 }

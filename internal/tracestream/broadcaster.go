@@ -1,9 +1,6 @@
 package tracestream
 
 import (
-	"crypto/sha256"
-	"fmt"
-	"hash"
 	"sync"
 	"sync/atomic"
 
@@ -12,38 +9,6 @@ import (
 	"hsfq/internal/sim"
 	"hsfq/internal/trace"
 )
-
-// RowDigest folds canonical event rows (trace.AppendRow) into a running
-// SHA-256 — the same digest trace.Hasher computes from machine callbacks,
-// but fed with already-materialized trace.Events. The Broadcaster uses it
-// for recordings; stream clients use it to verify what they received.
-type RowDigest struct {
-	h        hash.Hash
-	buf      []byte
-	rows     int
-	numCores int
-}
-
-// NewRowDigest returns an empty digest for a numCores-wide stream.
-func NewRowDigest(numCores int) *RowDigest {
-	if numCores < 1 {
-		numCores = 1
-	}
-	return &RowDigest{h: sha256.New(), numCores: numCores}
-}
-
-// Add folds one event into the digest.
-func (d *RowDigest) Add(e trace.Event) {
-	d.buf = trace.AppendRow(d.buf[:0], e, d.numCores)
-	d.h.Write(d.buf)
-	d.rows++
-}
-
-// Rows returns how many events have been folded in.
-func (d *RowDigest) Rows() int { return d.rows }
-
-// Sum returns the hex digest so far without disturbing the state.
-func (d *RowDigest) Sum() string { return fmt.Sprintf("%x", d.h.Sum(nil)) }
 
 // Recording is a finished trace stream: the encoded frames (header,
 // threads, events, terminated by an end frame) plus the digest metadata,
@@ -92,7 +57,7 @@ type Broadcaster struct {
 	// Recording state (nil digest = recording disabled).
 	recCap    int
 	recFrames []byte
-	recDigest *RowDigest
+	recDigest *trace.Hasher
 	recTrunc  bool
 	recLost   uint64
 }
@@ -109,7 +74,8 @@ func (b *Broadcaster) EnableRecording(maxBytes int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.recCap = maxBytes
-	b.recDigest = NewRowDigest(b.numCores)
+	b.recDigest = trace.NewHasher()
+	b.recDigest.SetNumCores(b.numCores)
 	b.active.Store(true)
 }
 
@@ -123,7 +89,7 @@ func (b *Broadcaster) SetNumCores(n int) {
 	defer b.mu.Unlock()
 	b.numCores = n
 	if b.recDigest != nil && b.recDigest.Rows() == 0 {
-		b.recDigest = NewRowDigest(n)
+		b.recDigest.SetNumCores(n)
 	}
 }
 

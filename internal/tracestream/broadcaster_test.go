@@ -90,7 +90,7 @@ func TestBroadcasterStreamMatchesHasher(t *testing.T) {
 	// The live subscriber's stream re-hashes to the same digest.
 	dec := NewDecoder()
 	frames := drainDecode(t, sub, dec)
-	rd := NewRowDigest(1)
+	rd := trace.NewHasher()
 	var end *Frame
 	for _, f := range frames {
 		switch f.Type {
@@ -101,7 +101,7 @@ func TestBroadcasterStreamMatchesHasher(t *testing.T) {
 		case frameEnd:
 			end = f
 		case frameHeader:
-			rd = NewRowDigest(f.NumCores)
+			rd.SetNumCores(f.NumCores)
 		}
 	}
 	if end == nil {
@@ -125,7 +125,7 @@ func TestLateSubscriberSeededFromRecording(t *testing.T) {
 
 	// Subscribing after Finish replays the whole recording.
 	sub := b.Subscribe(0)
-	rd := NewRowDigest(1)
+	rd := trace.NewHasher()
 	var sawEnd bool
 	for _, f := range drainDecode(t, sub, NewDecoder()) {
 		switch f.Type {

@@ -58,25 +58,33 @@ const (
 	maxStringLen = 1 << 12
 )
 
-// kindCodes maps event kinds to their single-byte wire codes. Codes are
-// part of the format: never renumber, only append.
-var kindCodes = map[trace.Kind]byte{
-	trace.Dispatch:  0,
-	trace.Charge:    1,
-	trace.Wake:      2,
-	trace.Block:     3,
-	trace.Exit:      4,
-	trace.Interrupt: 5,
-	trace.Idle:      6,
+// codeKinds lists event kinds by their single-byte wire code: the code of
+// a kind is its index. Codes are part of the format: never renumber,
+// only append.
+var codeKinds = [...]trace.Kind{
+	trace.Dispatch,  // 0
+	trace.Charge,    // 1
+	trace.Wake,      // 2
+	trace.Block,     // 3
+	trace.Exit,      // 4
+	trace.Interrupt, // 5
+	trace.Idle,      // 6
 }
 
-var codeKinds = func() map[byte]trace.Kind {
-	m := make(map[byte]trace.Kind, len(kindCodes))
-	for k, c := range kindCodes {
-		m[c] = k
+// badKind is the code of a kind the format does not know; the decoder
+// rejects it. Machine-fed events never carry one.
+const badKind = 0xff
+
+// kindCode returns the wire code of k: its index in codeKinds, whose
+// first entries are the most frequent kinds.
+func kindCode(k trace.Kind) byte {
+	for code, known := range codeKinds {
+		if known == k {
+			return byte(code)
+		}
 	}
-	return m
-}()
+	return badKind
+}
 
 // appendFrame wraps a finished body in its length prefix.
 func appendFrame(buf, body []byte) []byte {
@@ -120,11 +128,7 @@ func AppendEventFrame(buf []byte, e trace.Event) []byte {
 	var scratch [64]byte
 	body := scratch[:0]
 	body = append(body, frameEvent)
-	code, ok := kindCodes[e.Kind]
-	if !ok {
-		code = 0xff // decoder rejects; must never happen for machine-fed events
-	}
-	body = append(body, code)
+	body = append(body, kindCode(e.Kind))
 	body = binary.AppendUvarint(body, uint64(e.At))
 	body = binary.AppendUvarint(body, uint64(e.ThreadID))
 	body = binary.AppendUvarint(body, uint64(e.Used))
@@ -322,12 +326,13 @@ func (d *Decoder) decodeEvent(f *Frame, body []byte) (*Frame, error) {
 	if len(body) < 1 {
 		return nil, fmt.Errorf("tracestream: malformed event frame")
 	}
-	kind, ok := codeKinds[body[0]]
-	if !ok {
+	if int(body[0]) >= len(codeKinds) {
 		return nil, fmt.Errorf("tracestream: unknown event kind 0x%02x", body[0])
 	}
+	kind := codeKinds[body[0]]
 	body = body[1:]
 	var at, tid, used, service, core uint64
+	var ok bool
 	if at, body, ok = takeUvarint(body); !ok {
 		return nil, fmt.Errorf("tracestream: malformed event frame")
 	}

@@ -151,6 +151,40 @@ func TestDecoderCompaction(t *testing.T) {
 	}
 }
 
+// TestKindWireCodesFrozen pins each kind's wire code: recorded streams
+// carry them, so they may be appended to but never renumbered.
+func TestKindWireCodesFrozen(t *testing.T) {
+	want := map[trace.Kind]byte{
+		trace.Dispatch:  0,
+		trace.Charge:    1,
+		trace.Wake:      2,
+		trace.Block:     3,
+		trace.Exit:      4,
+		trace.Interrupt: 5,
+		trace.Idle:      6,
+		"bogus":         badKind,
+	}
+	for kind, code := range want {
+		// Frame: length prefix, frame type, kind code, ...
+		frame := AppendEventFrame(nil, trace.Event{Kind: kind})
+		if frame[2] != code {
+			t.Errorf("%s: wire code %d, want %d", kind, frame[2], code)
+		}
+		dec := NewDecoder()
+		dec.Feed(frame)
+		f, err := dec.Next()
+		if code == badKind {
+			if err == nil {
+				t.Errorf("%s: decoder accepted an unknown kind", kind)
+			}
+			continue
+		}
+		if err != nil || f.Event.Kind != kind {
+			t.Errorf("%s: decoded %+v, %v", kind, f, err)
+		}
+	}
+}
+
 func TestEventFrameNegativeValuesRoundTrip(t *testing.T) {
 	// Wire uses uvarints; int64 values round-trip through uint64 casts.
 	e := trace.Event{At: sim.Time(-1), Kind: trace.Charge, ThreadID: 3, Used: sched.Work(-5)}

@@ -1,8 +1,9 @@
 GO ?= go
 
-# Benchmarks covered by `make bench` — the scheduling spine plus the packet
+# Benchmarks covered by `make bench` — the scheduling spine, the event
+# queue under timer pressure, whole-run throughput, and the packet
 # algorithms. Output is benchstat-compatible (`benchstat old.txt new.txt`).
-BENCH ?= BenchmarkSchedule|BenchmarkLeafSchedulers|BenchmarkMachineSimulation|BenchmarkPacketAlgorithms
+BENCH ?= BenchmarkSchedule|BenchmarkLeafSchedulers|BenchmarkMachineSimulation|BenchmarkEventStorm|BenchmarkSimThroughput|BenchmarkPacketAlgorithms
 BENCH_COUNT ?= 5
 BENCH_TIME ?= 200ms
 
@@ -31,15 +32,11 @@ TENANT_SMOKE_DURATION ?= 3s
 # the whole budget is spent fuzzing, not shrinking interesting inputs.
 FUZZ_TIME ?= 30s
 
-# Benchtime for the bench-smoke event-queue comparison: short, because the
-# smoke only needs a real sim_ns/wall_ns sample, not a stable median.
-BENCH_SMOKE_TIME ?= 50ms
-
-.PHONY: all build test race vet bench fmt check sweep-smoke sweep-bench loadtest tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke bench-smoke queue-bench adversary-smoke trace-smoke
+.PHONY: all build test race vet bench fmt check sweep-smoke sweep-bench loadtest tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke adversary-smoke trace-smoke
 
 all: build test
 
-check: build test vet sweep-smoke tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke bench-smoke adversary-smoke trace-smoke
+check: build test vet sweep-smoke tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke adversary-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -97,57 +94,17 @@ tenant-smoke:
 
 # Short coverage-guided runs of each fuzz target on top of the checked-in
 # corpora: config intake must never panic, content addresses must survive
-# the wire round trip and vary with the seed, no byte stream may panic
-# the trace-frame decoder or make it allocate unboundedly, and the
+# the wire round trip and vary with the seed, the event engine must keep
+# its (At, Seq) firing contract under any op script, no byte stream may
+# panic the trace-frame decoder or make it allocate unboundedly, and the
 # canonical row encoder must match its reference format on any event.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/simconfig
 	$(GO) test -run '^$$' -fuzz FuzzJobKey -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/checkpoint
-	$(GO) test -run '^$$' -fuzz FuzzEventQueueDiff -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTraceFrameDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/tracestream
 	$(GO) test -run '^$$' -fuzz FuzzAppendRow -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/trace
-
-# Event-queue equivalence and throughput smoke. The interrupt-storm
-# scenario run under -queue heap and -queue wheel must produce
-# byte-identical stdout and trace CSV (the traces are written to the same
-# path in turn so the echoed filename matches too), then the storm and
-# whole-run throughput microbenchmarks run under both queues and benchjson
-# summarizes them (before = heap, after = wheel) with the
-# sim_ns/wall_ns throughput section.
-bench-smoke:
-	$(GO) build -o /tmp/hsfqsim ./cmd/hsfqsim
-	/tmp/hsfqsim -config examples/configs/interrupt-storm.json -queue heap \
-		-trace /tmp/hsfq-queue-smoke.csv > /tmp/hsfq-queue-heap.txt
-	mv /tmp/hsfq-queue-smoke.csv /tmp/hsfq-queue-heap.csv
-	/tmp/hsfqsim -config examples/configs/interrupt-storm.json -queue wheel \
-		-trace /tmp/hsfq-queue-smoke.csv > /tmp/hsfq-queue-wheel.txt
-	cmp /tmp/hsfq-queue-heap.txt /tmp/hsfq-queue-wheel.txt
-	cmp /tmp/hsfq-queue-heap.csv /tmp/hsfq-queue-smoke.csv
-	$(GO) test -run '^$$' -bench 'BenchmarkEventStorm|BenchmarkSimThroughput' -benchmem \
-		-benchtime $(BENCH_SMOKE_TIME) . | tee /tmp/hsfq-queue-bench.txt
-	grep '/heap' /tmp/hsfq-queue-bench.txt | sed 's|/heap||' > /tmp/hsfq-queue-bench-heap.txt
-	grep '/wheel' /tmp/hsfq-queue-bench.txt | sed 's|/wheel||' > /tmp/hsfq-queue-bench-wheel.txt
-	$(GO) run ./cmd/benchjson -before /tmp/hsfq-queue-bench-heap.txt \
-		-after /tmp/hsfq-queue-bench-wheel.txt -o /tmp/hsfq-queue-smoke.json
-	cat /tmp/hsfq-queue-smoke.json
-
-# Heap vs wheel across the storm/throughput microbenchmarks and the full
-# figure suite (via -benchqueue), recorded as BENCH_PR7.json
-# (before = heap, after = wheel; /heap and /wheel sub-benchmark names are
-# folded together so benchjson pairs them).
-queue-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEventStorm|BenchmarkSimThroughput' -benchmem \
-		-count $(BENCH_COUNT) -benchtime $(BENCH_TIME) . > /tmp/hsfq-queue-both.txt
-	grep '/heap' /tmp/hsfq-queue-both.txt | sed 's|/heap||' > /tmp/hsfq-queue-before.txt
-	grep '/wheel' /tmp/hsfq-queue-both.txt | sed 's|/wheel||' > /tmp/hsfq-queue-after.txt
-	$(GO) test -run '^$$' -bench 'Fig|Ablation' -benchmem -count $(BENCH_COUNT) \
-		-benchtime $(BENCH_TIME) -benchqueue heap . >> /tmp/hsfq-queue-before.txt
-	$(GO) test -run '^$$' -bench 'Fig|Ablation' -benchmem -count $(BENCH_COUNT) \
-		-benchtime $(BENCH_TIME) -benchqueue wheel . >> /tmp/hsfq-queue-after.txt
-	$(GO) run ./cmd/benchjson -before /tmp/hsfq-queue-before.txt \
-		-after /tmp/hsfq-queue-after.txt -o BENCH_PR7.json
-	cat BENCH_PR7.json
 
 # Distributed dispatch end to end over real processes: a 64-job sweep
 # across two hsfqd daemons (one SIGKILLed mid-sweep, hedging on) must be

@@ -22,12 +22,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
 	"hsfq/internal/experiments"
-	"hsfq/internal/sim"
 )
 
 func main() {
@@ -41,15 +39,10 @@ func main() {
 		workers  = flag.Int("workers", 1, "run experiments concurrently on this many workers")
 		jsonOut  = flag.Bool("json", false, "emit one JSON object per experiment (id, title, checks, digest) instead of ASCII")
 		benchOut = flag.String("benchout", "", "append a Go-benchmark-format wall-clock line for the whole run to this file")
-		queue    = flag.String("queue", "", "event-queue implementation: "+strings.Join(sim.EventQueueNames(), " or ")+" (results are identical; the queue only changes speed)")
 	)
 	flag.Parse()
-	if !sim.KnownEventQueue(*queue) {
-		fmt.Fprintf(os.Stderr, "experiments: unknown event queue %q (have %v)\n", *queue, sim.EventQueueNames())
-		os.Exit(2)
-	}
 
-	opt := experiments.Options{Seed: *seed, Plot: *plot, EventQueue: *queue}
+	opt := experiments.Options{Seed: *seed, Plot: *plot}
 	switch {
 	case *list:
 		for _, id := range experiments.IDs() {

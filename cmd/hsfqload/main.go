@@ -47,6 +47,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -286,11 +287,15 @@ func parseTenants(s string) ([]tenantSpec, error) {
 // across tenants and header-less traffic.
 //
 // The verdict counts server-side completions between a warmup snapshot
-// and a deadline snapshot of /metrics: SFQ's proportional-share guarantee
+// and a closing snapshot of /metrics: SFQ's proportional-share guarantee
 // holds while every tenant is backlogged, which is true in that window
-// but not during the ramp-up or the post-deadline drain (the drain
+// but not during the ramp-up or the post-window drain (the drain
 // completes each tenant's residual backlog — equal constants that would
-// dilute the measured ratio toward 1).
+// dilute the measured ratio toward 1). The window closes at the nominal
+// deadline, warmup plus duration, once every tenant has minCompleted
+// completions in it. On a slow machine the lightest tenant may not, so
+// the load keeps running and /metrics is polled until it does, for at
+// most maxExtension x duration past the deadline.
 func runTenants(addr, hsfqd, policy, tenantsFlag string, duration time.Duration, c, queue, workers int) error {
 	specs, err := parseTenants(tenantsFlag)
 	if err != nil {
@@ -311,17 +316,27 @@ func runTenants(addr, hsfqd, policy, tenantsFlag string, duration time.Duration,
 	if perTenant < 8 {
 		perTenant = 8
 	}
+	const (
+		minCompleted = 10
+		maxExtension = 3
+		pollEvery    = 100 * time.Millisecond
+	)
 	var mu sync.Mutex
 	var errs []error
+	var done atomic.Bool
 	warmup := duration / 4
 	deadline := time.Now().Add(warmup + duration)
 	var wg sync.WaitGroup
+	stopLoad := func() {
+		done.Store(true)
+		wg.Wait()
+	}
 	for ti, spec := range specs {
 		for g := 0; g < perTenant; g++ {
 			wg.Add(1)
 			go func(ti, g int, tenant string) {
 				defer wg.Done()
-				for seq := 0; time.Now().Before(deadline); seq++ {
+				for seq := 0; !done.Load(); seq++ {
 					// Unique seeds per (tenant, goroutine, iteration):
 					// all misses, all real scheduling work.
 					seed := (ti+1)*10_000_000 + g*100_000 + seq
@@ -339,18 +354,30 @@ func runTenants(addr, hsfqd, policy, tenantsFlag string, duration time.Duration,
 	time.Sleep(warmup)
 	before, err := completedCounts(addr, names(specs))
 	if err != nil {
-		wg.Wait()
+		stopLoad()
 		return fail(fmt.Errorf("warmup snapshot: %w", err))
 	}
+	opened := time.Now()
 	time.Sleep(time.Until(deadline))
-	after, err := completedCounts(addr, names(specs))
-	if err != nil {
-		wg.Wait()
-		return fail(fmt.Errorf("deadline snapshot: %w", err))
+	extendUntil := deadline.Add(maxExtension * duration)
+	var after map[string]int64
+	for {
+		if after, err = completedCounts(addr, names(specs)); err != nil {
+			stopLoad()
+			return fail(fmt.Errorf("deadline snapshot: %w", err))
+		}
+		if fewestCompleted(specs, before, after) >= minCompleted || !time.Now().Before(extendUntil) {
+			break
+		}
+		time.Sleep(pollEvery)
 	}
-	wg.Wait()
+	window := time.Since(opened).Round(time.Millisecond)
+	stopLoad()
 	if len(errs) > 0 {
 		return fail(errs[0])
+	}
+	if window > duration+pollEvery {
+		fmt.Printf("hsfqload: window extended from %v to %v to reach %d completions per tenant\n", duration, window, minCompleted)
 	}
 
 	// Verdict: normalized throughput (completed/weight) must agree across
@@ -360,8 +387,8 @@ func runTenants(addr, hsfqd, policy, tenantsFlag string, duration time.Duration,
 	minNorm, maxNorm := 0.0, 0.0
 	for i, spec := range specs {
 		counts[i] = after[spec.name] - before[spec.name]
-		if counts[i] < 10 {
-			return fail(fmt.Errorf("tenant %s completed only %d requests in %v; not enough signal", spec.name, counts[i], duration))
+		if counts[i] < minCompleted {
+			return fail(fmt.Errorf("tenant %s completed only %d requests in %v; not enough signal", spec.name, counts[i], window))
 		}
 		norm := float64(counts[i]) / spec.weight
 		if i == 0 || norm < minNorm {
@@ -401,6 +428,18 @@ func runTenants(addr, hsfqd, policy, tenantsFlag string, duration time.Duration,
 		return stop()
 	}
 	return nil
+}
+
+// fewestCompleted returns the smallest per-tenant completion count
+// between two /metrics snapshots.
+func fewestCompleted(specs []tenantSpec, before, after map[string]int64) int64 {
+	fewest := int64(-1)
+	for _, spec := range specs {
+		if n := after[spec.name] - before[spec.name]; fewest < 0 || n < fewest {
+			fewest = n
+		}
+	}
+	return fewest
 }
 
 func names(specs []tenantSpec) []string {

@@ -75,7 +75,6 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "override the config's random seed")
 		cores      = flag.Int("cores", 0, "override the config's core count (0: keep the config's)")
 		policy     = flag.String("policy", "", "override the config's multiprocessor policy: partitioned, global, or steal")
-		queue      = flag.String("queue", "", "override the config's event queue: "+strings.Join(sim.EventQueueNames(), " or ")+" (output is identical either way; the queue only changes speed)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		ckptEvery  = flag.Duration("checkpoint-every", 0, "snapshot the simulation state at this simulated-time cadence (requires -checkpoint-out)")
@@ -107,7 +106,6 @@ func main() {
 		seed:       *seed,
 		cores:      *cores,
 		policy:     *policy,
-		queue:      *queue,
 		gantt:      *gantt,
 		ganttDepth: *ganttDepth,
 		ckptEvery:  sim.Time(ckptEvery.Nanoseconds()),
@@ -150,7 +148,6 @@ type runOptions struct {
 	seed       uint64
 	cores      int
 	policy     string
-	queue      string
 	gantt      bool
 	ganttDepth bool
 	ckptEvery  sim.Time
@@ -175,9 +172,7 @@ func run(o runOptions) error {
 		if err != nil {
 			return err
 		}
-		// -queue stays legal with -resume: snapshots are queue-agnostic,
-		// so switching engines on resume cannot change the output.
-		opt := checkpoint.Options{EventQueue: o.queue}
+		var opt checkpoint.Options
 		if wantTrace {
 			if !info.HasTrace {
 				return fmt.Errorf("%s has no trace section; rerun the checkpointing side with -trace", o.resumePath)
@@ -215,9 +210,6 @@ func run(o runOptions) error {
 		}
 		if o.policy != "" {
 			cfg.Policy = o.policy
-		}
-		if o.queue != "" {
-			cfg.EventQueue = o.queue
 		}
 		if s, err = simconfig.Build(cfg, simconfig.BuildOptions{Seed: o.seed}); err != nil {
 			return err

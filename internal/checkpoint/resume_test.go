@@ -2,6 +2,8 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -296,65 +298,33 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestResumeAcrossEventQueues pins the queue-agnosticism of checkpoints:
-// snapshots store pending events abstractly (time, seq, owner), never
-// queue internals, so a run saved under the heap must restore under the
-// timing wheel — and vice versa — with trace, digest, and metrics
-// byte-identical to the uninterrupted run under the original queue.
-func TestResumeAcrossEventQueues(t *testing.T) {
-	grid := trialConfigs()
-	rng := sim.NewRand(20260808)
-	for trial := 0; trial < len(grid); trial++ {
-		cfg := grid[trial]
-		cfg.Seed = uint64(5000 + trial)
-		// Alternate which queue saves and which restores.
-		saveQ, restoreQ := "heap", "wheel"
-		if trial%2 == 1 {
-			saveQ, restoreQ = "wheel", "heap"
+// withEmbeddedConfigField returns the checkpoint with one extra string
+// field added to its embedded config, re-framed under a valid hash.
+func withEmbeddedConfigField(t *testing.T, data []byte, field, value string) []byte {
+	t.Helper()
+	d := sim.NewDec(data[len(checkpoint.Magic)+sha256.Size:])
+	var p sim.Enc
+	p.U64(d.U64())
+	for d.Remaining() > 0 {
+		name, body := d.Str(), d.Blob()
+		if name == "config" {
+			var cfg map[string]json.RawMessage
+			if err := json.Unmarshal(body, &cfg); err != nil {
+				t.Fatal(err)
+			}
+			cfg[field], _ = json.Marshal(value)
+			var err error
+			if body, err = json.Marshal(cfg); err != nil {
+				t.Fatal(err)
+			}
 		}
-		cfg.EventQueue = saveQ
-		horizon := cfg.Horizon.Time()
-		at := 1 + sim.Time(rng.Int63n(int64(horizon-1)))
-
-		wantCSV, wantDigest, wantMetrics := runPristine(t, cfg)
-
-		s, err := simconfig.Build(cfg, simconfig.BuildOptions{})
-		if err != nil {
-			t.Fatalf("trial %d: build: %v", trial, err)
-		}
-		rec := trace.NewRecorder(0)
-		s.Machine.Listen(rec)
-		s.Machine.Run(at)
-		data, err := checkpoint.Save(s, checkpoint.Options{Recorder: rec})
-		if err != nil {
-			t.Fatalf("trial %d: save under %s at %v: %v", trial, saveQ, at, err)
-		}
-
-		rec2 := trace.NewRecorder(0)
-		s2, err := checkpoint.Restore(data, checkpoint.Options{Recorder: rec2, EventQueue: restoreQ})
-		if err != nil {
-			t.Fatalf("trial %d: restore under %s at %v: %v", trial, restoreQ, at, err)
-		}
-		if s2.Config.EventQueue != restoreQ {
-			t.Fatalf("trial %d: restored config queue %q, want override %q", trial, s2.Config.EventQueue, restoreQ)
-		}
-		s2.Machine.Listen(rec2)
-		s2.Machine.Run(horizon)
-		s2.Machine.Flush()
-
-		if got := csvOf(t, rec2); !bytes.Equal(got, wantCSV) {
-			t.Fatalf("trial %d (%s, %s→%s @ %v): cross-queue resumed trace differs\n%s",
-				trial, leafNames(cfg), saveQ, restoreQ, at, testutil.DiffBytes(got, wantCSV))
-		}
-		if got := sweep.Digest(s2); got != wantDigest {
-			t.Fatalf("trial %d (%s, %s→%s @ %v): digest %s, pristine %s",
-				trial, leafNames(cfg), saveQ, restoreQ, at, got, wantDigest)
-		}
-		if got := summarized(s2); got != wantMetrics {
-			t.Fatalf("trial %d (%s, %s→%s @ %v): metrics differ:\n%s\nvs pristine:\n%s",
-				trial, leafNames(cfg), saveQ, restoreQ, at, got, wantMetrics)
-		}
+		p.Str(name)
+		p.Blob(body)
 	}
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return reframe(p.Bytes())
 }
 
 // TestResumeFromSelfCheckpointIsCanonical re-saves immediately after a
@@ -383,6 +353,16 @@ func TestResumeFromSelfCheckpointIsCanonical(t *testing.T) {
 		}
 		if !bytes.Equal(data, again) {
 			t.Fatalf("config %d (%s): checkpoint not canonical across restore", i, leafNames(cfg))
+		}
+		// Checkpoints written while the engine still offered a choice of
+		// event queue embed a config carrying the retired "event_queue"
+		// field. They must restore to the same state and re-save without it.
+		s3, err := checkpoint.Restore(withEmbeddedConfigField(t, data, "event_queue", "wheel"), checkpoint.Options{})
+		if err != nil {
+			t.Fatalf("config %d: restore with event_queue: %v", i, err)
+		}
+		if again, err = checkpoint.Save(s3, checkpoint.Options{}); err != nil || !bytes.Equal(data, again) {
+			t.Fatalf("config %d (%s): checkpoint with event_queue restores to a different state (re-save err %v)", i, leafNames(cfg), err)
 		}
 	}
 }

@@ -151,7 +151,7 @@ func runAblationLottery(opt Options) *Result {
 	quantum := 10 * sim.Millisecond
 
 	run := func(mk func(rng *sim.Rand) sched.Scheduler) (windowCV float64, longRatio float64) {
-		eng := opt.Engine()
+		eng := sim.NewEngine()
 		rng := sim.NewRand(opt.Seed)
 		m := cpu.NewMachine(eng, rate, mk(rng))
 		a := m.Spawn("a", 1, cpu.Forever(cpu.Compute(1_000_000)), 0)
@@ -196,7 +196,7 @@ func runAblationBounds(opt Options) *Result {
 	r := &Result{}
 	const horizon = 30 * sim.Second
 	quantum := 10 * sim.Millisecond
-	eng := opt.Engine()
+	eng := sim.NewEngine()
 	leaf := sched.NewSFQ(quantum)
 	m := cpu.NewMachine(eng, rate, leaf)
 	m.AddInterrupts(&cpu.PeriodicInterrupts{Period: 10 * sim.Millisecond, Service: sim.Millisecond})

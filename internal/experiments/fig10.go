@@ -22,7 +22,7 @@ func runFig10(opt Options) *Result {
 	r := &Result{}
 	const horizon = 30 * sim.Second
 	f := buildFig6(1, 1, 1, 10*sim.Millisecond)
-	eng := opt.Engine()
+	eng := sim.NewEngine()
 	m := cpu.NewMachine(eng, rate, f.S)
 	rng := sim.NewRand(opt.Seed)
 

@@ -29,7 +29,7 @@ func runFig11(opt Options) *Result {
 	r := &Result{}
 	const horizon = 26 * sim.Second
 	f := buildFig6(1, 1, 1, 10*sim.Millisecond)
-	eng := opt.Engine()
+	eng := sim.NewEngine()
 	m := cpu.NewMachine(eng, rate, f.S)
 
 	burst := sched.Work(rate / 10000)

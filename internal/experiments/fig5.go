@@ -24,7 +24,7 @@ func runFig5(opt Options) *Result {
 	bench := dhry(0)
 
 	run := func(mk func() sched.Scheduler) ([]int64, []float64) {
-		eng := opt.Engine()
+		eng := sim.NewEngine()
 		m := cpu.NewMachine(eng, rate, mk())
 		rng := sim.NewRand(opt.Seed)
 		var threads []*sched.Thread

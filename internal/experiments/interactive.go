@@ -45,7 +45,7 @@ func runAblationInteractive(opt Options) *Result {
 	}
 	run := func(mk func() sched.Scheduler) outcome {
 		leaf := mk()
-		m := cpu.NewMachine(opt.Engine(), rate, leaf)
+		m := cpu.NewMachine(sim.NewEngine(), rate, leaf)
 		inter := sched.NewThread(1, "interactive", 1)
 		m.Add(inter, cpu.Forever(cpu.Compute(sched.Work(rate/2000)), cpu.Sleep(20*sim.Millisecond)), 0)
 		// Batch bursts are longer than svr4's largest quantum (200 ms at

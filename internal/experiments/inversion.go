@@ -20,7 +20,7 @@ func runAblationInversion(opt Options) *Result {
 	r := &Result{}
 	run := func(transfer bool) []sim.Time {
 		leaf := sched.NewSFQ(sim.Millisecond)
-		m := cpu.NewMachine(opt.Engine(), rate, leaf)
+		m := cpu.NewMachine(sim.NewEngine(), rate, leaf)
 		var donate *sched.SFQ
 		if transfer {
 			donate = leaf

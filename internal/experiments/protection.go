@@ -30,7 +30,7 @@ func runAblationProtection(opt Options) *Result {
 		maxWait    sim.Time
 	}
 	run := func(mk func() sched.Scheduler, configure func(video, batch, inter *sched.Thread)) outcome {
-		eng := opt.Engine()
+		eng := sim.NewEngine()
 		m := cpu.NewMachine(eng, rate, mk())
 		video := sched.NewThread(1, "video", 1)
 		batch := sched.NewThread(2, "batch", 1)

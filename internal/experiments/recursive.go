@@ -40,7 +40,7 @@ func runAblationRecursive(opt Options) *Result {
 	idB2, err := s.Mknod("B2", idB, 2, sched.NewSFQ(quantum))
 	must(err)
 
-	eng := opt.Engine()
+	eng := sim.NewEngine()
 	m := cpu.NewMachine(eng, rate, s)
 	m.AddInterrupts(&cpu.PeriodicInterrupts{Period: 10 * sim.Millisecond, Service: sim.Millisecond})
 

@@ -22,9 +22,6 @@ type Event struct {
 	Core int
 	seq  uint64
 	idx  int // queue position marker, -1 once popped or cancelled
-	// qnext/qprev thread the event into a timing-wheel bucket list; the
-	// heap queue leaves them nil. Only the owning queue touches them.
-	qnext, qprev *Event
 }
 
 // Cancelled reports whether the event has been removed from the queue
@@ -43,29 +40,24 @@ func (e *Event) HeapLess(o *Event) bool {
 // HeapIndex implements sim.HeapItem.
 func (e *Event) HeapIndex() *int { return &e.idx }
 
-// Engine is the discrete-event simulation loop. The zero value is not
-// usable; create one with NewEngine or NewEngineWith.
+// Engine is the discrete-event simulation loop. Its pending events live
+// in one binary min-heap ordered by (At, Seq): strictly ascending time,
+// and among events at the same instant, ascending sequence number. At
+// panics on past times and AtSeq forbids reused sequence numbers, so that
+// order is strict and the next event to fire is always unique. The zero
+// value is not usable; create one with NewEngine.
 type Engine struct {
 	now    Time
-	queue  EventQueue
+	queue  Heap[*Event]
 	free   []*Event // fired/cancelled events awaiting reuse
 	seq    uint64
 	fired  uint64
 	halted bool
 }
 
-// NewEngine returns an engine whose clock starts at zero, backed by the
-// default binary-heap event queue.
+// NewEngine returns an engine whose clock starts at zero.
 func NewEngine() *Engine {
-	return NewEngineWith(new(heapQueue))
-}
-
-// NewEngineWith returns an engine running on the given event queue. The
-// queue must be empty and is owned by the engine from here on. Any
-// conforming EventQueue (see the interface's ordering contract) yields
-// byte-identical simulations; the choice only changes speed.
-func NewEngineWith(q EventQueue) *Engine {
-	return &Engine{queue: q}
+	return &Engine{}
 }
 
 // Now returns the current simulated time.
@@ -94,16 +86,10 @@ func (e *Event) Seq() uint64 { return e.seq }
 // and forces the clock and counters, clearing any halt. It exists for
 // checkpoint restore: a freshly built simulation carries the build's
 // initial events, which Reset drops before the restored pending events are
-// re-armed. Holders of outstanding event handles must drop them. The
-// drain goes through the EventQueue interface, so any queue
-// implementation restores identically; queues that anchor bucket math to
-// a current time are re-anchored to the forced clock afterwards.
+// re-armed. Holders of outstanding event handles must drop them.
 func (e *Engine) Reset(now Time, seq, fired uint64) {
 	for e.queue.Len() > 0 {
 		e.release(e.queue.Pop())
-	}
-	if r, ok := e.queue.(timeResetter); ok {
-		r.resetTime(now)
 	}
 	e.now, e.seq, e.fired, e.halted = now, seq, fired, false
 }
@@ -172,7 +158,7 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.idx == -1 {
 		return
 	}
-	e.queue.Remove(ev)
+	e.queue.Remove(ev.idx)
 	e.release(ev)
 }
 
@@ -203,38 +189,21 @@ func (e *Engine) fire(ev *Event) {
 	e.release(ev)
 }
 
-// Run executes events until the queue is empty or Halt is called. All
-// events at one instant dispatch as a batch: the outer loop reads the
-// batch's time once and the inner loop drains events at exactly that
-// time, which keeps the queue's minimum hot (a timing wheel serves a
-// same-tick run from one bucket in O(1) per event). Events stay queued
-// until individually popped, so a callback cancelling a later
-// same-instant event still prevents it from firing, exactly as under
-// one-at-a-time stepping.
+// Run executes events until the queue is empty or Halt is called.
 func (e *Engine) Run() {
 	e.halted = false
 	for !e.halted && e.queue.Len() > 0 {
-		at := e.queue.Min().At
-		for !e.halted && e.queue.Len() > 0 && e.queue.Min().At == at {
-			e.fire(e.queue.Pop())
-		}
+		e.fire(e.queue.Pop())
 	}
 }
 
 // RunUntil executes events with At <= deadline, then advances the clock to
 // the deadline (even if no event lies exactly there). Events scheduled at
-// the deadline do fire. Same-instant events dispatch as a batch, checking
-// the deadline once per instant rather than once per event.
+// the deadline do fire.
 func (e *Engine) RunUntil(deadline Time) {
 	e.halted = false
-	for !e.halted && e.queue.Len() > 0 {
-		at := e.queue.Min().At
-		if at > deadline {
-			break
-		}
-		for !e.halted && e.queue.Len() > 0 && e.queue.Min().At == at {
-			e.fire(e.queue.Pop())
-		}
+	for !e.halted && e.queue.Len() > 0 && e.queue.Min().At <= deadline {
+		e.fire(e.queue.Pop())
 	}
 	if !e.halted && e.now < deadline {
 		e.now = deadline

@@ -40,9 +40,6 @@ func FuzzParseConfig(f *testing.F) {
 		  "threads": [{"name": "t", "leaf": "/a", "affinity": 5}]}`,
 		`{"cores": 3, "policy": "global", "nodes": [{"path": "/a", "leaf": "sfq"}],
 		  "threads": [{"name": "t", "leaf": "/a", "affinity": -1}]}`,
-		`{"event_queue": "wheel", "nodes": [{"path": "/a", "leaf": "sfq"}]}`,
-		`{"event_queue": "heap", "nodes": [{"path": "/a", "leaf": "sfq"}]}`,
-		`{"event_queue": "splay", "nodes": [{"path": "/a", "leaf": "sfq"}]}`,
 		// Multilevel-feedback and dynamic-quantum leaves: valid geometry,
 		// then every combination their constructors panic on — Validate
 		// must reject all of them (levels range, aging sign, per-level

@@ -86,13 +86,6 @@ type Config struct {
 	// idealization.
 	SwitchCost    Duration `json:"switch_cost,omitempty"`
 	MigrationCost Duration `json:"migration_cost,omitempty"`
-	// EventQueue selects the engine's pending-event structure by
-	// sim.NewEventQueue name: "heap" (default) or "wheel". Any conforming
-	// queue produces byte-identical output — the knob only changes speed —
-	// so it carries omitempty and configs that omit it marshal to exactly
-	// the pre-PR-7 JSON (checkpoint embeddings and sweep job keys are
-	// unchanged).
-	EventQueue string `json:"event_queue,omitempty"`
 	// Nodes describe the scheduling structure; parents are created
 	// implicitly with weight 1 (override by listing them first).
 	Nodes []NodeConfig `json:"nodes"`
@@ -269,9 +262,6 @@ func (c Config) Validate() error {
 	}
 	if c.MigrationCost < 0 {
 		return fieldErr("migration_cost", "negative migration cost %d", c.MigrationCost)
-	}
-	if !sim.KnownEventQueue(c.EventQueue) {
-		return fieldErr("event_queue", "unknown event queue %q (have %v)", c.EventQueue, sim.EventQueueNames())
 	}
 	leaves := map[string]bool{}
 	for i, nc := range c.Nodes {
@@ -452,11 +442,7 @@ func Build(c Config, opt BuildOptions) (*Simulation, error) {
 		c.Horizon = Duration(30 * sim.Second)
 	}
 	rate := cpu.MIPS(c.RateMIPS)
-	queue, err := sim.NewEventQueue(c.EventQueue)
-	if err != nil {
-		return nil, fmt.Errorf("simconfig: %w", err)
-	}
-	eng := sim.NewEngineWith(queue)
+	eng := sim.NewEngine()
 	rng := sim.NewRand(c.Seed)
 	nCores := c.NumCores()
 	policy, err := cpu.ParsePolicy(c.Policy)

@@ -139,6 +139,20 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsEventQueueField pins the retirement of the event_queue
+// knob: the engine has one event queue, so a config still selecting one
+// is refused at parse time with an error naming the field, not silently
+// run on a queue it did not ask for.
+func TestParseRejectsEventQueueField(t *testing.T) {
+	for _, q := range []string{"heap", "wheel"} {
+		js := `{"event_queue": "` + q + `", "nodes": [{"path": "/a", "leaf": "sfq"}]}`
+		_, err := Parse(strings.NewReader(js))
+		if err == nil || !strings.Contains(err.Error(), `"event_queue"`) {
+			t.Errorf("event_queue %q: got %v, want an unknown-field error naming event_queue", q, err)
+		}
+	}
+}
+
 func TestRTPriorityPlacement(t *testing.T) {
 	js := `{
 	  "horizon": "2s",

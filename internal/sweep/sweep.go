@@ -38,7 +38,6 @@ import (
 
 	"hsfq/internal/cpu"
 	"hsfq/internal/sched"
-	"hsfq/internal/sim"
 	"hsfq/internal/simconfig"
 )
 
@@ -59,7 +58,6 @@ const (
 	ParamPolicy           = "policy"            // Config.Policy (strings)
 	ParamSwitchCost       = "switch_cost"       // Config.SwitchCost (durations)
 	ParamMigrationCost    = "migration_cost"    // Config.MigrationCost (durations)
-	ParamEventQueue       = "event_queue"       // Config.EventQueue (strings)
 	ParamLevels           = "levels"            // node target's mlfq level count (numbers)
 	ParamAging            = "aging"             // node target's mlfq aging bound (durations)
 )
@@ -370,18 +368,6 @@ func makeChoice(ax Axis, key string, raw json.RawMessage) (choice, error) {
 		}
 		return choice{key, s, func(c *simconfig.Config) error {
 			c.Policy = s
-			return nil
-		}}, nil
-	case ParamEventQueue:
-		var s string
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return choice{}, fmt.Errorf("value %s is not a string", raw)
-		}
-		if !sim.KnownEventQueue(s) {
-			return choice{}, fmt.Errorf("unknown event queue %q (have %v)", s, sim.EventQueueNames())
-		}
-		return choice{key, s, func(c *simconfig.Config) error {
-			c.EventQueue = s
 			return nil
 		}}, nil
 	case ParamLevels:

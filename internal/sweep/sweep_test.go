@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -145,6 +146,10 @@ func TestExpandErrors(t *testing.T) {
 		"no values":     func(s *Spec) { s.Axes[0].Values = nil },
 		"bad target":    func(s *Spec) { s.Axes[0].Target = "/nope" },
 		"dup axis":      func(s *Spec) { s.Axes[1] = s.Axes[0] },
+		// The engine has one event queue, so there is nothing to sweep.
+		"event_queue axis": func(s *Spec) {
+			s.Axes[0] = Axis{Param: "event_queue", Values: []json.RawMessage{[]byte(`"heap"`), []byte(`"wheel"`)}}
+		},
 	} {
 		spec := parseTestSpec(t, testSpec)
 		mutate(&spec)

@@ -32,11 +32,11 @@ TENANT_SMOKE_DURATION ?= 3s
 # the whole budget is spent fuzzing, not shrinking interesting inputs.
 FUZZ_TIME ?= 30s
 
-.PHONY: all build test race vet bench fmt check sweep-smoke sweep-bench loadtest tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke adversary-smoke trace-smoke
+.PHONY: all build test race vet bench bench-test fmt check sweep-smoke sweep-bench loadtest tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke adversary-smoke trace-smoke
 
 all: build test
 
-check: build test vet sweep-smoke tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke adversary-smoke trace-smoke
+check: build test vet bench-test sweep-smoke tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke adversary-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,11 @@ fmt:
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) .
+
+# bench/ is its own module, so the root build and test never compile it,
+# yet it drives sched, core and tenantsched directly: vet and test it here.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # 16-job grid (2 quanta x 2 leaf kinds x 2 weights x 2 seeds), every job
 # run twice (-verify) across 4 workers: exercises the sweep engine's

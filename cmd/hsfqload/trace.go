@@ -56,8 +56,9 @@ type streamResult struct {
 
 // followStream attaches to the job's follow stream (retrying until the
 // trace exists) and consumes it to the end. bufBytes > 0 is passed as
-// ?buf=; slow throttles reads to force server-side drops.
-func followStream(addr, key string, bufBytes int, slow bool) streamResult {
+// ?buf=; slow throttles reads to force server-side drops. A non-nil
+// attached is closed once the follow request has returned 200.
+func followStream(addr, key string, bufBytes int, slow bool, attached chan<- struct{}) streamResult {
 	url := fmt.Sprintf("%s/v1/trace/%s?follow=1", addr, key)
 	if bufBytes > 0 {
 		url += fmt.Sprintf("&buf=%d", bufBytes)
@@ -84,6 +85,9 @@ func followStream(addr, key string, bufBytes int, slow bool) streamResult {
 		time.Sleep(time.Millisecond)
 	}
 	defer resp.Body.Close()
+	if attached != nil {
+		close(attached)
+	}
 
 	var body io.Reader = resp.Body
 	if slow {
@@ -196,7 +200,7 @@ func runTrace(addr, hsfqd, policy string, streams, queue, workers int) error {
 			// Fast readers ask for a buffer large enough to absorb the
 			// whole run's frames even if delivery momentarily stalls:
 			// lossless is the point of this side of the check.
-			results[i] = followStream(addr, key, 64<<20, false)
+			results[i] = followStream(addr, key, 64<<20, false, nil)
 		}(i)
 	}
 	wg.Add(1)
@@ -204,7 +208,7 @@ func runTrace(addr, hsfqd, policy string, streams, queue, workers int) error {
 		defer wg.Done()
 		// Minimum server-side buffer plus a throttled client: guaranteed
 		// to fall behind a stream this long.
-		results[streams] = followStream(addr, key, 4096, true)
+		results[streams] = followStream(addr, key, 4096, true, nil)
 	}()
 	wg.Wait()
 	if err := <-postErr; err != nil {
@@ -257,23 +261,16 @@ func runTrace(addr, hsfqd, policy string, streams, queue, workers int) error {
 		_, _, _, err := request(addr, "", job2)
 		post2 <- err
 	}()
+	attached := make(chan struct{})
 	ch := make(chan streamResult, 1)
-	go func() { ch <- followStream(addr, key2, 0, false) }()
-	// Wait until the trace is live (the follow above is attached or about
-	// to be), then pull the plug.
-	for deadline := time.Now().Add(15 * time.Second); ; {
-		r, err := http.Get(addr + "/v1/trace/" + key2)
-		if err == nil {
-			io.Copy(io.Discard, r.Body)
-			r.Body.Close()
-			if r.StatusCode == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			return fail(fmt.Errorf("drain leg: trace never appeared"))
-		}
-		time.Sleep(time.Millisecond)
+	go func() { ch <- followStream(addr, key2, 0, false, attached) }()
+	// Pull the plug only once the stream is attached: a follow that dials
+	// after SIGTERM finds the listener closed. A follow that returns
+	// without attaching is put back and its error reported below.
+	select {
+	case <-attached:
+	case res := <-ch:
+		ch <- res
 	}
 	stopErr := stop() // SIGTERM; waits for a clean exit 0
 	res := <-ch

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"hsfq/internal/sched"
@@ -18,8 +17,8 @@ import (
 // service stays accounted at the old rate — exactly how the paper's Fig. 11
 // dynamic-allocation experiment behaves.
 func (s *Structure) SetNodeWeight(id NodeID, weight float64) error {
-	n, ok := s.nodes[id]
-	if !ok {
+	n := s.Node(id)
+	if n == nil {
 		return fmt.Errorf("%w: %d", ErrNoNode, id)
 	}
 	if n.parent == nil {
@@ -34,8 +33,8 @@ func (s *Structure) SetNodeWeight(id NodeID, weight float64) error {
 
 // NodeWeightOf returns a node's weight, the read half of hsfq_admin.
 func (s *Structure) NodeWeightOf(id NodeID) (float64, error) {
-	n, ok := s.nodes[id]
-	if !ok {
+	n := s.Node(id)
+	if n == nil {
 		return 0, fmt.Errorf("%w: %d", ErrNoNode, id)
 	}
 	return n.weight, nil
@@ -49,7 +48,7 @@ func (s *Structure) SetThreadWeight(t *sched.Thread, weight float64) error {
 	if weight <= 0 {
 		return fmt.Errorf("%w: %v", ErrBadWeight, weight)
 	}
-	n := s.nodeOf(t)
+	n := s.byThread.Get(t)
 	if n == nil {
 		return fmt.Errorf("%w: %v", ErrNoThread, t)
 	}
@@ -65,8 +64,8 @@ func (s *Structure) SetThreadWeight(t *sched.Thread, weight float64) error {
 // entitled to when every node is busy: the product along the path of
 // weight_i / sum(sibling weights).
 func (s *Structure) Bandwidth(id NodeID) (float64, error) {
-	n, ok := s.nodes[id]
-	if !ok {
+	n := s.Node(id)
+	if n == nil {
 		return 0, fmt.Errorf("%w: %d", ErrNoNode, id)
 	}
 	frac := 1.0
@@ -97,8 +96,8 @@ type NodeInfo struct {
 
 // Info returns a snapshot of the node with the given id.
 func (s *Structure) Info(id NodeID) (NodeInfo, error) {
-	n, ok := s.nodes[id]
-	if !ok {
+	n := s.Node(id)
+	if n == nil {
 		return NodeInfo{}, fmt.Errorf("%w: %d", ErrNoNode, id)
 	}
 	info := NodeInfo{
@@ -110,7 +109,7 @@ func (s *Structure) Info(id NodeID) (NodeInfo, error) {
 		Start:       n.start,
 		Finish:      n.finish,
 		VirtualTime: n.VirtualTime(),
-		Threads:     len(n.threads),
+		Threads:     len(s.threadsOf(n)),
 	}
 	if n.IsLeaf() {
 		info.LeafName = n.leaf.Name()
@@ -135,8 +134,8 @@ func (s *Structure) Walk(fn func(*Node)) {
 
 // Depth returns the number of edges from the root to the node.
 func (s *Structure) Depth(id NodeID) (int, error) {
-	n, ok := s.nodes[id]
-	if !ok {
+	n := s.Node(id)
+	if n == nil {
 		return 0, fmt.Errorf("%w: %d", ErrNoNode, id)
 	}
 	d := 0
@@ -225,20 +224,6 @@ func (s *Structure) checkNode(n *Node) error {
 			return fmt.Errorf("core: node %q has negative tags", s.PathOf(c.id))
 		}
 	}
-	if n.IsLeaf() {
-		for t, leaf := range s.byThread {
-			if leaf == n {
-				if _, ok := n.threads[t]; !ok {
-					return fmt.Errorf("core: thread %v missing from leaf %q", t, path)
-				}
-			}
-		}
-		for t := range n.threads {
-			if s.byThread[t] != n {
-				return fmt.Errorf("core: thread %v in leaf %q but mapped elsewhere", t, path)
-			}
-		}
-	}
 	return nil
 }
 
@@ -253,7 +238,7 @@ func (s *Structure) WriteDOT(w io.Writer) error {
 			label = "root"
 		}
 		if n.IsLeaf() {
-			label += fmt.Sprintf("\\nw=%g leaf=%s threads=%d", n.weight, n.leaf.Name(), len(n.threads))
+			label += fmt.Sprintf("\\nw=%g leaf=%s threads=%d", n.weight, n.leaf.Name(), len(s.threadsOf(n)))
 		} else if n.parent != nil {
 			label += fmt.Sprintf("\\nw=%g", n.weight)
 		}
@@ -280,7 +265,7 @@ func (s *Structure) String() string {
 		}
 		fmt.Fprintf(&b, "%s (id=%d w=%g", name, n.id, n.weight)
 		if n.IsLeaf() {
-			fmt.Fprintf(&b, " leaf=%s threads=%d", n.leaf.Name(), len(n.threads))
+			fmt.Fprintf(&b, " leaf=%s threads=%d", n.leaf.Name(), len(s.threadsOf(n)))
 		}
 		if n.Runnable() {
 			b.WriteString(" runnable")
@@ -296,33 +281,25 @@ func (s *Structure) String() string {
 
 // Threads returns the threads attached to a leaf, sorted by ID.
 func (s *Structure) Threads(id NodeID) ([]*sched.Thread, error) {
-	n, ok := s.nodes[id]
-	if !ok {
+	n := s.Node(id)
+	if n == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoNode, id)
 	}
 	if !n.IsLeaf() {
 		return nil, fmt.Errorf("%w: %q", ErrNotLeaf, s.PathOf(id))
 	}
-	out := make([]*sched.Thread, 0, len(n.threads))
-	for t := range n.threads {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
+	return s.threadsOf(n), nil
 }
 
 // Detach removes a blocked thread from the structure entirely.
 func (s *Structure) Detach(t *sched.Thread) error {
-	n, ok := s.byThread[t]
-	if !ok {
+	if s.byThread.Get(t) == nil {
 		return fmt.Errorf("%w: %v", ErrNoThread, t)
 	}
 	if t.State == sched.StateRunnable || t.State == sched.StateRunning {
 		return fmt.Errorf("%w: %v", ErrThreadRunning, t)
 	}
-	delete(n.threads, t)
-	delete(s.byThread, t)
-	t.NodeSlot.Drop(s)
+	s.byThread.Delete(t)
 	return nil
 }
 

@@ -13,21 +13,6 @@ import (
 
 var _ sched.Scheduler = (*Structure)(nil)
 
-// nodeOf returns the leaf node t is attached to, consulting the byThread
-// map only after a cache miss (first touch, or right after a Move changed
-// the attachment). The steady-state Pick/Quantum/Charge cycle therefore
-// performs no map lookups at this layer.
-func (s *Structure) nodeOf(t *sched.Thread) *Node {
-	if v, ok := t.NodeSlot.Get(s); ok {
-		return v.(*Node)
-	}
-	if n := s.byThread[t]; n != nil {
-		t.NodeSlot.Set(s, n)
-		return n
-	}
-	return nil
-}
-
 // Name implements sched.Scheduler.
 func (s *Structure) Name() string { return "hsfq" }
 
@@ -41,7 +26,7 @@ func (s *Structure) Len() int { return s.runnable }
 // "this function has to traverse the path from the leaf up the tree only
 // until a node that is already runnable is found".
 func (s *Structure) Enqueue(t *sched.Thread, now sim.Time) {
-	n := s.nodeOf(t)
+	n := s.byThread.Get(t)
 	if n == nil {
 		panic(fmt.Sprintf("core: Enqueue of unattached thread %v", t))
 	}
@@ -78,7 +63,7 @@ func (s *Structure) setRun(n *Node) {
 // traverse the path from the leaf only until a node that has more than one
 // runnable child nodes is found".
 func (s *Structure) Remove(t *sched.Thread, now sim.Time) {
-	n := s.nodeOf(t)
+	n := s.byThread.Get(t)
 	if n == nil {
 		panic(fmt.Sprintf("core: Remove of unattached thread %v", t))
 	}
@@ -128,7 +113,7 @@ func (s *Structure) Pick(now sim.Time) *sched.Thread {
 // Quantum implements sched.Scheduler: the quantum is a property of the
 // thread's leaf class.
 func (s *Structure) Quantum(t *sched.Thread, now sim.Time) sim.Time {
-	n := s.nodeOf(t)
+	n := s.byThread.Get(t)
 	if n == nil {
 		panic(fmt.Sprintf("core: Quantum of unattached thread %v", t))
 	}
@@ -147,7 +132,7 @@ func (s *Structure) Quantum(t *sched.Thread, now sim.Time) sim.Time {
 // leaves its parent's runnable heap (the hsfq_sleep case folded into the
 // update).
 func (s *Structure) Charge(t *sched.Thread, used sched.Work, now sim.Time, runnable bool) {
-	n := s.nodeOf(t)
+	n := s.byThread.Get(t)
 	if n == nil {
 		panic(fmt.Sprintf("core: Charge of unattached thread %v", t))
 	}
@@ -196,8 +181,8 @@ func (s *Structure) Charge(t *sched.Thread, used sched.Work, now sim.Time, runna
 // preemption — the woken class gains the CPU at the next quantum boundary,
 // which is what bounds Fig. 9's scheduling latency by the quantum length.
 func (s *Structure) Preempts(running, woken *sched.Thread, now sim.Time) bool {
-	rl := s.nodeOf(running)
-	wl := s.nodeOf(woken)
+	rl := s.byThread.Get(running)
+	wl := s.byThread.Get(woken)
 	if rl == nil || wl == nil || rl != wl {
 		return false
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
@@ -18,7 +17,7 @@ import (
 // split) before touching anything.
 var _ sched.Stater = (*Structure)(nil)
 
-// SaveState implements sched.Stater. Nodes are emitted sorted by ID so
+// SaveState implements sched.Stater. Nodes are emitted in ID order so
 // the encoding is canonical; leaf schedulers must implement sched.Stater
 // themselves.
 func (s *Structure) SaveState(e *sim.Enc) error {
@@ -35,13 +34,11 @@ func (s *Structure) SaveState(e *sim.Enc) error {
 		e.Int(-1)
 	}
 
-	s.saveScratch = s.saveScratch[:0]
+	e.Int(s.numNodes())
 	for _, n := range s.nodes {
-		s.saveScratch = append(s.saveScratch, n)
-	}
-	slices.SortFunc(s.saveScratch, func(a, b *Node) int { return int(a.id) - int(b.id) })
-	e.Int(len(s.saveScratch))
-	for _, n := range s.saveScratch {
+		if n == nil {
+			continue
+		}
 		e.Int(int(n.id))
 		e.F64(n.weight)
 		e.F64(n.start)
@@ -83,8 +80,8 @@ func (s *Structure) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) er
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if n != len(s.nodes) {
-		return fmt.Errorf("core: checkpoint has %d nodes, structure has %d", n, len(s.nodes))
+	if live := s.numNodes(); n != live {
+		return fmt.Errorf("core: checkpoint has %d nodes, structure has %d", n, live)
 	}
 	if runnable < 0 {
 		return fmt.Errorf("core: negative runnable count %d", runnable)
@@ -102,7 +99,7 @@ func (s *Structure) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) er
 			return fmt.Errorf("core: node IDs not strictly increasing at %d", id)
 		}
 		prev = id
-		nd := s.nodes[NodeID(id)]
+		nd := s.Node(NodeID(id))
 		if nd == nil {
 			return fmt.Errorf("core: checkpoint references unknown node %d", id)
 		}
@@ -157,7 +154,7 @@ func (s *Structure) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) er
 		if t == nil {
 			return fmt.Errorf("core: picked thread %d unknown", pickedID)
 		}
-		nd := s.nodes[NodeID(pickedAtID)]
+		nd := s.Node(NodeID(pickedAtID))
 		if nd == nil || !nd.IsLeaf() {
 			return fmt.Errorf("core: picked-at node %d missing or not a leaf", pickedAtID)
 		}
@@ -166,4 +163,15 @@ func (s *Structure) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) er
 		return fmt.Errorf("core: picked-at node %d without a picked thread", pickedAtID)
 	}
 	return d.Err()
+}
+
+// numNodes returns the number of nodes in the structure, root included.
+func (s *Structure) numNodes() int {
+	c := 0
+	for _, n := range s.nodes {
+		if n != nil {
+			c++
+		}
+	}
+	return c
 }

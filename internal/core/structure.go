@@ -83,8 +83,7 @@ type Node struct {
 	maxFinish float64         // max finish tag ever assigned to a child
 
 	// Leaf state.
-	leaf    sched.Scheduler
-	threads map[*sched.Thread]struct{}
+	leaf sched.Scheduler
 }
 
 // ID returns the node's identifier.
@@ -145,20 +144,18 @@ func (n *Node) HeapLess(o *Node) bool {
 func (n *Node) HeapIndex() *int { return &n.heapIdx }
 
 // Structure is a scheduling structure: the tree plus the thread-to-leaf
-// map. It implements sched.Scheduler.
+// table. It implements sched.Scheduler.
 type Structure struct {
-	root     *Node
-	nodes    map[NodeID]*Node
-	byThread map[*sched.Thread]*Node
-	nextID   NodeID
+	root *Node
+	// nodes is indexed by NodeID. IDs are handed out as len(nodes) and
+	// never reused: Rmnod leaves a nil hole, and index 0 (below RootID)
+	// is always nil.
+	nodes    []*Node
+	byThread sched.Table[*Node] // each attached thread's leaf
 	seq      uint64
 	runnable int // total runnable threads across all leaves
 	picked   *sched.Thread
 	pickedAt *Node
-
-	// SaveState scratch, reused so periodic checkpointing stays
-	// allocation-free on the warm path.
-	saveScratch []*Node
 }
 
 // NewStructure returns a structure containing only the root node. The root
@@ -166,19 +163,19 @@ type Structure struct {
 // children by SFQ.
 func NewStructure() *Structure {
 	root := &Node{id: RootID, weight: 1, heapIdx: -1, byName: make(map[string]*Node)}
-	return &Structure{
-		root:     root,
-		nodes:    map[NodeID]*Node{RootID: root},
-		byThread: make(map[*sched.Thread]*Node),
-		nextID:   RootID + 1,
-	}
+	return &Structure{root: root, nodes: []*Node{nil, root}}
 }
 
 // Root returns the root node.
 func (s *Structure) Root() *Node { return s.root }
 
 // Node returns the node with the given id, or nil.
-func (s *Structure) Node(id NodeID) *Node { return s.nodes[id] }
+func (s *Structure) Node(id NodeID) *Node {
+	if uint(id) >= uint(len(s.nodes)) {
+		return nil
+	}
+	return s.nodes[id]
+}
 
 // Mknod creates a node named name (a single path component) as a child of
 // parent, with the given weight. If leaf is non-nil the node is a leaf
@@ -186,8 +183,8 @@ func (s *Structure) Node(id NodeID) *Node { return s.nodes[id] }
 // node whose children are scheduled by SFQ. It returns the new node's id,
 // mirroring hsfq_mknod.
 func (s *Structure) Mknod(name string, parent NodeID, weight float64, leaf sched.Scheduler) (NodeID, error) {
-	p, ok := s.nodes[parent]
-	if !ok {
+	p := s.Node(parent)
+	if p == nil {
 		return 0, fmt.Errorf("%w: parent %d", ErrNoNode, parent)
 	}
 	if p.IsLeaf() {
@@ -203,7 +200,7 @@ func (s *Structure) Mknod(name string, parent NodeID, weight float64, leaf sched
 		return 0, fmt.Errorf("%w: %q under %q", ErrDupName, name, s.PathOf(parent))
 	}
 	n := &Node{
-		id:      s.nextID,
+		id:      NodeID(len(s.nodes)),
 		name:    name,
 		parent:  p,
 		weight:  weight,
@@ -211,13 +208,9 @@ func (s *Structure) Mknod(name string, parent NodeID, weight float64, leaf sched
 		byName:  make(map[string]*Node),
 		leaf:    leaf,
 	}
-	if leaf != nil {
-		n.threads = make(map[*sched.Thread]struct{})
-	}
-	s.nextID++
 	p.children = append(p.children, n)
 	p.byName[name] = n
-	s.nodes[n.id] = n
+	s.nodes = append(s.nodes, n)
 	return n.id, nil
 }
 
@@ -255,9 +248,8 @@ func (s *Structure) Parse(name string, hint NodeID) (NodeID, error) {
 	if strings.HasPrefix(name, "/") {
 		cur = s.root
 	} else {
-		var ok bool
-		cur, ok = s.nodes[hint]
-		if !ok {
+		cur = s.Node(hint)
+		if cur == nil {
 			return 0, fmt.Errorf("%w: hint %d", ErrNoNode, hint)
 		}
 	}
@@ -281,8 +273,8 @@ func (s *Structure) Parse(name string, hint NodeID) (NodeID, error) {
 
 // PathOf returns the absolute name of a node, e.g. "/best-effort/user1".
 func (s *Structure) PathOf(id NodeID) string {
-	n, ok := s.nodes[id]
-	if !ok {
+	n := s.Node(id)
+	if n == nil {
 		return fmt.Sprintf("<bad node %d>", id)
 	}
 	if n.parent == nil {
@@ -303,8 +295,8 @@ func (s *Structure) PathOf(id NodeID) string {
 // Rmnod removes a node, mirroring hsfq_rmnod: "a node can be removed only
 // if it does not have any child nodes" — or, for leaves, any threads.
 func (s *Structure) Rmnod(id NodeID) error {
-	n, ok := s.nodes[id]
-	if !ok {
+	n := s.Node(id)
+	if n == nil {
 		return fmt.Errorf("%w: %d", ErrNoNode, id)
 	}
 	if n.parent == nil {
@@ -313,7 +305,7 @@ func (s *Structure) Rmnod(id NodeID) error {
 	if len(n.children) > 0 {
 		return fmt.Errorf("%w: %q", ErrHasChildren, s.PathOf(id))
 	}
-	if len(n.threads) > 0 {
+	if len(s.threadsOf(n)) > 0 {
 		return fmt.Errorf("%w: %q", ErrHasThreads, s.PathOf(id))
 	}
 	if n.heapIdx != -1 {
@@ -327,55 +319,62 @@ func (s *Structure) Rmnod(id NodeID) error {
 		}
 	}
 	delete(p.byName, n.name)
-	delete(s.nodes, id)
+	s.nodes[id] = nil
 	return nil
 }
 
 // Attach places a blocked or new thread in a leaf node. The thread starts
-// competing when it is enqueued.
+// competing when it is enqueued. Its ID must be unique in the structure.
 func (s *Structure) Attach(t *sched.Thread, leaf NodeID) error {
-	n, ok := s.nodes[leaf]
-	if !ok {
+	n := s.Node(leaf)
+	if n == nil {
 		return fmt.Errorf("%w: %d", ErrNoNode, leaf)
 	}
 	if !n.IsLeaf() {
 		return fmt.Errorf("%w: %q", ErrNotLeaf, s.PathOf(leaf))
 	}
-	if _, dup := s.byThread[t]; dup {
+	if u := s.byThread.Holder(t.ID); u == t {
 		return fmt.Errorf("core: thread %v already attached; use Move", t)
+	} else if u != nil {
+		return fmt.Errorf("core: thread %v reuses the ID of attached thread %v", t, u)
 	}
-	n.threads[t] = struct{}{}
-	s.byThread[t] = n
-	t.NodeSlot.Set(s, n)
+	s.byThread.Put(t, n)
 	return nil
 }
 
 // Move reassigns a blocked thread to another leaf, mirroring hsfq_move.
 // Runnable threads must be blocked first so their leaf's tags settle.
 func (s *Structure) Move(t *sched.Thread, to NodeID) error {
-	from, ok := s.byThread[t]
-	if !ok {
+	if s.byThread.Get(t) == nil {
 		return fmt.Errorf("%w: %v", ErrNoThread, t)
 	}
 	if t.State == sched.StateRunnable || t.State == sched.StateRunning {
 		return fmt.Errorf("%w: %v", ErrThreadRunning, t)
 	}
-	dst, ok := s.nodes[to]
-	if !ok {
+	dst := s.Node(to)
+	if dst == nil {
 		return fmt.Errorf("%w: %d", ErrNoNode, to)
 	}
 	if !dst.IsLeaf() {
 		return fmt.Errorf("%w: %q", ErrNotLeaf, s.PathOf(to))
 	}
-	delete(from.threads, t)
-	dst.threads[t] = struct{}{}
-	s.byThread[t] = dst
-	t.NodeSlot.Set(s, dst)
+	s.byThread.Put(t, dst)
 	return nil
 }
 
 // LeafOf returns the leaf node a thread is attached to, or nil.
-func (s *Structure) LeafOf(t *sched.Thread) *Node { return s.byThread[t] }
+func (s *Structure) LeafOf(t *sched.Thread) *Node { return s.byThread.Get(t) }
+
+// threadsOf returns the threads attached to leaf n, in ID order.
+func (s *Structure) threadsOf(n *Node) []*sched.Thread {
+	var out []*sched.Thread
+	for _, r := range s.byThread.Rows() {
+		if r.E == n {
+			out = append(out, r.T)
+		}
+	}
+	return out
+}
 
 func splitPath(p string) []string {
 	var parts []string

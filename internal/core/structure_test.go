@@ -192,6 +192,9 @@ func TestAttachMoveDetach(t *testing.T) {
 	if err := s.Attach(th, ids["user2"]); err == nil {
 		t.Error("double attach allowed")
 	}
+	if err := s.Attach(sched.NewThread(1, "same-id", 1), ids["user2"]); err == nil {
+		t.Error("second thread with an attached thread's ID allowed")
+	}
 	if got := s.LeafOf(th); got.ID() != ids["user1"] {
 		t.Errorf("LeafOf = %v", got.ID())
 	}
@@ -225,6 +228,93 @@ func TestAttachMoveDetach(t *testing.T) {
 	other := sched.NewThread(2, "o", 1)
 	if err := s.Move(other, ids["user1"]); !errors.Is(err, ErrNoThread) {
 		t.Errorf("move of unattached err %v", err)
+	}
+}
+
+// TestMoveRoundTripKeepsLeafTags pins what hsfq_move relies on: a thread
+// that leaves an SFQ leaf and comes back resumes there from the finish
+// tag it left with, S = max(v, F), and both leaves keep checkpointing its
+// entry while it is away.
+func TestMoveRoundTripKeepsLeafTags(t *testing.T) {
+	s := NewStructure()
+	aID, err := s.Mknod("a", RootID, 1, q())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bID, err := s.Mknod("b", RootID, 1, q())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafA := s.Node(aID).Leaf().(*sched.SFQ)
+	leafB := s.Node(bID).Leaf().(*sched.SFQ)
+	mover := sched.NewThread(1, "mover", 1)
+	peer := sched.NewThread(2, "peer", 4) // stays in a, short quanta
+	for _, th := range []*sched.Thread{mover, peer} {
+		if err := s.Attach(th, aID); err != nil {
+			t.Fatal(err)
+		}
+		s.Enqueue(th, 0)
+	}
+	// The mover takes one long quantum per visit and the heavier peer
+	// short ones, so when the mover returns its finish tag is still ahead
+	// of a's virtual time and the stamp shows whether a kept it.
+	now := sim.Time(0)
+	runAndBlock := func() {
+		for {
+			p := s.Pick(now)
+			now += sim.Millisecond
+			if p == mover {
+				s.Charge(p, 50_000_000, now, false)
+				mover.State = sched.StateBlocked
+				return
+			}
+			s.Charge(p, 1_000_000, now, true)
+		}
+	}
+
+	runAndBlock()
+	_, finish := leafA.Tags(mover)
+	if err := s.Move(mover, bID); err != nil {
+		t.Fatal(err)
+	}
+	s.Enqueue(mover, now)
+	runAndBlock()
+	if err := s.Move(mover, aID); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, f := leafA.Tags(mover); f != finish {
+		t.Fatalf("leaf a finish tag after round trip %v, want %v", f, finish)
+	}
+	want := max(leafA.VirtualTime(), finish)
+	if leafA.VirtualTime() >= finish {
+		t.Fatalf("v(a)=%v not below F=%v: the stamp cannot show F was kept", leafA.VirtualTime(), finish)
+	}
+	s.Enqueue(mover, now)
+	if start, _ := leafA.Tags(mover); start != want {
+		t.Errorf("re-entry start tag %v, want max(v, F) = %v", start, want)
+	}
+
+	byID := map[int]*sched.Thread{mover.ID: mover, peer.ID: peer}
+	for name, leaf := range map[string]*sched.SFQ{"a": leafA, "b": leafB} {
+		var e sim.Enc
+		if err := leaf.SaveState(&e); err != nil {
+			t.Fatal(err)
+		}
+		listed := false
+		resolve := func(id int) *sched.Thread {
+			listed = listed || id == mover.ID
+			return byID[id]
+		}
+		if err := q().LoadState(sim.NewDec(e.Bytes()), resolve); err != nil {
+			t.Fatalf("leaf %s: %v", name, err)
+		}
+		if !listed {
+			t.Errorf("leaf %s checkpoint does not list the mover", name)
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -138,7 +138,7 @@ type Machine struct {
 	switchCost    sim.Time // charged on every dispatch
 	migrationCost sim.Time // charged when a thread changes cores
 
-	threads   map[*sched.Thread]*tstate
+	threads   sched.Table[*tstate]
 	listeners []listenerEntry
 
 	inCallback   int      // depth of program-callback nesting (see progNext)
@@ -148,8 +148,6 @@ type Machine struct {
 	stats        Stats        // aggregate across cores
 	nextID       int
 	dispatchCost func(t *sched.Thread) sim.Time
-
-	saveScratch []*tstate // reused by SaveState so snapshots stay alloc-free
 
 	intrDoneFn func()
 }
@@ -214,12 +212,13 @@ func (m *Machine) Add(t *sched.Thread, prog Program, startAt sim.Time) {
 // AddOn registers an externally created thread with the given home core
 // and starts its program at startAt. The home core decides which scheduler
 // the thread is enqueued on; under PolicyGlobal all cores share one
-// scheduler and the home core only seeds wakeup placement.
+// scheduler and the home core only seeds wakeup placement. The thread's
+// ID must be unique on the machine.
 func (m *Machine) AddOn(t *sched.Thread, prog Program, startAt sim.Time, core int) {
 	if core < 0 || core >= len(m.cores) {
 		panic(fmt.Sprintf("cpu: thread %v on core %d of a %d-core machine", t, core, len(m.cores)))
 	}
-	if _, dup := m.threads[t]; dup {
+	if m.threads.Get(t) != nil {
 		panic(fmt.Sprintf("cpu: thread %v added twice", t))
 	}
 	if prog == nil {
@@ -238,22 +237,8 @@ func (m *Machine) AddOn(t *sched.Thread, prog Program, startAt sim.Time, core in
 		ts.start = nil
 		m.advance(ts)
 	}
-	m.threads[t] = ts
-	t.MachSlot.Set(m, ts)
+	m.threads.Put(t, ts) // panics if another thread holds t.ID
 	ts.start = m.eng.At(startAt, ts.startFn)
-}
-
-// stateOf returns t's machine state, consulting the threads map only after
-// a cache miss.
-func (m *Machine) stateOf(t *sched.Thread) *tstate {
-	if v, ok := t.MachSlot.Get(m); ok {
-		return v.(*tstate)
-	}
-	if ts := m.threads[t]; ts != nil {
-		t.MachSlot.Set(m, ts)
-		return ts
-	}
-	return nil
 }
 
 // schedOf returns the scheduler that owns t's queue entry and tags: the
@@ -500,7 +485,7 @@ func (m *Machine) dispatch(c *coreCtx) {
 		c.stats.Idle += now - c.idleFrom
 		m.stats.Idle += now - c.idleFrom
 	}
-	ts := m.stateOf(t)
+	ts := m.threads.Get(t)
 	if ts == nil {
 		panic(fmt.Sprintf("cpu: scheduler picked unknown thread %v", t))
 	}
@@ -729,7 +714,7 @@ func (m *Machine) Flush() {
 // pending timed wakeup, if any, is cancelled. Waking a thread that is not
 // blocked is a no-op and returns false.
 func (m *Machine) Wake(t *sched.Thread) bool {
-	ts := m.stateOf(t)
+	ts := m.threads.Get(t)
 	if ts == nil {
 		panic(fmt.Sprintf("cpu: Wake of unknown thread %v", t))
 	}

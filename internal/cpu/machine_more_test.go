@@ -175,16 +175,23 @@ func TestMachineZeroAndNegativeActionsSkipped(t *testing.T) {
 	}
 }
 
+// TestMachineDuplicateAddPanics: the machine keys thread state by ID, so
+// re-adding a thread and adding a second thread with a registered ID are
+// both refused.
 func TestMachineDuplicateAddPanics(t *testing.T) {
 	m := newTestMachine(sched.NewRoundRobin(0))
 	th := sched.NewThread(1, "t", 1)
 	m.Add(th, Forever(Compute(1)), 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Add did not panic")
-		}
-	}()
-	m.Add(th, Forever(Compute(1)), 0)
+	for _, dup := range []*sched.Thread{th, sched.NewThread(1, "same-id", 1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add of %q did not panic", dup.Name)
+				}
+			}()
+			m.Add(dup, Forever(Compute(1)), 0)
+		}()
+	}
 }
 
 func TestMachineSVR4EndToEnd(t *testing.T) {

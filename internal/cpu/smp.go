@@ -126,7 +126,6 @@ func NewSMP(eng *sim.Engine, rate Rate, cfg SMPConfig) *Machine {
 		dequeue:       n > 1 && cfg.Policy != PolicyPartitioned,
 		switchCost:    cfg.SwitchCost,
 		migrationCost: cfg.MigrationCost,
-		threads:       make(map[*sched.Thread]*tstate),
 		nextID:        1,
 	}
 	for i := 0; i < n; i++ {
@@ -157,7 +156,7 @@ func (m *Machine) CoreStats(core int) Stats { return m.cores[core].stats }
 
 // HomeCore returns the core a thread was added on, its static placement.
 func (m *Machine) HomeCore(t *sched.Thread) int {
-	ts := m.stateOf(t)
+	ts := m.threads.Get(t)
 	if ts == nil {
 		panic(fmt.Sprintf("cpu: HomeCore of unknown thread %v", t))
 	}
@@ -167,7 +166,7 @@ func (m *Machine) HomeCore(t *sched.Thread) int {
 // LastCore returns the core the thread most recently ran on, or -1 if it
 // has never been dispatched.
 func (m *Machine) LastCore(t *sched.Thread) int {
-	ts := m.stateOf(t)
+	ts := m.threads.Get(t)
 	if ts == nil {
 		panic(fmt.Sprintf("cpu: LastCore of unknown thread %v", t))
 	}

@@ -101,7 +101,7 @@ func loadStats(d *sim.Dec, s *Stats, withMigrations bool) {
 // per-thread accounting and program positions, the in-flight run segments,
 // interrupt bookkeeping, and a descriptor for every pending event the
 // machine owns (thread starts, timed wakeups, segment ends, interrupt end,
-// interrupt arrivals). Threads are emitted sorted by ID so the encoding is
+// interrupt arrivals). Threads are emitted in ID order so the encoding is
 // canonical — the same state always produces the same bytes. It must be
 // called at an event boundary (never from inside a program callback).
 //
@@ -122,14 +122,9 @@ func (m *Machine) SaveState(e *sim.Enc) error {
 	e.Time(c0.idleFrom)
 	e.Time(m.intrUntil)
 
-	m.saveScratch = m.saveScratch[:0]
-	for _, ts := range m.threads {
-		m.saveScratch = append(m.saveScratch, ts)
-	}
-	slices.SortFunc(m.saveScratch, func(a, b *tstate) int { return a.t.ID - b.t.ID })
-	e.Int(len(m.saveScratch))
-	for _, ts := range m.saveScratch {
-		t := ts.t
+	e.Int(m.threads.Len())
+	for _, r := range m.threads.Rows() {
+		ts, t := r.E, r.T
 		e.Int(t.ID)
 		e.F64(t.Weight)
 		e.Int(t.Priority)
@@ -175,8 +170,8 @@ func (m *Machine) SaveState(e *sim.Enc) error {
 		for _, c := range m.cores[1:] {
 			saveSegment(e, c.seg)
 		}
-		for _, ts := range m.saveScratch {
-			e.Int(ts.lastCore)
+		for _, r := range m.threads.Rows() {
+			e.Int(r.E.lastCore)
 		}
 	}
 	return nil
@@ -197,7 +192,7 @@ func (m *Machine) loadSegment(d *sim.Dec, c *coreCtx, resolve func(id int) *sche
 	if t == nil {
 		return fmt.Errorf("cpu: segment references unknown thread %d", id)
 	}
-	ts := m.stateOf(t)
+	ts := m.threads.Get(t)
 	if ts == nil {
 		return fmt.Errorf("cpu: segment thread %d not registered", id)
 	}
@@ -255,8 +250,8 @@ func (m *Machine) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) erro
 
 	// The engine reset discarded the build's pending events; drop the now
 	// dangling handles before decoding re-arms.
-	for _, ts := range m.threads {
-		ts.start, ts.wake = nil, nil
+	for _, r := range m.threads.Rows() {
+		r.E.start, r.E.wake = nil, nil
 	}
 	for _, c := range m.cores {
 		c.seg = nil
@@ -270,11 +265,12 @@ func (m *Machine) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) erro
 		c0.stats = m.stats
 	}
 
+	// The thread list must name exactly the machine's threads: with
+	// strictly increasing IDs, its order is then the table's order.
 	var rearms []rearm
-	m.saveScratch = m.saveScratch[:0]
 	n := d.Count(1)
-	if d.Err() == nil && n != len(m.threads) {
-		return fmt.Errorf("cpu: checkpoint has %d threads, machine has %d", n, len(m.threads))
+	if d.Err() == nil && n != m.threads.Len() {
+		return fmt.Errorf("cpu: checkpoint has %d threads, machine has %d", n, m.threads.Len())
 	}
 	prevID := -1 << 62
 	for i := 0; i < n; i++ {
@@ -290,11 +286,10 @@ func (m *Machine) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) erro
 		if t == nil {
 			return fmt.Errorf("cpu: checkpoint references unknown thread %d", id)
 		}
-		ts := m.stateOf(t)
+		ts := m.threads.Get(t)
 		if ts == nil {
 			return fmt.Errorf("cpu: thread %d not registered with this machine", id)
 		}
-		m.saveScratch = append(m.saveScratch, ts)
 		t.Weight = d.F64()
 		t.Priority = d.Int()
 		t.Period = d.Time()
@@ -376,12 +371,12 @@ func (m *Machine) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) erro
 				return err
 			}
 		}
-		for _, ts := range m.saveScratch {
+		for _, r := range m.threads.Rows() {
 			lc := d.Int()
 			if d.Err() == nil && (lc < -1 || lc >= len(m.cores)) {
-				return fmt.Errorf("cpu: thread %d last ran on core %d of a %d-core machine", ts.t.ID, lc, len(m.cores))
+				return fmt.Errorf("cpu: thread %d last ran on core %d of a %d-core machine", r.T.ID, lc, len(m.cores))
 			}
-			ts.lastCore = lc
+			r.E.lastCore = lc
 		}
 	}
 	if d.Err() != nil {

@@ -35,6 +35,28 @@ func testThreads(n int) []*Thread {
 	return out
 }
 
+// TestContractRejectsDuplicateThreadID: leaves that keep per-thread state
+// in a Table key it by thread ID, so a second thread carrying a known
+// thread's ID must be refused rather than handed that thread's entry.
+func TestContractRejectsDuplicateThreadID(t *testing.T) {
+	for name, mk := range allSchedulers() {
+		switch name {
+		case "rr", "fifo", "lottery": // plain queues of threads, no table
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			s := mk()
+			s.Enqueue(NewThread(1, "a", 1), 0)
+			defer func() {
+				if recover() == nil {
+					t.Error("Enqueue of a second thread with ID 1 did not panic")
+				}
+			}()
+			s.Enqueue(NewThread(1, "b", 1), 0)
+		})
+	}
+}
+
 // TestContractPickCharge: every scheduler must serve all enqueued threads
 // through the Pick/Charge protocol without losing or duplicating any, and
 // report Len consistently.

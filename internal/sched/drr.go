@@ -24,16 +24,13 @@ import (
 // safe for the multicore dequeue-on-dispatch protocol and allocation-free
 // in steady state.
 type DRR struct {
-	base  sim.Time // initial quantum and the center of the clamp band
-	minQ  sim.Time // base / drrAdaptRange, floored at 1
-	maxQ  sim.Time // base * drrAdaptRange
-	ips   int64    // CPU speed, to convert charged Work to time
-	list  drrList  // intrusive round-robin queue
-	lists map[*Thread]*drrEntry
-	count int
-	// saveScratch is reused across SaveState calls so periodic
-	// checkpointing stays allocation-free (see alloc_guard_test.go).
-	saveScratch []*drrEntry
+	base    sim.Time // initial quantum and the center of the clamp band
+	minQ    sim.Time // base / drrAdaptRange, floored at 1
+	maxQ    sim.Time // base * drrAdaptRange
+	ips     int64    // CPU speed, to convert charged Work to time
+	list    drrList  // intrusive round-robin queue
+	entries Table[*drrEntry]
+	count   int
 }
 
 // drrList is the intrusive FIFO of runnable entries.
@@ -80,11 +77,10 @@ func NewDRR(base sim.Time, ips int64) *DRR {
 		minQ = 1
 	}
 	return &DRR{
-		base:  base,
-		minQ:  minQ,
-		maxQ:  base * drrAdaptRange,
-		ips:   ips,
-		lists: make(map[*Thread]*drrEntry),
+		base: base,
+		minQ: minQ,
+		maxQ: base * drrAdaptRange,
+		ips:  ips,
 	}
 }
 
@@ -97,30 +93,14 @@ func (s *DRR) Bounds() (lo, hi sim.Time) { return s.minQ, s.maxQ }
 // ThreadQuantum returns t's current adaptive quantum, for tests.
 func (s *DRR) ThreadQuantum(t *Thread) sim.Time { return s.entry(t).quantum }
 
-// entry returns t's entry, creating and caching it on first contact.
+// entry returns t's entry, creating it on first contact.
 func (s *DRR) entry(t *Thread) *drrEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*drrEntry)
-	}
-	e := s.lists[t]
+	e := s.entries.Get(t)
 	if e == nil {
 		e = &drrEntry{t: t, quantum: s.base}
-		s.lists[t] = e
+		s.entries.Put(t, e)
 	}
-	t.leafSlot.Set(s, e)
 	return e
-}
-
-// entryOf returns t's entry, or nil if the thread has never been seen.
-func (s *DRR) entryOf(t *Thread) *drrEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*drrEntry)
-	}
-	if e := s.lists[t]; e != nil {
-		t.leafSlot.Set(s, e)
-		return e
-	}
-	return nil
 }
 
 // Enqueue implements Scheduler: tail of the round-robin queue.
@@ -174,7 +154,7 @@ func (s *DRR) unlink(e *drrEntry) {
 
 // Remove implements Scheduler.
 func (s *DRR) Remove(t *Thread, now sim.Time) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || !e.queued {
 		panic(fmt.Sprintf("drr: Remove of non-runnable thread %v", t))
 	}
@@ -198,7 +178,7 @@ func (s *DRR) Quantum(t *Thread, now sim.Time) sim.Time { return s.entry(t).quan
 // removal step, or a wakeup racing a dispatch — keeps both the quantum and
 // the queue position.
 func (s *DRR) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || !e.queued {
 		panic(fmt.Sprintf("drr: Charge of non-runnable thread %v", t))
 	}

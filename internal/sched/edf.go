@@ -18,12 +18,9 @@ import (
 // deadline).
 type EDF struct {
 	quantum sim.Time
-	entries map[*Thread]*edfEntry
+	entries Table[*edfEntry]
 	heap    sim.Heap[*edfEntry]
 	seq     uint64
-	// saveScratch is reused across SaveState calls so periodic
-	// checkpointing stays allocation-free (see alloc_guard_test.go).
-	saveScratch []*edfEntry
 }
 
 type edfEntry struct {
@@ -52,33 +49,17 @@ func NewEDF(quantum sim.Time) *EDF {
 	if quantum <= 0 {
 		quantum = sim.Time(1 << 62)
 	}
-	return &EDF{quantum: quantum, entries: make(map[*Thread]*edfEntry)}
+	return &EDF{quantum: quantum}
 }
 
-// entryFor returns t's entry, creating and caching it on first contact.
+// entryFor returns t's entry, creating it on first contact.
 func (s *EDF) entryFor(t *Thread) *edfEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*edfEntry)
-	}
-	e := s.entries[t]
+	e := s.entries.Get(t)
 	if e == nil {
 		e = &edfEntry{t: t, idx: -1}
-		s.entries[t] = e
+		s.entries.Put(t, e)
 	}
-	t.leafSlot.Set(s, e)
 	return e
-}
-
-// entryOf returns t's entry, or nil if the thread has never been seen.
-func (s *EDF) entryOf(t *Thread) *edfEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*edfEntry)
-	}
-	if e := s.entries[t]; e != nil {
-		t.leafSlot.Set(s, e)
-		return e
-	}
-	return nil
 }
 
 // Name implements Scheduler.
@@ -87,7 +68,7 @@ func (s *EDF) Name() string { return "edf" }
 // Deadline returns the absolute deadline of t's current job, or the maximum
 // time if t is background or not runnable.
 func (s *EDF) Deadline(t *Thread) sim.Time {
-	if e := s.entryOf(t); e != nil && e.idx != -1 {
+	if e := s.entries.Get(t); e != nil && e.idx != -1 {
 		return e.deadline
 	}
 	return sim.Time(math.MaxInt64)
@@ -111,7 +92,7 @@ func (s *EDF) Enqueue(t *Thread, now sim.Time) {
 
 // Remove implements Scheduler.
 func (s *EDF) Remove(t *Thread, now sim.Time) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || e.idx == -1 {
 		panic(fmt.Sprintf("edf: Remove of non-runnable thread %v", t))
 	}
@@ -132,7 +113,7 @@ func (s *EDF) Quantum(t *Thread, now sim.Time) sim.Time { return s.quantum }
 // Charge implements Scheduler. EDF keeps the job's deadline across
 // preemptions; a blocked job gets a fresh deadline at its next release.
 func (s *EDF) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || e.idx == -1 {
 		panic(fmt.Sprintf("edf: Charge of non-runnable thread %v", t))
 	}
@@ -144,8 +125,8 @@ func (s *EDF) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 // Preempts implements Scheduler: a woken job with an earlier deadline
 // preempts immediately.
 func (s *EDF) Preempts(running, woken *Thread, now sim.Time) bool {
-	re := s.entryOf(running)
-	we := s.entryOf(woken)
+	re := s.entries.Get(running)
+	we := s.entries.Get(woken)
 	if re == nil || we == nil || re.idx == -1 || we.idx == -1 {
 		return false
 	}

@@ -16,15 +16,12 @@ import (
 type EEVDF struct {
 	quantum sim.Time
 	reqWork Work
-	entries map[*Thread]*eevdfEntry
+	entries Table[*eevdfEntry]
 	heap    sim.Heap[*eevdfEntry] // ordered by (vd, seq); eligibility filtered at Pick
 	vtime   float64
 	total   float64
 	seq     uint64
 	picked  *eevdfEntry
-	// saveScratch is reused across SaveState calls so periodic
-	// checkpointing stays allocation-free (see alloc_guard_test.go).
-	saveScratch []*eevdfEntry
 }
 
 type eevdfEntry struct {
@@ -56,33 +53,17 @@ func NewEEVDF(quantum sim.Time, reqWork Work) *EEVDF {
 	if reqWork <= 0 {
 		panic("eevdf: non-positive request size")
 	}
-	return &EEVDF{quantum: quantum, reqWork: reqWork, entries: make(map[*Thread]*eevdfEntry)}
+	return &EEVDF{quantum: quantum, reqWork: reqWork}
 }
 
-// entryFor returns t's entry, creating and caching it on first contact.
+// entryFor returns t's entry, creating it on first contact.
 func (s *EEVDF) entryFor(t *Thread) *eevdfEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*eevdfEntry)
-	}
-	e := s.entries[t]
+	e := s.entries.Get(t)
 	if e == nil {
 		e = &eevdfEntry{t: t, idx: -1}
-		s.entries[t] = e
+		s.entries.Put(t, e)
 	}
-	t.leafSlot.Set(s, e)
 	return e
-}
-
-// entryOf returns t's entry, or nil if the thread has never been seen.
-func (s *EEVDF) entryOf(t *Thread) *eevdfEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*eevdfEntry)
-	}
-	if e := s.entries[t]; e != nil {
-		t.leafSlot.Set(s, e)
-		return e
-	}
-	return nil
 }
 
 // Name implements Scheduler.
@@ -112,7 +93,7 @@ func (s *EEVDF) Enqueue(t *Thread, now sim.Time) {
 
 // Remove implements Scheduler.
 func (s *EEVDF) Remove(t *Thread, now sim.Time) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || e.idx == -1 {
 		panic(fmt.Sprintf("eevdf: Remove of non-runnable thread %v", t))
 	}
@@ -166,7 +147,7 @@ func (s *EEVDF) Quantum(t *Thread, now sim.Time) sim.Time { return s.quantum }
 
 // Charge implements Scheduler.
 func (s *EEVDF) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || e.idx == -1 || s.picked != e {
 		panic(fmt.Sprintf("eevdf: Charge of thread %v that was not picked", t))
 	}

@@ -33,12 +33,11 @@ type MLFQ struct {
 	aging  sim.Time // runnable wait that triggers a boost to level 0
 	ips    int64    // CPU speed, to convert charged Work to time
 
-	entries map[*Thread]*mlfqEntry
+	entries Table[*mlfqEntry]
 	count   int
-	// ageScratch and saveScratch are reused across Pick and SaveState so
-	// aging sweeps and periodic checkpointing stay allocation-free.
-	ageScratch  []*mlfqEntry
-	saveScratch []*mlfqEntry
+	// ageScratch is reused across Picks so aging sweeps stay
+	// allocation-free.
+	ageScratch []*mlfqEntry
 }
 
 // MLFQMaxLevels bounds the level count; with doubling quanta more levels
@@ -146,11 +145,10 @@ func NewMLFQ(levels int, base, aging sim.Time, ips int64) *MLFQ {
 		panic("mlfq: non-positive instruction rate")
 	}
 	return &MLFQ{
-		levels:  make([]mlfqList, levels),
-		base:    base,
-		aging:   aging,
-		ips:     ips,
-		entries: make(map[*Thread]*mlfqEntry),
+		levels: make([]mlfqList, levels),
+		base:   base,
+		aging:  aging,
+		ips:    ips,
 	}
 }
 
@@ -169,30 +167,14 @@ func (s *MLFQ) LevelQuantum(level int) sim.Time { return s.base << level }
 // Level returns t's current level, for tests and traces.
 func (s *MLFQ) Level(t *Thread) int { return s.entry(t).level }
 
-// entry returns t's entry, creating and caching it on first contact.
+// entry returns t's entry, creating it on first contact.
 func (s *MLFQ) entry(t *Thread) *mlfqEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*mlfqEntry)
-	}
-	e := s.entries[t]
+	e := s.entries.Get(t)
 	if e == nil {
 		e = &mlfqEntry{t: t}
-		s.entries[t] = e
+		s.entries.Put(t, e)
 	}
-	t.leafSlot.Set(s, e)
 	return e
-}
-
-// entryOf returns t's entry, or nil if the thread has never been seen.
-func (s *MLFQ) entryOf(t *Thread) *mlfqEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*mlfqEntry)
-	}
-	if e := s.entries[t]; e != nil {
-		t.leafSlot.Set(s, e)
-		return e
-	}
-	return nil
 }
 
 // Enqueue implements Scheduler. The thread re-enters at its current level:
@@ -225,7 +207,7 @@ func (s *MLFQ) unlink(e *mlfqEntry) {
 
 // Remove implements Scheduler.
 func (s *MLFQ) Remove(t *Thread, now sim.Time) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || !e.queued {
 		panic(fmt.Sprintf("mlfq: Remove of non-runnable thread %v", t))
 	}
@@ -282,7 +264,7 @@ func (s *MLFQ) Quantum(t *Thread, now sim.Time) sim.Time {
 // any enqueued thread can be charged — which is what makes the leaf safe
 // for the dequeue-on-dispatch protocol.
 func (s *MLFQ) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || !e.queued {
 		panic(fmt.Sprintf("mlfq: Charge of non-runnable thread %v", t))
 	}
@@ -307,8 +289,8 @@ func (s *MLFQ) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 // soon as they wake — the behavior the interactive-vs-batch experiment
 // measures against svr4.
 func (s *MLFQ) Preempts(running, woken *Thread, now sim.Time) bool {
-	re := s.entryOf(running)
-	we := s.entryOf(woken)
+	re := s.entries.Get(running)
+	we := s.entries.Get(woken)
 	if re == nil || we == nil || !re.queued || !we.queued {
 		return false
 	}

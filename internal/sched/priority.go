@@ -15,12 +15,9 @@ import (
 // experiment demonstrates the starvation that sentence refers to.
 type Priority struct {
 	quantum sim.Time
-	entries map[*Thread]*prioEntry
+	entries Table[*prioEntry]
 	heap    sim.Heap[*prioEntry]
 	seq     uint64
-	// saveScratch is reused across SaveState calls so periodic
-	// checkpointing stays allocation-free (see alloc_guard_test.go).
-	saveScratch []*prioEntry
 }
 
 type prioEntry struct {
@@ -48,33 +45,17 @@ func NewPriority(quantum sim.Time) *Priority {
 	if quantum <= 0 {
 		quantum = DefaultQuantum
 	}
-	return &Priority{quantum: quantum, entries: make(map[*Thread]*prioEntry)}
+	return &Priority{quantum: quantum}
 }
 
-// entryFor returns t's entry, creating and caching it on first contact.
+// entryFor returns t's entry, creating it on first contact.
 func (s *Priority) entryFor(t *Thread) *prioEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*prioEntry)
-	}
-	e := s.entries[t]
+	e := s.entries.Get(t)
 	if e == nil {
 		e = &prioEntry{t: t, idx: -1}
-		s.entries[t] = e
+		s.entries.Put(t, e)
 	}
-	t.leafSlot.Set(s, e)
 	return e
-}
-
-// entryOf returns t's entry, or nil if the thread has never been seen.
-func (s *Priority) entryOf(t *Thread) *prioEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*prioEntry)
-	}
-	if e := s.entries[t]; e != nil {
-		t.leafSlot.Set(s, e)
-		return e
-	}
-	return nil
 }
 
 // Name implements Scheduler.
@@ -95,7 +76,7 @@ func (s *Priority) Enqueue(t *Thread, now sim.Time) {
 
 // Remove implements Scheduler.
 func (s *Priority) Remove(t *Thread, now sim.Time) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || e.idx == -1 {
 		panic(fmt.Sprintf("priority: Remove of non-runnable thread %v", t))
 	}
@@ -116,7 +97,7 @@ func (s *Priority) Quantum(t *Thread, now sim.Time) sim.Time { return s.quantum 
 // Charge implements Scheduler: equal priorities round-robin via the
 // refreshed sequence number; higher priorities simply keep running.
 func (s *Priority) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || e.idx == -1 {
 		panic(fmt.Sprintf("priority: Charge of non-runnable thread %v", t))
 	}
@@ -132,8 +113,8 @@ func (s *Priority) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 // Preempts implements Scheduler: a strictly higher-priority wakeup
 // preempts immediately.
 func (s *Priority) Preempts(running, woken *Thread, now sim.Time) bool {
-	re := s.entryOf(running)
-	we := s.entryOf(woken)
+	re := s.entries.Get(running)
+	we := s.entries.Get(woken)
 	if re == nil || we == nil || re.idx == -1 || we.idx == -1 {
 		return false
 	}
@@ -145,11 +126,10 @@ func (s *Priority) Len() int { return s.heap.Len() }
 
 // Forget drops state for an exited thread.
 func (s *Priority) Forget(t *Thread) {
-	if e, ok := s.entries[t]; ok {
+	if e := s.entries.Get(t); e != nil {
 		if e.idx != -1 {
 			panic(fmt.Sprintf("priority: Forget of runnable thread %v", t))
 		}
-		delete(s.entries, t)
-		t.leafSlot.Drop(s)
+		s.entries.Delete(t)
 	}
 }

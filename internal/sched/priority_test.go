@@ -79,7 +79,7 @@ func TestPriorityForget(t *testing.T) {
 	s.Pick(0)
 	s.Charge(a, 1, 0, false)
 	s.Forget(a)
-	if len(s.entries) != 0 {
+	if s.entries.Len() != 0 {
 		t.Error("entry not forgotten")
 	}
 	s.Enqueue(a, 0)

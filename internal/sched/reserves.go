@@ -27,14 +27,11 @@ import (
 // proportion, with no per-period cliff.
 type Reserves struct {
 	quantum sim.Time
-	entries map[*Thread]*resEntry
+	entries Table[*resEntry]
 	heap    sim.Heap[*resEntry] // runnable, with budget, by next replenishment
 	bg      []*resEntry
 	count   int
 	picked  *resEntry
-	// saveScratch is reused across SaveState calls so periodic
-	// checkpointing stays allocation-free (see alloc_guard_test.go).
-	saveScratch []*resEntry
 }
 
 type resEntry struct {
@@ -67,7 +64,7 @@ func NewReserves(quantum sim.Time) *Reserves {
 	if quantum <= 0 {
 		quantum = DefaultQuantum
 	}
-	return &Reserves{quantum: quantum, entries: make(map[*Thread]*resEntry)}
+	return &Reserves{quantum: quantum}
 }
 
 // Name implements Scheduler.
@@ -93,30 +90,14 @@ func (s *Reserves) SetReserve(t *Thread, capacity Work, period sim.Time) {
 // Budget returns t's remaining budget this period, for tests.
 func (s *Reserves) Budget(t *Thread) Work { return s.entry(t).budget }
 
-// entry returns t's entry, creating and caching it on first contact.
+// entry returns t's entry, creating it on first contact.
 func (s *Reserves) entry(t *Thread) *resEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*resEntry)
-	}
-	e := s.entries[t]
+	e := s.entries.Get(t)
 	if e == nil {
 		e = &resEntry{t: t, idx: -1}
-		s.entries[t] = e
+		s.entries.Put(t, e)
 	}
-	t.leafSlot.Set(s, e)
 	return e
-}
-
-// entryOf returns t's entry, or nil if the thread has never been seen.
-func (s *Reserves) entryOf(t *Thread) *resEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*resEntry)
-	}
-	if e := s.entries[t]; e != nil {
-		t.leafSlot.Set(s, e)
-		return e
-	}
-	return nil
 }
 
 // refresh applies any replenishments due by now.
@@ -174,7 +155,7 @@ func (s *Reserves) unlink(e *resEntry) {
 
 // Remove implements Scheduler.
 func (s *Reserves) Remove(t *Thread, now sim.Time) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || !e.runnable {
 		panic(fmt.Sprintf("reserves: Remove of non-runnable thread %v", t))
 	}
@@ -218,7 +199,7 @@ func (s *Reserves) Quantum(t *Thread, now sim.Time) sim.Time { return s.quantum 
 
 // Charge implements Scheduler.
 func (s *Reserves) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || !e.runnable || s.picked != e {
 		panic(fmt.Sprintf("reserves: Charge of thread %v that was not picked", t))
 	}
@@ -243,8 +224,8 @@ func (s *Reserves) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 // thread (budgeted work is the priority band), but not another reserved
 // one.
 func (s *Reserves) Preempts(running, woken *Thread, now sim.Time) bool {
-	re := s.entryOf(running)
-	we := s.entryOf(woken)
+	re := s.entries.Get(running)
+	we := s.entries.Get(woken)
 	if re == nil || we == nil || !re.runnable || !we.runnable {
 		return false
 	}
@@ -258,11 +239,10 @@ func (s *Reserves) Len() int { return s.count }
 
 // Forget drops state for an exited thread.
 func (s *Reserves) Forget(t *Thread) {
-	if e, ok := s.entries[t]; ok {
+	if e := s.entries.Get(t); e != nil {
 		if e.runnable {
 			panic(fmt.Sprintf("reserves: Forget of runnable thread %v", t))
 		}
-		delete(s.entries, t)
-		t.leafSlot.Drop(s)
+		s.entries.Delete(t)
 	}
 }

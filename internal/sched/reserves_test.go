@@ -101,7 +101,7 @@ func TestReservesValidationAndForget(t *testing.T) {
 	s.Pick(0)
 	s.Charge(a, 1, 0, false)
 	s.Forget(a)
-	if len(s.entries) != 0 {
+	if s.entries.Len() != 0 {
 		t.Error("not forgotten")
 	}
 }

@@ -14,12 +14,9 @@ import (
 // (higher first), below all periodic threads.
 type RM struct {
 	quantum sim.Time
-	entries map[*Thread]*rmEntry
+	entries Table[*rmEntry]
 	heap    sim.Heap[*rmEntry]
 	seq     uint64
-	// saveScratch is reused across SaveState calls so periodic
-	// checkpointing stays allocation-free (see alloc_guard_test.go).
-	saveScratch []*rmEntry
 }
 
 type rmEntry struct {
@@ -62,33 +59,17 @@ func NewRM(quantum sim.Time) *RM {
 	if quantum <= 0 {
 		quantum = sim.Time(1 << 62)
 	}
-	return &RM{quantum: quantum, entries: make(map[*Thread]*rmEntry)}
+	return &RM{quantum: quantum}
 }
 
-// entryFor returns t's entry, creating and caching it on first contact.
+// entryFor returns t's entry, creating it on first contact.
 func (s *RM) entryFor(t *Thread) *rmEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*rmEntry)
-	}
-	e := s.entries[t]
+	e := s.entries.Get(t)
 	if e == nil {
 		e = &rmEntry{t: t, idx: -1}
-		s.entries[t] = e
+		s.entries.Put(t, e)
 	}
-	t.leafSlot.Set(s, e)
 	return e
-}
-
-// entryOf returns t's entry, or nil if the thread has never been seen.
-func (s *RM) entryOf(t *Thread) *rmEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*rmEntry)
-	}
-	if e := s.entries[t]; e != nil {
-		t.leafSlot.Set(s, e)
-		return e
-	}
-	return nil
 }
 
 // Name implements Scheduler.
@@ -115,7 +96,7 @@ func (s *RM) Enqueue(t *Thread, now sim.Time) {
 
 // Remove implements Scheduler.
 func (s *RM) Remove(t *Thread, now sim.Time) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || e.idx == -1 {
 		panic(fmt.Sprintf("rm: Remove of non-runnable thread %v", t))
 	}
@@ -135,7 +116,7 @@ func (s *RM) Quantum(t *Thread, now sim.Time) sim.Time { return s.quantum }
 
 // Charge implements Scheduler.
 func (s *RM) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || e.idx == -1 {
 		panic(fmt.Sprintf("rm: Charge of non-runnable thread %v", t))
 	}
@@ -146,8 +127,8 @@ func (s *RM) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 
 // Preempts implements Scheduler: a higher-priority wakeup preempts.
 func (s *RM) Preempts(running, woken *Thread, now sim.Time) bool {
-	re := s.entryOf(running)
-	we := s.entryOf(woken)
+	re := s.entries.Get(running)
+	we := s.entries.Get(woken)
 	if re == nil || we == nil || re.idx == -1 || we.idx == -1 {
 		return false
 	}

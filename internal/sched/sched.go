@@ -54,9 +54,13 @@ func (s ThreadState) String() string {
 }
 
 // Thread is a schedulable entity. Algorithm-specific bookkeeping (tags,
-// priorities, passes) is kept inside each scheduler, keyed by the thread,
-// so the same Thread can move between leaf classes, as hsfq_move allows.
+// priorities, passes) is kept inside each scheduler in a Table keyed by
+// the thread's ID, so the same Thread can move between leaf classes, as
+// hsfq_move allows.
 type Thread struct {
+	// ID is unique within every machine, structure and leaf the thread
+	// is registered with, and fixed once it is registered: each of them
+	// keeps its per-thread state in ID order.
 	ID   int
 	Name string
 
@@ -83,15 +87,6 @@ type Thread struct {
 	ReadyAt  sim.Time // when the thread last became runnable
 	WokeAt   sim.Time // when the thread last transitioned blocked->runnable
 	Waited   sim.Time // total time spent runnable but not running
-
-	// Hot-path caches (see Slot): each layer of the scheduling spine pins
-	// its per-thread state here so that a steady-state Pick/Quantum/Charge
-	// cycle touches no map[*Thread]. The authoritative maps remain in the
-	// owners and are consulted (then re-cached) only after a miss, e.g.
-	// right after an hsfq_move.
-	leafSlot Slot // leaf scheduler entry (package-internal)
-	NodeSlot Slot // hierarchy attachment: internal/core caches the owning *Node
-	MachSlot Slot // machine per-thread state: internal/cpu caches its *tstate
 }
 
 // NewThread returns a thread with the given identity and weight. Weight

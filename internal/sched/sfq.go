@@ -17,25 +17,18 @@ import (
 // while the scheduler is busy, and the maximum finish tag ever assigned
 // while it is idle.
 //
-// The hot path is allocation- and map-free: the per-thread entry is cached
-// on the Thread itself (Thread.leafSlot) and the runnable set is an
-// intrusive sim.Heap. The entries map persists tag state across sleeps and
-// hsfq_move round-trips, exactly as before, but is only consulted after a
-// cache miss.
+// The hot path is allocation- and map-free: per-thread entries live in an
+// ID-ordered Table, which keeps tag state across sleeps and hsfq_move
+// round-trips, and the runnable set is an intrusive sim.Heap.
 type SFQ struct {
 	quantum   sim.Time
-	entries   map[*Thread]*sfqEntry
+	entries   Table[*sfqEntry]
 	heap      sim.Heap[*sfqEntry]
 	inService *sfqEntry
 	maxFinish float64
 	seq       uint64
-	total     float64             // total effective weight of runnable threads
-	donated   map[*Thread]float64 // priority-inversion weight transfers (§4)
-
-	// SaveState scratch, reused so periodic checkpointing stays
-	// allocation-free on the warm path.
-	entScratch []*sfqEntry
-	donScratch []*Thread
+	total     float64        // total effective weight of runnable threads
+	donated   Table[float64] // priority-inversion weight transfers (§4)
 }
 
 type sfqEntry struct {
@@ -65,37 +58,17 @@ func NewSFQ(quantum sim.Time) *SFQ {
 	if quantum <= 0 {
 		quantum = DefaultQuantum
 	}
-	return &SFQ{
-		quantum: quantum,
-		entries: make(map[*Thread]*sfqEntry),
-		donated: make(map[*Thread]float64),
-	}
+	return &SFQ{quantum: quantum}
 }
 
-// entryFor returns t's entry, creating and caching it on first contact.
+// entryFor returns t's entry, creating it on first contact.
 func (s *SFQ) entryFor(t *Thread) *sfqEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*sfqEntry)
-	}
-	e := s.entries[t]
+	e := s.entries.Get(t)
 	if e == nil {
 		e = &sfqEntry{t: t, idx: -1}
-		s.entries[t] = e
+		s.entries.Put(t, e)
 	}
-	t.leafSlot.Set(s, e)
 	return e
-}
-
-// entryOf returns t's entry, or nil if the thread has never been seen.
-func (s *SFQ) entryOf(t *Thread) *sfqEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*sfqEntry)
-	}
-	if e := s.entries[t]; e != nil {
-		t.leafSlot.Set(s, e)
-		return e
-	}
-	return nil
 }
 
 // SetThreadQuantum overrides the quantum for one thread. SFQ's fairness
@@ -129,7 +102,7 @@ func (s *SFQ) VirtualTime() float64 {
 // Tags returns the current start and finish tags of t. Threads that have
 // never been enqueued report zero tags.
 func (s *SFQ) Tags(t *Thread) (start, finish float64) {
-	if e := s.entryOf(t); e != nil {
+	if e := s.entries.Get(t); e != nil {
 		return e.start, e.finish
 	}
 	return 0, 0
@@ -152,7 +125,7 @@ func (s *SFQ) Enqueue(t *Thread, now sim.Time) {
 
 // Remove implements Scheduler.
 func (s *SFQ) Remove(t *Thread, now sim.Time) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || e.idx == -1 {
 		panic(fmt.Sprintf("sfq: Remove of non-runnable thread %v", t))
 	}
@@ -175,7 +148,7 @@ func (s *SFQ) Pick(now sim.Time) *Thread {
 
 // Quantum implements Scheduler.
 func (s *SFQ) Quantum(t *Thread, now sim.Time) sim.Time {
-	if e := s.entryOf(t); e != nil && e.quantum != 0 {
+	if e := s.entries.Get(t); e != nil && e.quantum != 0 {
 		return e.quantum
 	}
 	return s.quantum
@@ -188,7 +161,7 @@ func (s *SFQ) Quantum(t *Thread, now sim.Time) sim.Time {
 // reduces to S = F for a continuing thread, exactly as in the paper's
 // worked example.
 func (s *SFQ) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || e.idx == -1 {
 		panic(fmt.Sprintf("sfq: Charge of non-runnable thread %v", t))
 	}
@@ -219,14 +192,13 @@ func (s *SFQ) Len() int { return s.heap.Len() }
 // TotalWeight implements WeightedLen.
 func (s *SFQ) TotalWeight() float64 { return s.total }
 
-// Forget discards tag state for an exited thread so the entry map does not
-// grow without bound in long simulations.
+// Forget discards tag state for an exited thread so the entry table does
+// not grow without bound in long simulations.
 func (s *SFQ) Forget(t *Thread) {
-	if e, ok := s.entries[t]; ok {
+	if e := s.entries.Get(t); e != nil {
 		if e.idx != -1 {
 			panic(fmt.Sprintf("sfq: Forget of runnable thread %v", t))
 		}
-		delete(s.entries, t)
-		t.leafSlot.Drop(s)
+		s.entries.Delete(t)
 	}
 }

@@ -15,12 +15,13 @@ import (
 // that advances as the simulation runs: tags, queues, passes, budgets,
 // RNG streams.
 //
-// Encodings are canonical: per-thread entries are emitted sorted by
-// thread ID, so identical state always produces identical bytes. Load
-// resolves thread IDs through the supplied resolve function and validates
-// every structural invariant it relies on (strictly increasing IDs, no
-// thread queued twice, picked threads runnable), so corrupt or hostile
-// checkpoints fail with an error rather than corrupting the scheduler.
+// Encodings are canonical: per-thread entries are emitted in thread-ID
+// order (the order of each leaf's Table), so identical state always
+// produces identical bytes. Load resolves thread IDs through the supplied
+// resolve function and validates every structural invariant it relies on
+// (strictly increasing IDs, no thread queued twice, picked threads
+// runnable), so corrupt or hostile checkpoints fail with an error rather
+// than corrupting the scheduler.
 //
 // Heaps are rebuilt by pushing runnable entries in thread-ID order. That
 // is sound because every heap in this package tie-breaks on a monotone
@@ -90,24 +91,15 @@ func (s *SFQ) SaveState(e *sim.Enc) error {
 		e.Int(-1)
 	}
 
-	s.donScratch = s.donScratch[:0]
-	for t := range s.donated {
-		s.donScratch = append(s.donScratch, t)
-	}
-	slices.SortFunc(s.donScratch, func(a, b *Thread) int { return a.ID - b.ID })
-	e.Int(len(s.donScratch))
-	for _, t := range s.donScratch {
-		e.Int(t.ID)
-		e.F64(s.donated[t])
+	e.Int(s.donated.Len())
+	for _, r := range s.donated.Rows() {
+		e.Int(r.T.ID)
+		e.F64(r.E)
 	}
 
-	s.entScratch = s.entScratch[:0]
-	for _, en := range s.entries {
-		s.entScratch = append(s.entScratch, en)
-	}
-	slices.SortFunc(s.entScratch, func(a, b *sfqEntry) int { return a.t.ID - b.t.ID })
-	e.Int(len(s.entScratch))
-	for _, en := range s.entScratch {
+	e.Int(s.entries.Len())
+	for _, r := range s.entries.Rows() {
+		en := r.E
 		e.Int(en.t.ID)
 		e.F64(en.start)
 		e.F64(en.finish)
@@ -128,7 +120,7 @@ func (s *SFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	s.total = d.F64()
 	svcID := d.Int()
 
-	clear(s.donated)
+	s.donated = Table[float64]{}
 	n := d.Count(16)
 	prev := math.MinInt
 	for i := 0; i < n; i++ {
@@ -145,7 +137,7 @@ func (s *SFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		if t == nil {
 			return fmt.Errorf("sfq: donation references unknown thread %d", id)
 		}
-		s.donated[t] = amt
+		s.donated.Put(t, amt)
 	}
 
 	n = d.Count(41)
@@ -262,13 +254,9 @@ func (f *FIFO) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 // SaveState implements Stater.
 func (s *Priority) SaveState(e *sim.Enc) error {
 	e.U64(s.seq)
-	s.saveScratch = s.saveScratch[:0]
-	for _, en := range s.entries {
-		s.saveScratch = append(s.saveScratch, en)
-	}
-	slices.SortFunc(s.saveScratch, func(a, b *prioEntry) int { return a.t.ID - b.t.ID })
-	e.Int(len(s.saveScratch))
-	for _, en := range s.saveScratch {
+	e.Int(s.entries.Len())
+	for _, r := range s.entries.Rows() {
+		en := r.E
 		e.Int(en.t.ID)
 		e.Int(en.prio)
 		e.U64(en.seq)
@@ -317,13 +305,9 @@ func (s *Priority) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 // SaveState implements Stater.
 func (s *EDF) SaveState(e *sim.Enc) error {
 	e.U64(s.seq)
-	s.saveScratch = s.saveScratch[:0]
-	for _, en := range s.entries {
-		s.saveScratch = append(s.saveScratch, en)
-	}
-	slices.SortFunc(s.saveScratch, func(a, b *edfEntry) int { return a.t.ID - b.t.ID })
-	e.Int(len(s.saveScratch))
-	for _, en := range s.saveScratch {
+	e.Int(s.entries.Len())
+	for _, r := range s.entries.Rows() {
+		en := r.E
 		e.Int(en.t.ID)
 		e.Time(en.deadline)
 		e.U64(en.seq)
@@ -372,13 +356,9 @@ func (s *EDF) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 // SaveState implements Stater.
 func (s *RM) SaveState(e *sim.Enc) error {
 	e.U64(s.seq)
-	s.saveScratch = s.saveScratch[:0]
-	for _, en := range s.entries {
-		s.saveScratch = append(s.saveScratch, en)
-	}
-	slices.SortFunc(s.saveScratch, func(a, b *rmEntry) int { return a.t.ID - b.t.ID })
-	e.Int(len(s.saveScratch))
-	for _, en := range s.saveScratch {
+	e.Int(s.entries.Len())
+	for _, r := range s.entries.Rows() {
+		en := r.E
 		e.Int(en.t.ID)
 		e.Time(en.key.period)
 		e.Int(en.key.prio)
@@ -436,13 +416,9 @@ func (s *SVR4) SaveState(e *sim.Enc) error {
 	} else {
 		e.Int(-1)
 	}
-	s.saveScratch = s.saveScratch[:0]
-	for _, en := range s.entries {
-		s.saveScratch = append(s.saveScratch, en)
-	}
-	slices.SortFunc(s.saveScratch, func(a, b *svr4Entry) int { return a.t.ID - b.t.ID })
-	e.Int(len(s.saveScratch))
-	for _, en := range s.saveScratch {
+	e.Int(s.entries.Len())
+	for _, r := range s.entries.Rows() {
+		en := r.E
 		e.Int(en.t.ID)
 		e.Int(en.class)
 		e.Int(en.level)
@@ -535,7 +511,7 @@ func (s *SVR4) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 			if t == nil {
 				return fmt.Errorf("svr4: queue references unknown thread %d", id)
 			}
-			en := s.entryOf(t)
+			en := s.entries.Get(t)
 			if en == nil {
 				return fmt.Errorf("svr4: queued thread %d has no entry", id)
 			}
@@ -616,13 +592,9 @@ func (s *Stride) SaveState(e *sim.Enc) error {
 	e.F64(s.global)
 	e.U64(s.seq)
 	e.F64(s.total)
-	s.saveScratch = s.saveScratch[:0]
-	for _, en := range s.entries {
-		s.saveScratch = append(s.saveScratch, en)
-	}
-	slices.SortFunc(s.saveScratch, func(a, b *strideEntry) int { return a.t.ID - b.t.ID })
-	e.Int(len(s.saveScratch))
-	for _, en := range s.saveScratch {
+	e.Int(s.entries.Len())
+	for _, r := range s.entries.Rows() {
+		en := r.E
 		e.Int(en.t.ID)
 		e.F64(en.pass)
 		e.U64(en.seq)
@@ -680,13 +652,9 @@ func (s *EEVDF) SaveState(e *sim.Enc) error {
 	} else {
 		e.Int(-1)
 	}
-	s.saveScratch = s.saveScratch[:0]
-	for _, en := range s.entries {
-		s.saveScratch = append(s.saveScratch, en)
-	}
-	slices.SortFunc(s.saveScratch, func(a, b *eevdfEntry) int { return a.t.ID - b.t.ID })
-	e.Int(len(s.saveScratch))
-	for _, en := range s.saveScratch {
+	e.Int(s.entries.Len())
+	for _, r := range s.entries.Rows() {
+		en := r.E
 		e.Int(en.t.ID)
 		e.F64(en.ve)
 		e.F64(en.vd)
@@ -755,13 +723,9 @@ func (s *EEVDF) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 // (front-inserted preempted threads come back out first), so each occupied
 // level is serialized as an ordered ID list after the per-thread entries.
 func (s *MLFQ) SaveState(e *sim.Enc) error {
-	s.saveScratch = s.saveScratch[:0]
-	for _, en := range s.entries {
-		s.saveScratch = append(s.saveScratch, en)
-	}
-	slices.SortFunc(s.saveScratch, func(a, b *mlfqEntry) int { return a.t.ID - b.t.ID })
-	e.Int(len(s.saveScratch))
-	for _, en := range s.saveScratch {
+	e.Int(s.entries.Len())
+	for _, r := range s.entries.Rows() {
+		en := r.E
 		e.Int(en.t.ID)
 		e.Int(en.level)
 		e.Time(en.waitFrom)
@@ -850,7 +814,7 @@ func (s *MLFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 			if t == nil {
 				return fmt.Errorf("mlfq: queue references unknown thread %d", id)
 			}
-			en := s.entryOf(t)
+			en := s.entries.Get(t)
 			if en == nil {
 				return fmt.Errorf("mlfq: queued thread %d has no entry", id)
 			}
@@ -873,13 +837,9 @@ func (s *MLFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 // SaveState implements Stater. The adaptive quanta are per-thread learned
 // state; the round-robin queue order is serialized as an ordered ID list.
 func (s *DRR) SaveState(e *sim.Enc) error {
-	s.saveScratch = s.saveScratch[:0]
-	for _, en := range s.lists {
-		s.saveScratch = append(s.saveScratch, en)
-	}
-	slices.SortFunc(s.saveScratch, func(a, b *drrEntry) int { return a.t.ID - b.t.ID })
-	e.Int(len(s.saveScratch))
-	for _, en := range s.saveScratch {
+	e.Int(s.entries.Len())
+	for _, r := range s.entries.Rows() {
+		en := r.E
 		e.Int(en.t.ID)
 		e.Time(en.quantum)
 	}
@@ -930,7 +890,7 @@ func (s *DRR) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		if t == nil {
 			return fmt.Errorf("drr: queue references unknown thread %d", id)
 		}
-		en := s.entryOf(t)
+		en := s.entries.Get(t)
 		if en == nil {
 			return fmt.Errorf("drr: queued thread %d has no entry", id)
 		}
@@ -955,13 +915,9 @@ func (s *Reserves) SaveState(e *sim.Enc) error {
 	} else {
 		e.Int(-1)
 	}
-	s.saveScratch = s.saveScratch[:0]
-	for _, en := range s.entries {
-		s.saveScratch = append(s.saveScratch, en)
-	}
-	slices.SortFunc(s.saveScratch, func(a, b *resEntry) int { return a.t.ID - b.t.ID })
-	e.Int(len(s.saveScratch))
-	for _, en := range s.saveScratch {
+	e.Int(s.entries.Len())
+	for _, r := range s.entries.Rows() {
+		en := r.E
 		e.Int(en.t.ID)
 		e.I64(int64(en.capacity))
 		e.Time(en.period)
@@ -1045,7 +1001,7 @@ func (s *Reserves) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		if t == nil {
 			return fmt.Errorf("reserves: invalid background entry at position %d", i)
 		}
-		en := s.entryOf(t)
+		en := s.entries.Get(t)
 		if en == nil || !en.runnable || en.idx != -1 {
 			return fmt.Errorf("reserves: background thread %d not runnable or already reserved", t.ID)
 		}

@@ -14,14 +14,11 @@ import (
 // bank credit while asleep.
 type Stride struct {
 	quantum sim.Time
-	entries map[*Thread]*strideEntry
+	entries Table[*strideEntry]
 	heap    sim.Heap[*strideEntry]
 	global  float64 // pass of the most recently dispatched thread
 	seq     uint64
 	total   float64
-	// saveScratch is reused across SaveState calls so periodic
-	// checkpointing stays allocation-free (see alloc_guard_test.go).
-	saveScratch []*strideEntry
 }
 
 type strideEntry struct {
@@ -49,33 +46,17 @@ func NewStride(quantum sim.Time) *Stride {
 	if quantum <= 0 {
 		quantum = DefaultQuantum
 	}
-	return &Stride{quantum: quantum, entries: make(map[*Thread]*strideEntry)}
+	return &Stride{quantum: quantum}
 }
 
-// entryFor returns t's entry, creating and caching it on first contact.
+// entryFor returns t's entry, creating it on first contact.
 func (s *Stride) entryFor(t *Thread) *strideEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*strideEntry)
-	}
-	e := s.entries[t]
+	e := s.entries.Get(t)
 	if e == nil {
 		e = &strideEntry{t: t, idx: -1}
-		s.entries[t] = e
+		s.entries.Put(t, e)
 	}
-	t.leafSlot.Set(s, e)
 	return e
-}
-
-// entryOf returns t's entry, or nil if the thread has never been seen.
-func (s *Stride) entryOf(t *Thread) *strideEntry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*strideEntry)
-	}
-	if e := s.entries[t]; e != nil {
-		t.leafSlot.Set(s, e)
-		return e
-	}
-	return nil
 }
 
 // Name implements Scheduler.
@@ -83,7 +64,7 @@ func (s *Stride) Name() string { return "stride" }
 
 // Pass returns t's current pass value, for tests.
 func (s *Stride) Pass(t *Thread) float64 {
-	if e := s.entryOf(t); e != nil {
+	if e := s.entries.Get(t); e != nil {
 		return e.pass
 	}
 	return 0
@@ -106,7 +87,7 @@ func (s *Stride) Enqueue(t *Thread, now sim.Time) {
 
 // Remove implements Scheduler.
 func (s *Stride) Remove(t *Thread, now sim.Time) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || e.idx == -1 {
 		panic(fmt.Sprintf("stride: Remove of non-runnable thread %v", t))
 	}
@@ -131,7 +112,7 @@ func (s *Stride) Quantum(t *Thread, now sim.Time) sim.Time { return s.quantum }
 // actually consumed, the natural generalization of "pass += stride" to
 // variable-length quanta.
 func (s *Stride) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || e.idx == -1 {
 		panic(fmt.Sprintf("stride: Charge of non-runnable thread %v", t))
 	}

@@ -29,13 +29,12 @@ type SVR4 struct {
 	ips       int64 // CPU instructions per second, to convert Work to time
 	rtQuantum sim.Time
 
-	entries map[*Thread]*svr4Entry
+	entries Table[*svr4Entry]
 	queues  map[int][]*svr4Entry // global priority -> FIFO
 	count   int
 	picked  *svr4Entry
-	// saveScratch is reused across SaveState calls so periodic
+	// prioScratch is reused across SaveState calls so periodic
 	// checkpointing stays allocation-free (see alloc_guard_test.go).
-	saveScratch []*svr4Entry
 	prioScratch []int
 }
 
@@ -117,7 +116,6 @@ func NewSVR4(table []DispatchEntry, ips int64, rtQuantum sim.Time) *SVR4 {
 		table:     table,
 		ips:       ips,
 		rtQuantum: rtQuantum,
-		entries:   make(map[*Thread]*svr4Entry),
 		queues:    make(map[int][]*svr4Entry),
 	}
 }
@@ -145,30 +143,14 @@ func (s *SVR4) Level(t *Thread) (class, level int) {
 	return e.class, e.level
 }
 
-// entry returns t's entry, creating and caching it on first contact.
+// entry returns t's entry, creating it on first contact.
 func (s *SVR4) entry(t *Thread) *svr4Entry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*svr4Entry)
-	}
-	e := s.entries[t]
+	e := s.entries.Get(t)
 	if e == nil {
 		e = &svr4Entry{t: t, class: classTS, level: TSInitial}
-		s.entries[t] = e
+		s.entries.Put(t, e)
 	}
-	t.leafSlot.Set(s, e)
 	return e
-}
-
-// entryOf returns t's entry, or nil if the thread has never been seen.
-func (s *SVR4) entryOf(t *Thread) *svr4Entry {
-	if v, ok := t.leafSlot.Get(s); ok {
-		return v.(*svr4Entry)
-	}
-	if e := s.entries[t]; e != nil {
-		t.leafSlot.Set(s, e)
-		return e
-	}
-	return nil
 }
 
 // Enqueue implements Scheduler. A TS thread waking from sleep returns at
@@ -219,7 +201,7 @@ func (s *SVR4) unlink(e *svr4Entry) {
 
 // Remove implements Scheduler.
 func (s *SVR4) Remove(t *Thread, now sim.Time) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || !e.runnable {
 		panic(fmt.Sprintf("svr4: Remove of non-runnable thread %v", t))
 	}
@@ -245,24 +227,18 @@ func (s *SVR4) Pick(now sim.Time) *Thread {
 }
 
 // applyWaitBoosts moves TS threads that have waited past their level's
-// maxwait to the lwait level.
+// maxwait to the lwait level, in thread-ID order so the requeue order is
+// deterministic.
 func (s *SVR4) applyWaitBoosts(now sim.Time) {
 	var due []*svr4Entry
-	for _, q := range s.queues {
-		for _, e := range q {
-			if e.class != classTS {
-				continue
-			}
-			row := s.table[e.level]
-			if row.LWait > e.level && now-e.waitFrom >= row.MaxWait {
-				due = append(due, e)
-			}
+	for _, r := range s.entries.Rows() {
+		e := r.E
+		if !e.runnable || e.class != classTS {
+			continue
 		}
-	}
-	// Deterministic order: by thread ID.
-	for i := 1; i < len(due); i++ {
-		for j := i; j > 0 && due[j-1].t.ID > due[j].t.ID; j-- {
-			due[j-1], due[j] = due[j], due[j-1]
+		row := s.table[e.level]
+		if row.LWait > e.level && now-e.waitFrom >= row.MaxWait {
+			due = append(due, e)
 		}
 	}
 	for _, e := range due {
@@ -287,7 +263,7 @@ func (s *SVR4) Quantum(t *Thread, now sim.Time) sim.Time {
 // thread to tqexp and requeues it at the tail; a preempted thread keeps
 // its level and returns to the head of its queue.
 func (s *SVR4) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
-	e := s.entryOf(t)
+	e := s.entries.Get(t)
 	if e == nil || !e.runnable || s.picked != e {
 		panic(fmt.Sprintf("svr4: Charge of thread %v that was not picked", t))
 	}
@@ -317,8 +293,8 @@ func (s *SVR4) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 // Preempts implements Scheduler: SVR4 sets the dispatcher's "runrun" flag
 // whenever a higher-priority thread becomes runnable.
 func (s *SVR4) Preempts(running, woken *Thread, now sim.Time) bool {
-	re := s.entryOf(running)
-	we := s.entryOf(woken)
+	re := s.entries.Get(running)
+	we := s.entries.Get(woken)
 	if re == nil || we == nil || !re.runnable || !we.runnable {
 		return false
 	}

@@ -17,7 +17,7 @@ func (s *SFQ) SetWeight(t *Thread, weight float64) {
 	if weight <= 0 {
 		panic(fmt.Sprintf("sfq: SetWeight(%v) with non-positive weight %v", t, weight))
 	}
-	if e, ok := s.entries[t]; ok && e.idx != -1 {
+	if e := s.entries.Get(t); e != nil && e.idx != -1 {
 		s.total += weight - t.Weight
 	}
 	t.Weight = weight
@@ -39,7 +39,7 @@ func (s *Stride) SetWeight(t *Thread, weight float64) {
 	if weight <= 0 {
 		panic(fmt.Sprintf("stride: SetWeight(%v) with non-positive weight %v", t, weight))
 	}
-	if e, ok := s.entries[t]; ok && e.idx != -1 {
+	if e := s.entries.Get(t); e != nil && e.idx != -1 {
 		s.total += weight - t.Weight
 	}
 	t.Weight = weight
@@ -50,7 +50,7 @@ func (s *EEVDF) SetWeight(t *Thread, weight float64) {
 	if weight <= 0 {
 		panic(fmt.Sprintf("eevdf: SetWeight(%v) with non-positive weight %v", t, weight))
 	}
-	if e, ok := s.entries[t]; ok && e.idx != -1 {
+	if e := s.entries.Get(t); e != nil && e.idx != -1 {
 		s.total += weight - t.Weight
 	}
 	t.Weight = weight
@@ -75,8 +75,8 @@ func (s *SFQ) Donate(from, to *Thread) Donation {
 		panic("sfq: bad donation")
 	}
 	amount := from.Weight
-	s.donated[to] += amount
-	if e, ok := s.entries[to]; ok && e.idx != -1 {
+	s.donated.Put(to, s.donated.Get(to)+amount)
+	if e := s.entries.Get(to); e != nil && e.idx != -1 {
 		s.total += amount
 	}
 	return Donation{to: to, amount: amount}
@@ -88,27 +88,27 @@ func (s *SFQ) Revoke(d Donation) {
 	if d.to == nil {
 		panic("sfq: revoke of zero donation")
 	}
-	cur := s.donated[d.to]
+	cur := s.donated.Get(d.to)
 	if cur < d.amount {
 		panic(fmt.Sprintf("sfq: revoking %v from %v which only holds %v", d.amount, d.to, cur))
 	}
 	if cur == d.amount {
-		delete(s.donated, d.to)
+		s.donated.Delete(d.to)
 	} else {
-		s.donated[d.to] = cur - d.amount
+		s.donated.Put(d.to, cur-d.amount)
 	}
-	if e, ok := s.entries[d.to]; ok && e.idx != -1 {
+	if e := s.entries.Get(d.to); e != nil && e.idx != -1 {
 		s.total -= d.amount
 	}
 }
 
 // EffectiveWeight returns the weight SFQ charges t at: its own weight plus
 // any donations it currently holds. Donations exist only while a priority
-// inversion is being resolved, so the common case skips the map read
-// entirely and the hot path stays map-free.
+// inversion is being resolved, so the common case skips the lookup
+// entirely.
 func (s *SFQ) EffectiveWeight(t *Thread) float64 {
-	if len(s.donated) == 0 {
+	if s.donated.Len() == 0 {
 		return t.Weight
 	}
-	return t.Weight + s.donated[t]
+	return t.Weight + s.donated.Get(t)
 }

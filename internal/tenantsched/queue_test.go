@@ -2,6 +2,8 @@ package tenantsched
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -318,5 +320,41 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	if q.Backlog() != 0 {
 		t.Errorf("backlog %d after drain", q.Backlog())
+	}
+}
+
+// TestMemoryLinearInTenants: class threads are numbered from one
+// queue-wide counter as each (tenant, class) first appears, so when N
+// tenants submit to the server's four classes in turn, tenant k's leaf
+// holds threads k, N+k, 2N+k and 3N+k. Per-thread scheduler state must
+// cost memory per thread held, not per ID spanned, or four times the
+// tenants would cost sixteen times the bytes.
+func TestMemoryLinearInTenants(t *testing.T) {
+	alloc := func(n int) uint64 {
+		names := make([]string, n)
+		for k := range names {
+			names[k] = fmt.Sprintf("t%d", k)
+		}
+		noop := func() {}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		q := NewQueue(nil, Options{})
+		for _, class := range []string{"simulate", "sweep", "batch", "diff"} {
+			for _, name := range names {
+				if err := q.Submit(name, class, noop); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(q)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const n = 250
+	small, large := alloc(n), alloc(4*n)
+	if large >= 8*small {
+		t.Errorf("%d tenants allocated %d B but %d tenants %d B (%.1fx)",
+			n, small, 4*n, large, float64(large)/float64(small))
 	}
 }

@@ -28,27 +28,98 @@ type Event struct {
 // (either by firing or by Engine.Cancel).
 func (e *Event) Cancelled() bool { return e.idx == -1 }
 
-// HeapLess implements sim.HeapItem: earlier time first, FIFO at the same
-// instant.
-func (e *Event) HeapLess(o *Event) bool {
-	if e.At != o.At {
-		return e.At < o.At
-	}
-	return e.seq < o.seq
+// before reports whether e fires ahead of o: earlier time first, FIFO
+// (ascending seq) at the same instant.
+func (e *Event) before(o *Event) bool {
+	return e.At < o.At || e.At == o.At && e.seq < o.seq
 }
 
-// HeapIndex implements sim.HeapItem.
-func (e *Event) HeapIndex() *int { return &e.idx }
+// eventHeap is the engine's pending-event queue: a binary min-heap
+// ordered by (At, seq) in which every queued event's idx is its slot.
+// Every simulated event passes through it, so it is Heap[T] written out
+// for *Event: Heap[T] with a pointer type argument calls HeapLess and
+// HeapIndex through the generic dictionary, indirectly and never
+// inlined, where these sift loops compare and write idx inline. Because
+// (At, seq) is a strict total order, the firing order does not depend on
+// how the sifts arrange the rest of the array.
+type eventHeap []*Event
+
+// push queues ev.
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
+}
+
+// pop removes and returns the earliest event, setting its idx to -1.
+func (h *eventHeap) pop() *Event {
+	top := (*h)[0]
+	h.remove(top)
+	return top
+}
+
+// remove detaches the queued event ev, setting its idx to -1: the last
+// event fills ev's slot and sifts down, or up if it cannot move down.
+func (h *eventHeap) remove(ev *Event) {
+	q := *h
+	i, n := ev.idx, len(q)-1
+	last := q[n]
+	q[n] = nil // release the reference; the pool may outlive the event
+	*h = q[:n]
+	if i != n && h.down(i, last) == i {
+		h.up(i, last)
+	}
+	ev.idx = -1
+}
+
+// up places ev, which belongs at slot j or above, by moving the hole at
+// j towards the root past every parent that ev fires ahead of.
+func (h eventHeap) up(j int, ev *Event) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		p := h[i]
+		if !ev.before(p) {
+			break
+		}
+		h[j], p.idx = p, j
+		j = i
+	}
+	h[j], ev.idx = ev, j
+}
+
+// down places ev, which belongs at slot i or below, by moving the hole at
+// i towards the leaves past every smaller child that fires ahead of ev.
+// It returns ev's final slot.
+func (h eventHeap) down(i int, ev *Event) int {
+	n := len(h)
+	for {
+		c := 2*i + 1 // left child; negative after int overflow
+		if c >= n || c < 0 {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r // right child
+		}
+		child := h[c]
+		if !child.before(ev) {
+			break
+		}
+		h[i], child.idx = child, i
+		i = c
+	}
+	h[i], ev.idx = ev, i
+	return i
+}
 
 // Engine is the discrete-event simulation loop. Its pending events live
-// in one binary min-heap ordered by (At, Seq): strictly ascending time,
-// and among events at the same instant, ascending sequence number. At
-// panics on past times and AtSeq forbids reused sequence numbers, so that
-// order is strict and the next event to fire is always unique. The zero
-// value is not usable; create one with NewEngine.
+// in one binary min-heap (eventHeap) ordered by (At, Seq): strictly
+// ascending time, and among events at the same instant, ascending
+// sequence number. At panics on past times and AtSeq forbids reused
+// sequence numbers, so that order is strict and the next event to fire
+// is always unique. The zero value is not usable; create one with
+// NewEngine.
 type Engine struct {
 	now    Time
-	queue  Heap[*Event]
+	queue  eventHeap
 	free   []*Event // fired/cancelled events awaiting reuse
 	seq    uint64
 	fired  uint64
@@ -88,14 +159,14 @@ func (e *Event) Seq() uint64 { return e.seq }
 // initial events, which Reset drops before the restored pending events are
 // re-armed. Holders of outstanding event handles must drop them.
 func (e *Engine) Reset(now Time, seq, fired uint64) {
-	for e.queue.Len() > 0 {
-		e.release(e.queue.Pop())
+	for len(e.queue) > 0 {
+		e.release(e.queue.pop())
 	}
 	e.now, e.seq, e.fired, e.halted = now, seq, fired, false
 }
 
 // Pending returns the number of events still queued.
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // At schedules fn to run at the absolute time at. Scheduling in the past
 // panics: it is always a simulation bug, never recoverable input error.
@@ -115,7 +186,7 @@ func (e *Engine) At(at Time, fn func()) *Event {
 		ev = &Event{At: at, Fn: fn, seq: e.seq, idx: -1}
 	}
 	e.seq++
-	e.queue.Push(ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -142,7 +213,7 @@ func (e *Engine) AtSeq(at Time, seq uint64, fn func()) *Event {
 	} else {
 		ev = &Event{At: at, Fn: fn, seq: seq, idx: -1}
 	}
-	e.queue.Push(ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -158,7 +229,7 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.idx == -1 {
 		return
 	}
-	e.queue.Remove(ev.idx)
+	e.queue.remove(ev)
 	e.release(ev)
 }
 
@@ -171,10 +242,10 @@ func (e *Engine) release(ev *Event) {
 // Step fires the earliest pending event and returns true, or returns false
 // if the queue is empty.
 func (e *Engine) Step() bool {
-	if e.queue.Len() == 0 {
+	if len(e.queue) == 0 {
 		return false
 	}
-	e.fire(e.queue.Pop())
+	e.fire(e.queue.pop())
 	return true
 }
 
@@ -192,8 +263,8 @@ func (e *Engine) fire(ev *Event) {
 // Run executes events until the queue is empty or Halt is called.
 func (e *Engine) Run() {
 	e.halted = false
-	for !e.halted && e.queue.Len() > 0 {
-		e.fire(e.queue.Pop())
+	for !e.halted && len(e.queue) > 0 {
+		e.fire(e.queue.pop())
 	}
 }
 
@@ -202,8 +273,8 @@ func (e *Engine) Run() {
 // the deadline do fire.
 func (e *Engine) RunUntil(deadline Time) {
 	e.halted = false
-	for !e.halted && e.queue.Len() > 0 && e.queue.Min().At <= deadline {
-		e.fire(e.queue.Pop())
+	for !e.halted && len(e.queue) > 0 && e.queue[0].At <= deadline {
+		e.fire(e.queue.pop())
 	}
 	if !e.halted && e.now < deadline {
 		e.now = deadline

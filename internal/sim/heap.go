@@ -1,13 +1,16 @@
 package sim
 
-// This file provides the intrusive min-heap used by every priority queue
-// on the scheduling hot path: the simulation event queue, the runnable
-// child heaps of the hierarchy (internal/core), and the heap-based leaf
+// This file provides the intrusive min-heap behind the runnable child
+// heaps of the hierarchy (internal/core) and the heap-based leaf
 // schedulers (internal/sched). It replaces container/heap, whose
-// interface-typed Push/Pop box every element into an `any` and dispatch
-// every comparison through an interface table; here elements carry their
-// own index and the comparison is a direct (generic) method call, so a
-// steady-state push/pop/fix cycle performs no allocation at all.
+// interface-typed Push/Pop box every element into an `any`; here elements
+// carry their own index, so a steady-state push/pop/fix cycle performs no
+// allocation at all. Comparisons are not direct calls, though: every
+// pointer type argument shares one GC shape (go.shape.*uint8 in
+// profiles), so HeapLess and HeapIndex are called through the generic
+// dictionary, indirectly and never inlined. The simulation event queue,
+// which every event passes through, therefore has its own concrete heap
+// (eventHeap in events.go).
 //
 // The sift-up/sift-down algorithm is the same as container/heap's, and
 // because HeapLess is required to be a strict total order (keys tie-broken

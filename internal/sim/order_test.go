@@ -14,7 +14,9 @@ import (
 //   - events fire in strictly ascending (At, Seq) order;
 //   - a cancelled event never fires;
 //   - every other scheduled event fires exactly once;
-//   - Pending equals the number of live events.
+//   - Pending equals the number of live events;
+//   - the queue is a well-formed heap: each event's idx is its slot, and
+//     none orders before its parent.
 
 // orderHarness drives one engine and checks each firing against the
 // contract as it happens.
@@ -95,11 +97,21 @@ func (h *orderHarness) liveTags() []int {
 }
 
 // checkPending fails unless the engine's queue holds exactly the live
-// events.
+// events and is a well-formed heap: every queued event's idx is its slot,
+// and none orders before its parent under (At, seq).
 func (h *orderHarness) checkPending(ctx string) {
 	h.t.Helper()
 	if got := h.eng.Pending(); got != len(h.live) {
 		h.t.Fatalf("%s: Pending() = %d, want %d live events", ctx, got, len(h.live))
+	}
+	q := h.eng.queue
+	for i, ev := range q {
+		if ev.idx != i {
+			h.t.Fatalf("%s: event in slot %d has idx %d", ctx, i, ev.idx)
+		}
+		if p := q[(i-1)/2]; i > 0 && ev.before(p) {
+			h.t.Fatalf("%s: slot %d (%v, seq %d) orders before its parent (%v, seq %d)", ctx, i, ev.At, ev.seq, p.At, p.seq)
+		}
 	}
 }
 

@@ -7,11 +7,6 @@ BENCH ?= BenchmarkSchedule|BenchmarkLeafSchedulers|BenchmarkMachineSimulation|Be
 BENCH_COUNT ?= 5
 BENCH_TIME ?= 200ms
 
-# Parallelism of the sweep-bench parallel leg and repetitions per leg
-# (benchjson aggregates repeated lines by median).
-SWEEP_BENCH_WORKERS ?= 8
-SWEEP_BENCH_COUNT ?= 3
-
 # Load test shape: LOADTEST_N requests from LOADTEST_C goroutines against
 # a daemon with queue depth LOADTEST_QUEUE — concurrency 4x the queue so
 # shedding (429) actually happens and the retry path is exercised.
@@ -32,7 +27,7 @@ TENANT_SMOKE_DURATION ?= 3s
 # the whole budget is spent fuzzing, not shrinking interesting inputs.
 FUZZ_TIME ?= 30s
 
-.PHONY: all build test race vet bench bench-test fmt check sweep-smoke sweep-bench loadtest tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke adversary-smoke trace-smoke
+.PHONY: all build test race vet bench bench-test fmt check sweep-smoke loadtest tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke adversary-smoke trace-smoke
 
 all: build test
 
@@ -174,16 +169,3 @@ trace-smoke:
 	$(GO) build -o /tmp/hsfqdiff ./cmd/hsfqdiff
 	$(GO) run ./cmd/tracesmoke -hsfqd /tmp/hsfqd -hsfqdiff /tmp/hsfqdiff
 	$(GO) run ./cmd/hsfqload -hsfqd /tmp/hsfqd -trace 3 -queue 16 -workers 2
-
-# Serial vs parallel wall clock of the full figure suite, recorded as
-# BENCH_PR2.json (before = -workers 1, after = -workers $(SWEEP_BENCH_WORKERS)).
-sweep-bench:
-	$(GO) build -o /tmp/hsfq-experiments ./cmd/experiments
-	rm -f /tmp/hsfq-bench-serial.txt /tmp/hsfq-bench-parallel.txt
-	for i in $$(seq $(SWEEP_BENCH_COUNT)); do \
-		/tmp/hsfq-experiments -all -workers 1 -benchout /tmp/hsfq-bench-serial.txt >/dev/null && \
-		/tmp/hsfq-experiments -all -workers $(SWEEP_BENCH_WORKERS) -benchout /tmp/hsfq-bench-parallel.txt >/dev/null \
-		|| exit 1; \
-	done
-	$(GO) run ./cmd/benchjson -before /tmp/hsfq-bench-serial.txt -after /tmp/hsfq-bench-parallel.txt -o BENCH_PR2.json
-	cat BENCH_PR2.json

@@ -7,6 +7,7 @@ import (
 
 	"hsfq/internal/checkpoint"
 	"hsfq/internal/core"
+	"hsfq/internal/cpu"
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
 	"hsfq/internal/simconfig"
@@ -312,18 +313,17 @@ func TestEngineCancelDoesNotAllocate(t *testing.T) {
 // storing it, allocate nothing per event once their buffers are warm
 // (the recording's amortized growth stays far below one per event).
 func TestTraceRecordingDoesNotAllocate(t *testing.T) {
-	th := sched.NewThread(1, "decoder", 2)
 	now := sim.Time(0)
 
 	h := trace.NewHasher()
 	h.SetNumCores(2)
-	h.OnCharge(th, 1_000_000, now, true) // cold: grows the row buffer
+	h.Add(trace.Event{Kind: trace.Charge, Thread: "decoder", ThreadID: 1, Used: 1_000_000, Runnable: true}) // cold: grows the row buffer
 	allocs := testing.AllocsPerRun(1000, func() {
 		now += sim.Millisecond
-		h.OnCharge(th, 1_000_000, now, true)
+		h.Add(trace.Event{At: now, Kind: trace.Charge, Thread: "decoder", ThreadID: 1, Used: 1_000_000, Runnable: true})
 	})
 	if allocs != 0 {
-		t.Fatalf("Hasher.OnCharge allocates %v times per event, want 0", allocs)
+		t.Fatalf("Hasher.Add allocates %v times per event, want 0", allocs)
 	}
 
 	b := tracestream.New()
@@ -331,14 +331,56 @@ func TestTraceRecordingDoesNotAllocate(t *testing.T) {
 	b.Begin([]trace.ThreadMeta{{TID: 1, Name: "decoder", Depth: 1, Path: "/soft"}})
 	allocs = testing.AllocsPerRun(1000, func() {
 		now += sim.Millisecond
-		b.OnDispatch(th, now)
-		b.OnCharge(th, 1_000_000, now, true)
+		b.Add(trace.Event{At: now, Kind: trace.Dispatch, Thread: "decoder", ThreadID: 1})
+		b.Add(trace.Event{At: now, Kind: trace.Charge, Thread: "decoder", ThreadID: 1, Used: 1_000_000, Runnable: true})
 	})
 	if allocs != 0 {
 		t.Fatalf("recording Broadcaster allocates %v times per dispatch/charge pair, want 0", allocs)
 	}
 	if rows := b.Snapshot().Rows; rows != 2*1001 {
 		t.Fatalf("recording holds %d rows, want %d", rows, 2*1001)
+	}
+}
+
+// TestMachineListenDoesNotAllocate guards the machine's emit path: on warm
+// 1- and 2-core partitioned SFQ machines, a Hasher and a recording
+// Broadcaster attached through Machine.Listen see every event of 1 ms of
+// simulated time without a heap allocation. An event that escapes to the
+// heap on its way to the listeners (passed by pointer, say) fails it.
+func TestMachineListenDoesNotAllocate(t *testing.T) {
+	for _, cores := range []int{1, 2} {
+		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
+			scheds := make([]sched.Scheduler, cores)
+			for i := range scheds {
+				scheds[i] = sched.NewSFQ(200 * sim.Microsecond)
+			}
+			m := cpu.NewSMP(sim.NewEngine(), cpu.DefaultRate, cpu.SMPConfig{Schedulers: scheds})
+			var metas []trace.ThreadMeta
+			for i := 0; i < 2*cores; i++ {
+				th := sched.NewThread(i+1, fmt.Sprintf("t%d", i+1), float64(i+1))
+				m.AddOn(th, cpu.Forever(cpu.Compute(1_000_000_000)), 0, i%cores)
+				metas = append(metas, trace.ThreadMeta{TID: th.ID, Name: th.Name})
+			}
+			h := trace.NewHasher()
+			b := tracestream.New()
+			b.EnableRecording(0)
+			m.Listen(h)
+			m.Listen(b)
+			b.Begin(metas)
+			until := 10 * sim.Millisecond
+			m.Run(until) // warm: grows the row and frame buffers
+			rows := h.Rows()
+			allocs := testing.AllocsPerRun(1000, func() {
+				until += sim.Millisecond
+				m.Run(until)
+			})
+			if allocs != 0 {
+				t.Fatalf("%d-core machine with listeners allocates %v times per simulated ms, want 0", cores, allocs)
+			}
+			if h.Rows() == rows {
+				t.Fatal("listeners saw no events")
+			}
+		})
 	}
 }
 

@@ -247,8 +247,8 @@ const stormConfig = `{
 
 // BenchmarkSimThroughput measures whole-run speed as simulated
 // nanoseconds per wall nanosecond (reported via the sim_ns/wall_ns
-// metric; benchjson's throughput section aggregates it). One iteration
-// builds and runs the storm scenario to its 2 s horizon.
+// metric). One iteration builds and runs the storm scenario to its 2 s
+// horizon.
 func BenchmarkSimThroughput(b *testing.B) {
 	cfg, err := simconfig.Parse(strings.NewReader(stormConfig))
 	if err != nil {

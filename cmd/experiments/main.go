@@ -23,22 +23,20 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"hsfq/internal/experiments"
 )
 
 func main() {
 	var (
-		runID    = flag.String("run", "", "experiment id to run (see -list)")
-		all      = flag.Bool("all", false, "run every experiment")
-		list     = flag.Bool("list", false, "list experiment ids")
-		seed     = flag.Uint64("seed", 42, "random seed")
-		plot     = flag.Bool("plot", false, "include ASCII plots")
-		out      = flag.String("out", "", "also write each experiment's output to this directory")
-		workers  = flag.Int("workers", 1, "run experiments concurrently on this many workers")
-		jsonOut  = flag.Bool("json", false, "emit one JSON object per experiment (id, title, checks, digest) instead of ASCII")
-		benchOut = flag.String("benchout", "", "append a Go-benchmark-format wall-clock line for the whole run to this file")
+		runID   = flag.String("run", "", "experiment id to run (see -list)")
+		all     = flag.Bool("all", false, "run every experiment")
+		list    = flag.Bool("list", false, "list experiment ids")
+		seed    = flag.Uint64("seed", 42, "random seed")
+		plot    = flag.Bool("plot", false, "include ASCII plots")
+		out     = flag.String("out", "", "also write each experiment's output to this directory")
+		workers = flag.Int("workers", 1, "run experiments concurrently on this many workers")
+		jsonOut = flag.Bool("json", false, "emit one JSON object per experiment (id, title, checks, digest) instead of ASCII")
 	)
 	flag.Parse()
 
@@ -50,20 +48,11 @@ func main() {
 			fmt.Printf("%-18s %s\n", id, title)
 		}
 	case *all:
-		ids := experiments.IDs()
-		start := time.Now()
-		results := runPool(ids, opt, *workers)
-		elapsed := time.Since(start)
+		results := runPool(experiments.IDs(), opt, *workers)
 		failed := 0
 		for _, res := range results {
 			if !emit(res, *jsonOut, *out) {
 				failed++
-			}
-		}
-		if *benchOut != "" {
-			if err := appendBenchLine(*benchOut, "BenchmarkExperimentsAll", elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
 			}
 		}
 		if failed > 0 {
@@ -161,20 +150,4 @@ func emit(res *experiments.Result, asJSON bool, outDir string) bool {
 		}
 	}
 	return res.Passed()
-}
-
-// appendBenchLine records the suite's wall clock in the standard benchmark
-// line format (the name is kept constant so a serial file and a parallel
-// file can be compared by benchjson or benchstat); repeated runs append
-// and aggregate as the median.
-func appendBenchLine(path, name string, elapsed time.Duration) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(f, "%s 1 %d ns/op\n", name, elapsed.Nanoseconds())
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -177,7 +177,7 @@ func run(o runOptions) error {
 			if !info.HasTrace {
 				return fmt.Errorf("%s has no trace section; rerun the checkpointing side with -trace", o.resumePath)
 			}
-			rec = trace.NewRecorder(0)
+			rec = trace.NewRecorder()
 			opt.Recorder = rec
 		}
 		s, err = checkpoint.Restore(data, opt)
@@ -215,7 +215,7 @@ func run(o runOptions) error {
 			return err
 		}
 		if wantTrace {
-			rec = trace.NewRecorder(0)
+			rec = trace.NewRecorder()
 			s.Machine.Listen(rec)
 		}
 	}

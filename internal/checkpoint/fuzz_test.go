@@ -80,7 +80,7 @@ func checkpointOf(tb testing.TB, cfg simconfig.Config, withTrace bool) []byte {
 	}
 	opt := checkpoint.Options{}
 	if withTrace {
-		rec := trace.NewRecorder(0)
+		rec := trace.NewRecorder()
 		s.Machine.Listen(rec)
 		opt.Recorder = rec
 	}
@@ -139,7 +139,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 					t.Fatalf("re-save of restored checkpoint failed: %v", err)
 				}
 			}
-			rec := trace.NewRecorder(0)
+			rec := trace.NewRecorder()
 			checkpoint.Restore(data, checkpoint.Options{Recorder: rec})
 			if _, err := checkpoint.Peek(data); err == nil && len(data) < len(checkpoint.Magic)+sha256.Size {
 				t.Fatal("Peek accepted an impossibly short input")

@@ -120,7 +120,7 @@ func build(withTrace bool) []byte {
 	}
 	opt := checkpoint.Options{}
 	if withTrace {
-		rec := trace.NewRecorder(0)
+		rec := trace.NewRecorder()
 		s.Machine.Listen(rec)
 		opt.Recorder = rec
 	}

@@ -200,7 +200,7 @@ func runPristine(t *testing.T, cfg simconfig.Config) ([]byte, string, string) {
 	if err != nil {
 		t.Fatalf("build pristine: %v", err)
 	}
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder()
 	s.Machine.Listen(rec)
 	s.Run()
 	return csvOf(t, rec), sweep.Digest(s), summarized(s)
@@ -261,7 +261,7 @@ func TestResumeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: build: %v", trial, err)
 		}
-		rec := trace.NewRecorder(0)
+		rec := trace.NewRecorder()
 		s.Machine.Listen(rec)
 		s.Machine.Run(at)
 		data, err := checkpoint.Save(s, checkpoint.Options{Recorder: rec})
@@ -277,7 +277,7 @@ func TestResumeEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: peek info %+v, want at=%v seed=%d trace", trial, info, s.Engine.Now(), cfg.Seed)
 		}
 
-		rec2 := trace.NewRecorder(0)
+		rec2 := trace.NewRecorder()
 		s2, err := checkpoint.Restore(data, checkpoint.Options{Recorder: rec2})
 		if err != nil {
 			t.Fatalf("trial %d: restore at %v: %v", trial, at, err)

@@ -5,56 +5,21 @@ import (
 
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
+	"hsfq/internal/trace"
 )
 
-// Listener observes scheduling events; internal/trace and the experiment
-// drivers implement it. Embed BaseListener to opt into a subset. A
-// listener that also implements SMPListener receives the core-tagged
-// variants of the dispatch/charge/idle events on multicore machines.
+// Listener observes the machine's scheduling events. The machine builds
+// each event once and hands it to every listener in registration order;
+// see Machine.Listen for which events carry a core.
 type Listener interface {
-	OnDispatch(t *sched.Thread, now sim.Time)
-	OnCharge(t *sched.Thread, used sched.Work, now sim.Time, runnable bool)
-	OnWake(t *sched.Thread, now sim.Time)
-	OnBlock(t *sched.Thread, now sim.Time)
-	OnExit(t *sched.Thread, now sim.Time)
-	OnInterrupt(now, service sim.Time)
-	OnIdle(now sim.Time)
+	Add(e trace.Event)
 }
 
-// SMPListener is the multicore extension of Listener: events that happen
-// on a particular core carry its index. The machine calls these INSTEAD of
-// the corresponding Listener methods, and only when it has more than one
-// core — a single-core machine always uses the plain Listener surface, so
-// existing listeners observe byte-identical streams at cores: 1.
-type SMPListener interface {
-	OnDispatchCore(core int, t *sched.Thread, now sim.Time)
-	OnChargeCore(core int, t *sched.Thread, used sched.Work, now sim.Time, runnable bool)
-	OnIdleCore(core int, now sim.Time)
-}
+// ListenerFunc adapts a function to Listener.
+type ListenerFunc func(e trace.Event)
 
-// BaseListener implements Listener with no-ops, for embedding.
-type BaseListener struct{}
-
-// OnDispatch implements Listener.
-func (BaseListener) OnDispatch(*sched.Thread, sim.Time) {}
-
-// OnCharge implements Listener.
-func (BaseListener) OnCharge(*sched.Thread, sched.Work, sim.Time, bool) {}
-
-// OnWake implements Listener.
-func (BaseListener) OnWake(*sched.Thread, sim.Time) {}
-
-// OnBlock implements Listener.
-func (BaseListener) OnBlock(*sched.Thread, sim.Time) {}
-
-// OnExit implements Listener.
-func (BaseListener) OnExit(*sched.Thread, sim.Time) {}
-
-// OnInterrupt implements Listener.
-func (BaseListener) OnInterrupt(sim.Time, sim.Time) {}
-
-// OnIdle implements Listener.
-func (BaseListener) OnIdle(sim.Time) {}
+// Add implements Listener.
+func (f ListenerFunc) Add(e trace.Event) { f(e) }
 
 // Stats aggregates machine-level counters. The machine keeps one Stats per
 // core plus this aggregate; on a single-core machine the two coincide.
@@ -118,13 +83,6 @@ type coreCtx struct {
 	segEndFn func() // bound to this core once, so dispatch never allocates
 }
 
-// listenerEntry caches the SMPListener upgrade so the per-event notify
-// loops perform no type assertions.
-type listenerEntry struct {
-	l   Listener
-	smp SMPListener // non-nil only on a multicore machine
-}
-
 // Machine is a simulated machine of one or more identical cores sharing a
 // single event clock. Cores are always examined in fixed index order, so a
 // multicore run is exactly as deterministic as a uniprocessor one.
@@ -139,7 +97,7 @@ type Machine struct {
 	migrationCost sim.Time // charged when a thread changes cores
 
 	threads   sched.Table[*tstate]
-	listeners []listenerEntry
+	listeners []Listener
 
 	inCallback   int      // depth of program-callback nesting (see progNext)
 	intrUntil    sim.Time // core 0 busy with interrupts until this time
@@ -177,18 +135,16 @@ func (m *Machine) Scheduler() sched.Scheduler { return m.cores[0].sched }
 // Stats returns a snapshot of the aggregate machine counters.
 func (m *Machine) Stats() Stats { return m.stats }
 
-// Listen registers a Listener. On a multicore machine a listener that also
-// implements SMPListener is upgraded to the core-tagged event variants,
-// and one implementing SetNumCores(int) is told the core count.
+// Listen registers a Listener; one implementing SetNumCores(int) is told
+// the core count first. Dispatch, charge and idle events carry the index
+// of the core they happened on (0 on a uniprocessor). Wake, block, exit
+// and interrupt events carry Core 0 on every machine: that is part of the
+// trace row format, which every trace digest covers.
 func (m *Machine) Listen(l Listener) {
-	le := listenerEntry{l: l}
-	if s, ok := l.(SMPListener); ok && len(m.cores) > 1 {
-		le.smp = s
-	}
 	if s, ok := l.(interface{ SetNumCores(int) }); ok {
 		s.SetNumCores(len(m.cores))
 	}
-	m.listeners = append(m.listeners, le)
+	m.listeners = append(m.listeners, l)
 }
 
 // Spawn creates a thread with a fresh ID, registers it, and starts its
@@ -340,12 +296,12 @@ func (m *Machine) advance(ts *tstate) {
 			return
 		case ActionBlock:
 			ts.t.State = sched.StateBlocked
-			m.notifyBlock(ts.t, now)
+			m.emitThread(trace.Block, ts.t, now)
 			m.kick()
 			return
 		case ActionExit:
 			ts.t.State = sched.StateExited
-			m.notifyExit(ts.t, now)
+			m.emitThread(trace.Exit, ts.t, now)
 			m.forget(ts)
 			m.kick()
 			return
@@ -358,7 +314,7 @@ func (m *Machine) advance(ts *tstate) {
 func (m *Machine) block(ts *tstate, until sim.Time) {
 	now := m.eng.Now()
 	ts.t.State = sched.StateBlocked
-	m.notifyBlock(ts.t, now)
+	m.emitThread(trace.Block, ts.t, now)
 	ts.wake = m.eng.At(until, ts.wakeFn)
 }
 
@@ -369,7 +325,7 @@ func (m *Machine) makeRunnable(ts *tstate) {
 	ts.t.State = sched.StateRunnable
 	ts.t.ReadyAt = now
 	m.schedOf(ts).Enqueue(ts.t, now)
-	m.notifyWake(ts.t, now)
+	m.emitThread(trace.Wake, ts.t, now)
 	if m.inCallback > 0 {
 		// Woken from inside another thread's program callback (e.g. a
 		// mutex handover): the enclosing machine step charges and
@@ -476,7 +432,9 @@ func (m *Machine) dispatch(c *coreCtx) {
 		if !c.idle {
 			c.idle = true
 			c.idleFrom = now
-			m.notifyIdle(c, now)
+			if m.listeners != nil {
+				m.emit(trace.Event{At: now, Kind: trace.Idle, Core: c.id})
+			}
 		}
 		return
 	}
@@ -527,7 +485,9 @@ func (m *Machine) dispatch(c *coreCtx) {
 	c.seg.end.Core = c.id
 	c.stats.Dispatches++
 	m.stats.Dispatches++
-	m.notifyDispatch(c, t, now)
+	if m.listeners != nil {
+		m.emit(trace.Event{At: now, Kind: trace.Dispatch, Thread: t.Name, ThreadID: t.ID, Core: c.id})
+	}
 }
 
 // progress charges core c's running segment for the time elapsed since it
@@ -618,14 +578,14 @@ func (m *Machine) finishBurst(c *coreCtx, ts *tstate) {
 		case ActionBlock:
 			m.charge(c, false)
 			ts.t.State = sched.StateBlocked
-			m.notifyBlock(ts.t, now)
+			m.emitThread(trace.Block, ts.t, now)
 			m.maybeDispatch(c)
 			m.kickOthers(c)
 			return
 		case ActionExit:
 			m.charge(c, false)
 			ts.t.State = sched.StateExited
-			m.notifyExit(ts.t, now)
+			m.emitThread(trace.Exit, ts.t, now)
 			m.forget(ts)
 			m.maybeDispatch(c)
 			m.kickOthers(c)
@@ -666,7 +626,9 @@ func (m *Machine) charge(c *coreCtx, runnable bool) {
 		sch.Enqueue(t, now)
 	}
 	sch.Charge(t, s.used, now, runnable)
-	m.notifyCharge(c, t, s.used, now, runnable)
+	if m.listeners != nil {
+		m.emit(trace.Event{At: now, Kind: trace.Charge, Thread: t.Name, ThreadID: t.ID, Used: s.used, Runnable: runnable, Core: c.id})
+	}
 }
 
 // preempt cuts core c's running segment short after a wakeup the scheduler
@@ -741,7 +703,9 @@ func (m *Machine) interrupt(service sim.Time) {
 	m.stats.Interrupts++
 	c0.stats.Stolen += service
 	m.stats.Stolen += service
-	m.notifyInterrupt(now, service)
+	if m.listeners != nil {
+		m.emit(trace.Event{At: now, Kind: trace.Interrupt, Service: service})
+	}
 	if c0.idle {
 		// The core is busy with the handler now, even with no thread ready.
 		c0.idle = false
@@ -792,50 +756,17 @@ func (m *Machine) interruptBusy() bool { return m.intrEnd != nil }
 // thread has waited since it last became ready.
 func (m *Machine) Latency(t *sched.Thread) sim.Time { return m.eng.Now() - t.ReadyAt }
 
-func (m *Machine) notifyDispatch(c *coreCtx, t *sched.Thread, now sim.Time) {
-	for _, le := range m.listeners {
-		if le.smp != nil {
-			le.smp.OnDispatchCore(c.id, t, now)
-		} else {
-			le.l.OnDispatch(t, now)
-		}
+// emit hands e to every listener. Callers test m.listeners first, so a
+// machine nobody listens to builds no events.
+func (m *Machine) emit(e trace.Event) {
+	for _, l := range m.listeners {
+		l.Add(e)
 	}
 }
-func (m *Machine) notifyCharge(c *coreCtx, t *sched.Thread, used sched.Work, now sim.Time, runnable bool) {
-	for _, le := range m.listeners {
-		if le.smp != nil {
-			le.smp.OnChargeCore(c.id, t, used, now, runnable)
-		} else {
-			le.l.OnCharge(t, used, now, runnable)
-		}
-	}
-}
-func (m *Machine) notifyWake(t *sched.Thread, now sim.Time) {
-	for _, le := range m.listeners {
-		le.l.OnWake(t, now)
-	}
-}
-func (m *Machine) notifyBlock(t *sched.Thread, now sim.Time) {
-	for _, le := range m.listeners {
-		le.l.OnBlock(t, now)
-	}
-}
-func (m *Machine) notifyExit(t *sched.Thread, now sim.Time) {
-	for _, le := range m.listeners {
-		le.l.OnExit(t, now)
-	}
-}
-func (m *Machine) notifyInterrupt(now, service sim.Time) {
-	for _, le := range m.listeners {
-		le.l.OnInterrupt(now, service)
-	}
-}
-func (m *Machine) notifyIdle(c *coreCtx, now sim.Time) {
-	for _, le := range m.listeners {
-		if le.smp != nil {
-			le.smp.OnIdleCore(c.id, now)
-		} else {
-			le.l.OnIdle(now)
-		}
+
+// emitThread emits a wake, block or exit event of t.
+func (m *Machine) emitThread(k trace.Kind, t *sched.Thread, now sim.Time) {
+	if m.listeners != nil {
+		m.emit(trace.Event{At: now, Kind: k, Thread: t.Name, ThreadID: t.ID})
 	}
 }

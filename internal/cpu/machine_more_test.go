@@ -5,6 +5,7 @@ import (
 
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
+	"hsfq/internal/trace"
 )
 
 func TestMachineFlushExactAccounting(t *testing.T) {
@@ -104,9 +105,9 @@ func TestMachineInterruptDuringIdle(t *testing.T) {
 func TestMachineWakeDuringInterruptDefersDispatch(t *testing.T) {
 	m := newTestMachine(sched.NewRoundRobin(10 * sim.Millisecond))
 	var dispatchedAt sim.Time = -1
-	m.Listen(listenerFunc(func(th *sched.Thread, now sim.Time) {
-		if dispatchedAt == -1 {
-			dispatchedAt = now
+	m.Listen(ListenerFunc(func(e trace.Event) {
+		if e.Kind == trace.Dispatch && dispatchedAt == -1 {
+			dispatchedAt = e.At
 		}
 	}))
 	m.Spawn("t", 1, Sequence(Compute(10), Exit()), 5*sim.Millisecond)
@@ -134,8 +135,10 @@ func TestMachinePreemptionDuringInterrupt(t *testing.T) {
 	m.AddInterrupts(&onceInterrupt{at: 4 * sim.Millisecond, service: 3 * sim.Millisecond})
 
 	var order []string
-	m.Listen(listenerFunc(func(th *sched.Thread, now sim.Time) {
-		order = append(order, th.Name)
+	m.Listen(ListenerFunc(func(e trace.Event) {
+		if e.Kind == trace.Dispatch {
+			order = append(order, e.Thread)
+		}
 	}))
 	m.Run(20 * sim.Millisecond)
 	// hog runs first; interrupt at 4, urgent wakes at 5 (during

@@ -5,6 +5,7 @@ import (
 
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
+	"hsfq/internal/trace"
 )
 
 // testRate makes 1 instruction take exactly 1 ms, so work numbers match
@@ -75,17 +76,23 @@ func TestMachineFig3(t *testing.T) {
 	), 0)
 
 	type span struct {
-		t     *sched.Thread
+		tid   int
 		start sim.Time
 	}
 	var spans []span
-	m.Listen(listenerFunc(func(th *sched.Thread, now sim.Time) {
-		spans = append(spans, span{th, now})
-	}))
-	finalTags := map[*sched.Thread][2]float64{}
-	m.Listen(exitListener(func(th *sched.Thread, now sim.Time) {
-		s, f := leaf.Tags(th)
-		finalTags[th] = [2]float64{s, f}
+	finalTags := map[int][2]float64{}
+	m.Listen(ListenerFunc(func(e trace.Event) {
+		switch e.Kind {
+		case trace.Dispatch:
+			spans = append(spans, span{e.ThreadID, e.At})
+		case trace.Exit:
+			th := a
+			if e.ThreadID == b.ID {
+				th = b
+			}
+			s, f := leaf.Tags(th)
+			finalTags[e.ThreadID] = [2]float64{s, f}
+		}
 	}))
 
 	m.Run(200 * sim.Millisecond)
@@ -101,7 +108,7 @@ func TestMachineFig3(t *testing.T) {
 			break
 		}
 		d := sim.MinTime(end, 60*sim.Millisecond) - s.start
-		if s.t == a {
+		if s.tid == a.ID {
 			aBy60 += d
 		} else {
 			bBy60 += d
@@ -114,8 +121,8 @@ func TestMachineFig3(t *testing.T) {
 	// Paper: when A blocks at t=90 the system idles with v = 50; A wakes
 	// at 110 with S=50 and B at 115 with S=max(v,20)=50. Final tags were
 	// captured at exit, before the machine forgets the threads.
-	sa, fa := finalTags[a][0], finalTags[a][1]
-	sb, fb := finalTags[b][0], finalTags[b][1]
+	sa, fa := finalTags[a.ID][0], finalTags[a.ID][1]
+	sb, fb := finalTags[b.ID][0], finalTags[b.ID][1]
 	if fa != 70 { // resumed at S=50, +20/1 for the final burst
 		t.Errorf("final F_A = %v, want 70", fa)
 	}
@@ -129,16 +136,6 @@ func TestMachineFig3(t *testing.T) {
 		t.Errorf("threads did not exit: A=%v B=%v", a.State, b.State)
 	}
 }
-
-type listenerFunc func(*sched.Thread, sim.Time)
-
-func (f listenerFunc) OnDispatch(t *sched.Thread, now sim.Time)         { f(t, now) }
-func (listenerFunc) OnCharge(*sched.Thread, sched.Work, sim.Time, bool) {}
-func (listenerFunc) OnWake(*sched.Thread, sim.Time)                     {}
-func (listenerFunc) OnBlock(*sched.Thread, sim.Time)                    {}
-func (listenerFunc) OnExit(*sched.Thread, sim.Time)                     {}
-func (listenerFunc) OnInterrupt(sim.Time, sim.Time)                     {}
-func (listenerFunc) OnIdle(sim.Time)                                    {}
 
 func TestMachineInterruptsStealTime(t *testing.T) {
 	m := newTestMachine(sched.NewRoundRobin(10 * sim.Millisecond))
@@ -206,16 +203,6 @@ func periodicProbe(maxLatency *sim.Time) Program {
 		return Compute(5)
 	})
 }
-
-type exitListener func(*sched.Thread, sim.Time)
-
-func (exitListener) OnDispatch(*sched.Thread, sim.Time)                 {}
-func (exitListener) OnCharge(*sched.Thread, sched.Work, sim.Time, bool) {}
-func (exitListener) OnWake(*sched.Thread, sim.Time)                     {}
-func (exitListener) OnBlock(*sched.Thread, sim.Time)                    {}
-func (f exitListener) OnExit(t *sched.Thread, now sim.Time)             { f(t, now) }
-func (exitListener) OnInterrupt(sim.Time, sim.Time)                     {}
-func (exitListener) OnIdle(sim.Time)                                    {}
 
 func TestMulDivOverflowPanics(t *testing.T) {
 	defer func() {

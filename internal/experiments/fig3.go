@@ -7,6 +7,7 @@ import (
 	"hsfq/internal/metrics"
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
+	"hsfq/internal/trace"
 )
 
 func init() {
@@ -69,18 +70,24 @@ func runFig3(opt Options) *Result {
 
 	finalF := map[*sched.Thread]float64{}
 	var rows []fig3Row
-	m.Listen(fig3ExitListener(func(t *sched.Thread, now sim.Time) {
-		_, f := leaf.Tags(t)
-		finalF[t] = f
-	}))
-	m.Listen(fig3Listener(func(t *sched.Thread, now sim.Time) {
-		sa, fa := leaf.Tags(a)
-		sb, fb := leaf.Tags(b)
-		rows = append(rows, fig3Row{
-			At: now, Thread: t.Name,
-			SA: sa, FA: fa, SB: sb, FB: fb,
-			V: leaf.VirtualTime(),
-		})
+	m.Listen(cpu.ListenerFunc(func(e trace.Event) {
+		switch e.Kind {
+		case trace.Exit:
+			t := a
+			if e.ThreadID == b.ID {
+				t = b
+			}
+			_, f := leaf.Tags(t)
+			finalF[t] = f
+		case trace.Dispatch:
+			sa, fa := leaf.Tags(a)
+			sb, fb := leaf.Tags(b)
+			rows = append(rows, fig3Row{
+				At: e.At, Thread: e.Thread,
+				SA: sa, FA: fa, SB: sb, FB: fb,
+				V: leaf.VirtualTime(),
+			})
+		}
 	}))
 	m.Run(200 * sim.Millisecond)
 
@@ -116,23 +123,3 @@ func runFig3(opt Options) *Result {
 		"completion", "A=%v B=%v", a.State, b.State)
 	return r
 }
-
-type fig3Listener func(*sched.Thread, sim.Time)
-
-func (f fig3Listener) OnDispatch(t *sched.Thread, now sim.Time)         { f(t, now) }
-func (fig3Listener) OnCharge(*sched.Thread, sched.Work, sim.Time, bool) {}
-func (fig3Listener) OnWake(*sched.Thread, sim.Time)                     {}
-func (fig3Listener) OnBlock(*sched.Thread, sim.Time)                    {}
-func (fig3Listener) OnExit(*sched.Thread, sim.Time)                     {}
-func (fig3Listener) OnInterrupt(sim.Time, sim.Time)                     {}
-func (fig3Listener) OnIdle(sim.Time)                                    {}
-
-type fig3ExitListener func(*sched.Thread, sim.Time)
-
-func (fig3ExitListener) OnDispatch(*sched.Thread, sim.Time)                 {}
-func (fig3ExitListener) OnCharge(*sched.Thread, sched.Work, sim.Time, bool) {}
-func (fig3ExitListener) OnWake(*sched.Thread, sim.Time)                     {}
-func (fig3ExitListener) OnBlock(*sched.Thread, sim.Time)                    {}
-func (f fig3ExitListener) OnExit(t *sched.Thread, now sim.Time)             { f(t, now) }
-func (fig3ExitListener) OnInterrupt(sim.Time, sim.Time)                     {}
-func (fig3ExitListener) OnIdle(sim.Time)                                    {}

@@ -3,50 +3,51 @@ package fcserver
 import (
 	"sort"
 
-	"hsfq/internal/cpu"
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
+	"hsfq/internal/trace"
 )
 
-// Collector implements cpu.Listener and records a cumulative service
-// trace per tracked thread (a ServicePoint at every charge), the raw
-// material for FC/EBF conformance checks against measured schedules.
+// Collector is a cpu.Listener that records a cumulative service trace per
+// tracked thread (a ServicePoint at every charge), the raw material for
+// FC/EBF conformance checks against measured schedules. Threads are keyed
+// by ID, which is unique on a machine.
 type Collector struct {
-	cpu.BaseListener
-	tracked map[*sched.Thread]bool
-	pts     map[*sched.Thread][]ServicePoint
-	cum     map[*sched.Thread]sched.Work
+	tracked map[int]bool
+	pts     map[int][]ServicePoint
+	cum     map[int]sched.Work
 }
 
 // NewCollector tracks the given threads; with none given it tracks every
 // thread it sees.
 func NewCollector(threads ...*sched.Thread) *Collector {
 	c := &Collector{
-		pts: make(map[*sched.Thread][]ServicePoint),
-		cum: make(map[*sched.Thread]sched.Work),
+		pts: make(map[int][]ServicePoint),
+		cum: make(map[int]sched.Work),
 	}
 	if len(threads) > 0 {
-		c.tracked = make(map[*sched.Thread]bool, len(threads))
+		c.tracked = make(map[int]bool, len(threads))
 		for _, t := range threads {
-			c.tracked[t] = true
+			c.tracked[t.ID] = true
 		}
 	}
 	return c
 }
 
-// OnCharge implements cpu.Listener.
-func (c *Collector) OnCharge(t *sched.Thread, used sched.Work, now sim.Time, runnable bool) {
-	if c.tracked != nil && !c.tracked[t] {
+// Add implements cpu.Listener; only charge events count.
+func (c *Collector) Add(e trace.Event) {
+	id := e.ThreadID
+	if e.Kind != trace.Charge || c.tracked != nil && !c.tracked[id] {
 		return
 	}
-	c.cum[t] += used
-	c.pts[t] = append(c.pts[t], ServicePoint{At: now, Work: c.cum[t]})
+	c.cum[id] += e.Used
+	c.pts[id] = append(c.pts[id], ServicePoint{At: e.At, Work: c.cum[id]})
 }
 
 // Points returns the cumulative service trace of t.
 func (c *Collector) Points(t *sched.Thread) []ServicePoint {
-	out := make([]ServicePoint, len(c.pts[t]))
-	copy(out, c.pts[t])
+	out := make([]ServicePoint, len(c.pts[t.ID]))
+	copy(out, c.pts[t.ID])
 	return out
 }
 
@@ -58,7 +59,7 @@ func (c *Collector) BusySlice(t *sched.Thread, from, to sim.Time) []ServicePoint
 	var out []ServicePoint
 	var base sched.Work
 	first := true
-	for _, p := range c.pts[t] {
+	for _, p := range c.pts[t.ID] {
 		if p.At < from || p.At > to {
 			continue
 		}

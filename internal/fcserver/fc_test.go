@@ -7,6 +7,7 @@ import (
 
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
+	"hsfq/internal/trace"
 )
 
 func pts(pairs ...int64) []ServicePoint {
@@ -220,9 +221,14 @@ func TestCollector(t *testing.T) {
 	a := sched.NewThread(1, "a", 1)
 	b := sched.NewThread(2, "b", 1)
 	c := NewCollector(a)
-	c.OnCharge(a, 100, 10*sim.Millisecond, true)
-	c.OnCharge(b, 999, 10*sim.Millisecond, true) // untracked
-	c.OnCharge(a, 50, 20*sim.Millisecond, false)
+	charge := func(t *sched.Thread, used sched.Work, at sim.Time, runnable bool) {
+		c.Add(trace.Event{At: at, Kind: trace.Charge, Thread: t.Name, ThreadID: t.ID, Used: used, Runnable: runnable})
+	}
+	charge(a, 100, 10*sim.Millisecond, true)
+	charge(b, 999, 10*sim.Millisecond, true) // untracked
+	// Only charges count.
+	c.Add(trace.Event{At: 15 * sim.Millisecond, Kind: trace.Dispatch, ThreadID: a.ID})
+	charge(a, 50, 20*sim.Millisecond, false)
 	got := c.Points(a)
 	if len(got) != 2 || got[1].Work != 150 {
 		t.Errorf("points %v", got)

@@ -7,6 +7,7 @@ import (
 
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
+	"hsfq/internal/trace"
 )
 
 func TestSamplerSeries(t *testing.T) {
@@ -159,21 +160,26 @@ func TestAsciiPlot(t *testing.T) {
 	}
 }
 
+// event is one machine event of kind k for thread t at time at.
+func event(k trace.Kind, t *sched.Thread, at sim.Time) trace.Event {
+	return trace.Event{At: at, Kind: k, Thread: t.Name, ThreadID: t.ID}
+}
+
 func TestLatencyRecorder(t *testing.T) {
 	a := sched.NewThread(1, "a", 1)
 	b := sched.NewThread(2, "b", 1)
 	r := NewLatencyRecorder(a)
 
-	r.OnWake(a, 100)
-	r.OnDispatch(a, 150)
+	r.Add(event(trace.Wake, a, 100))
+	r.Add(event(trace.Dispatch, a, 150))
 	// Untracked thread ignored.
-	r.OnWake(b, 100)
-	r.OnDispatch(b, 500)
+	r.Add(event(trace.Wake, b, 100))
+	r.Add(event(trace.Dispatch, b, 500))
 	// Re-dispatch without a wake (preemption resume) records nothing.
-	r.OnDispatch(a, 300)
+	r.Add(event(trace.Dispatch, a, 300))
 	// Second wake.
-	r.OnWake(a, 1000)
-	r.OnDispatch(a, 1010)
+	r.Add(event(trace.Wake, a, 1000))
+	r.Add(event(trace.Dispatch, a, 1010))
 
 	got := r.Latencies(a)
 	if len(got) != 2 || got[0] != 50 || got[1] != 10 {
@@ -187,8 +193,8 @@ func TestLatencyRecorder(t *testing.T) {
 	}
 	// Untargeted recorder tracks everything.
 	all := NewLatencyRecorder()
-	all.OnWake(b, 0)
-	all.OnDispatch(b, 7)
+	all.Add(event(trace.Wake, b, 0))
+	all.Add(event(trace.Dispatch, b, 7))
 	if all.MaxLatency(b) != 7 {
 		t.Error("untargeted recorder missed thread")
 	}
@@ -198,9 +204,9 @@ func TestLatencyRecorderDoubleWake(t *testing.T) {
 	// Two wakes without a dispatch: latency measured from the first.
 	a := sched.NewThread(1, "a", 1)
 	r := NewLatencyRecorder(a)
-	r.OnWake(a, 100)
-	r.OnWake(a, 200)
-	r.OnDispatch(a, 300)
+	r.Add(event(trace.Wake, a, 100))
+	r.Add(event(trace.Wake, a, 200))
+	r.Add(event(trace.Dispatch, a, 300))
 	if got := r.Latencies(a); len(got) != 1 || got[0] != 200 {
 		t.Errorf("latencies %v", got)
 	}

@@ -27,29 +27,8 @@ import (
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
 	"hsfq/internal/simconfig"
+	"hsfq/internal/trace"
 )
-
-// smpListener funnels the machine's core-tagged callbacks into closures,
-// so each property test keeps only the state it asserts on.
-type smpListener struct {
-	cpu.BaseListener
-	dispatch func(core int, t *sched.Thread, now sim.Time)
-	charge   func(core int, t *sched.Thread, used sched.Work, now sim.Time, runnable bool)
-}
-
-func (l *smpListener) OnDispatchCore(core int, t *sched.Thread, now sim.Time) {
-	if l.dispatch != nil {
-		l.dispatch(core, t, now)
-	}
-}
-
-func (l *smpListener) OnChargeCore(core int, t *sched.Thread, used sched.Work, now sim.Time, runnable bool) {
-	if l.charge != nil {
-		l.charge(core, t, used, now, runnable)
-	}
-}
-
-func (l *smpListener) OnIdleCore(core int, now sim.Time) {}
 
 const smpHorizon = 200 * sim.Millisecond
 
@@ -109,33 +88,34 @@ func TestPartitionedPerCoreFairness(t *testing.T) {
 			home[th.ID] = int(th.Name[1] - '0')
 			kind[th.ID] = th.Name[0]
 		}
-		s.Machine.Listen(&smpListener{
-			charge: func(core int, th *sched.Thread, used sched.Work, now sim.Time, runnable bool) {
-				if core != home[th.ID] {
-					t.Fatalf("seed %d: thread %s pinned to core %d charged on core %d",
-						seed, th.Name, home[th.ID], core)
+		s.Machine.Listen(cpu.ListenerFunc(func(e trace.Event) {
+			if e.Kind != trace.Charge {
+				return
+			}
+			if e.Core != home[e.ThreadID] {
+				t.Fatalf("seed %d: thread %s pinned to core %d charged on core %d",
+					seed, e.Thread, home[e.ThreadID], e.Core)
+			}
+			a := &acc[e.Core]
+			if kind[e.ThreadID] == 'f' {
+				a.df += float64(e.Used) / weight[e.Thread]
+				if e.Used > a.maxLf {
+					a.maxLf = e.Used
 				}
-				a := &acc[core]
-				if kind[th.ID] == 'f' {
-					a.df += float64(used) / weight[th.Name]
-					if used > a.maxLf {
-						a.maxLf = used
-					}
-				} else {
-					a.dg += float64(used) / weight[th.Name]
-					if used > a.maxLg {
-						a.maxLg = used
-					}
+			} else {
+				a.dg += float64(e.Used) / weight[e.Thread]
+				if e.Used > a.maxLg {
+					a.maxLg = e.Used
 				}
-				delta := a.df - a.dg
-				if delta < a.minDelta {
-					a.minDelta = delta
-				}
-				if delta > a.maxDelta {
-					a.maxDelta = delta
-				}
-			},
-		})
+			}
+			delta := a.df - a.dg
+			if delta < a.minDelta {
+				a.minDelta = delta
+			}
+			if delta > a.maxDelta {
+				a.maxDelta = delta
+			}
+		}))
 		s.Run()
 
 		for c := 0; c < cores; c++ {
@@ -158,20 +138,20 @@ func TestPartitionedPerCoreFairness(t *testing.T) {
 // noDoubleRun tracks dispatch/charge pairing and fails the test if any
 // thread is dispatched while a previous dispatch of it is still
 // uncharged — i.e. while it is running on some core.
-func noDoubleRun(t *testing.T, seed int64) *smpListener {
+func noDoubleRun(t *testing.T, seed int64) cpu.Listener {
 	running := map[int]int{}
-	return &smpListener{
-		dispatch: func(core int, th *sched.Thread, now sim.Time) {
-			if prev, ok := running[th.ID]; ok {
+	return cpu.ListenerFunc(func(e trace.Event) {
+		switch e.Kind {
+		case trace.Dispatch:
+			if prev, ok := running[e.ThreadID]; ok {
 				t.Fatalf("seed %d: thread %s dispatched on core %d at %v while running on core %d",
-					seed, th.Name, core, now, prev)
+					seed, e.Thread, e.Core, e.At, prev)
 			}
-			running[th.ID] = core
-		},
-		charge: func(core int, th *sched.Thread, used sched.Work, now sim.Time, runnable bool) {
-			delete(running, th.ID)
-		},
-	}
+			running[e.ThreadID] = e.Core
+		case trace.Charge:
+			delete(running, e.ThreadID)
+		}
+	})
 }
 
 // TestGlobalNoDoubleRunAndWorkConserving drives a shared-hierarchy

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hsfq/internal/simconfig"
+	"hsfq/internal/trace"
 )
 
 // TestJobKeyPinned pins the literal content address of every shipped
@@ -75,6 +76,66 @@ func TestJobKeyPinned(t *testing.T) {
 		}
 		if got := JobKey(cfg, w.seed); got != w.key {
 			t.Errorf("%s seed %d: JobKey %s, pinned %s", w.file, w.seed, got, w.key)
+		}
+	}
+}
+
+// TestTraceDigestPinned pins the literal trace.Hasher digest and row count
+// of every examples/configs config at seed 1, on one core and on three
+// partitioned cores, plus interrupt-storm on three global cores. Multicore
+// rows carry a core column, so a dispatch, charge or idle event on the
+// wrong core, or a wake, block, exit or interrupt event that stops
+// carrying core 0, changes a digest here. Like TestJobKeyPinned, a new
+// example must be added to the table.
+func TestTraceDigestPinned(t *testing.T) {
+	want := []struct {
+		file   string
+		cores  int
+		policy string
+		rows   int
+		digest string
+	}{
+		{"interrupt-storm.json", 1, "", 7325, "81eb68b2c6acbbc042b61096b8880ab1fad2beb8689cfba734aaf4e5dd3cb8eb"},
+		{"interrupt-storm.json", 3, "partitioned", 13611, "5e007d3bffa63ae86887b3e6e30a3dfb9fd12d72d0e8f878f30f67d0ad84d62e"},
+		{"interrupt-storm.json", 3, "global", 11834, "35e3ef7f79de5e01c5dc1528591a9b5804cee3ed72950e9ca3f61cdfaca954c1"},
+		{"paper-fig2.json", 1, "", 11509, "951fca08747674b1c3213c6489cf2ec89f716c1091d98351f2c4dacf8516ca0c"},
+		{"paper-fig2.json", 3, "partitioned", 25492, "2ed8aa3b55aaffe461da16437da08d3528f663f3d1b2285ddb53a645bf69b6a2"},
+		{"video-server.json", 1, "", 39480, "07a56d5bf8cc2bca397340a7562b3b01df6babc1801c3f4572b9524415c6ea26"},
+		{"video-server.json", 3, "partitioned", 97280, "b2c7ff85cd8f885fc423afc94409c5f0caebe84dedad144d6abd99faf6f4f320"},
+	}
+
+	pinned := map[string]bool{}
+	for _, w := range want {
+		pinned[w.file] = true
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "configs", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		if name := filepath.Base(p); !pinned[name] {
+			t.Errorf("examples/configs/%s has no pinned trace digest", name)
+		}
+	}
+
+	for _, w := range want {
+		f, err := os.Open(filepath.Join("..", "..", "examples", "configs", w.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := simconfig.Parse(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", w.file, err)
+		}
+		cfg.Cores, cfg.Policy = w.cores, w.policy
+		h := trace.NewHasher()
+		if _, _, err := ExecuteConfigListened(cfg, 1, nil, func(s *simconfig.Simulation) { s.Machine.Listen(h) }); err != nil {
+			t.Fatalf("%s: %v", w.file, err)
+		}
+		if h.Rows() != w.rows || h.Sum() != w.digest {
+			t.Errorf("%s on %d cores %q: %d rows digest %s, pinned %d rows %s",
+				w.file, w.cores, w.policy, h.Rows(), h.Sum(), w.rows, w.digest)
 		}
 	}
 }

@@ -13,9 +13,11 @@ import (
 // recorder fed by a multicore machine (numCores > 1) appends each event's
 // core; the single-core encoding is byte-identical to the pre-SMP format,
 // and the decoder learns the layout from SetNumCores, which checkpoint
-// restore derives from the rebuilt config before calling LoadState.
+// restore derives from the rebuilt config before calling LoadState. The
+// leading integer is a legacy drop count, always 0, kept so checkpoint
+// bytes do not change.
 func (r *Recorder) SaveState(e *sim.Enc) {
-	e.Int(r.drops)
+	e.Int(0)
 	e.Int(len(r.events))
 	for _, ev := range r.events {
 		e.Time(ev.At)
@@ -45,9 +47,6 @@ func (r *Recorder) LoadState(d *sim.Dec) error {
 	if drops < 0 {
 		return fmt.Errorf("trace: negative drop count %d", drops)
 	}
-	if r.max > 0 && n > r.max {
-		return fmt.Errorf("trace: checkpoint holds %d events but recorder is bounded to %d", n, r.max)
-	}
 	events := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
 		ev := Event{
@@ -70,7 +69,6 @@ func (r *Recorder) LoadState(d *sim.Dec) error {
 		}
 		events = append(events, ev)
 	}
-	r.drops = drops
 	r.events = events
 	return nil
 }

@@ -10,7 +10,6 @@ import (
 	"io"
 	"strconv"
 
-	"hsfq/internal/cpu"
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
 )
@@ -38,26 +37,22 @@ type Event struct {
 	Used     sched.Work `json:"used,omitempty"`
 	Runnable bool       `json:"runnable,omitempty"`
 	Service  sim.Time   `json:"service,omitempty"`
-	// Core is the core the event happened on. It is recorded (and emitted
-	// in the CSV as an extra trailing column) only for multicore machines,
-	// so single-core traces are byte-identical to the pre-SMP format.
+	// Core is the core a dispatch, charge or idle event happened on; every
+	// other kind carries 0. Rows show it (as an extra trailing CSV column)
+	// only for multicore machines, so single-core traces are
+	// byte-identical to the pre-SMP format.
 	Core int `json:"core,omitempty"`
 }
 
-// Recorder implements cpu.Listener (and cpu.SMPListener, for core-tagged
-// events from multicore machines) and stores events, optionally bounded
-// to the most recent max events (0 = unbounded).
+// Recorder stores every event it is given; a cpu.Machine feeds it
+// through Add.
 type Recorder struct {
-	cpu.BaseListener
-	max      int
 	numCores int // >1 switches the CSV and checkpoint encodings to core-tagged rows
 	events   []Event
-	drops    int
 }
 
-// NewRecorder returns a recorder keeping at most max events; max <= 0
-// keeps everything.
-func NewRecorder(max int) *Recorder { return &Recorder{max: max, numCores: 1} }
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{numCores: 1} }
 
 // SetNumCores tells the recorder how many cores feed it. Machine.Listen
 // calls it automatically; checkpoint restore calls it before LoadState so
@@ -74,65 +69,8 @@ func (r *Recorder) SetNumCores(n int) {
 // NumCores returns the core count the recorder was configured for.
 func (r *Recorder) NumCores() int { return r.numCores }
 
-func (r *Recorder) add(e Event) {
-	if r.max > 0 && len(r.events) >= r.max {
-		copy(r.events, r.events[1:])
-		r.events[len(r.events)-1] = e
-		r.drops++
-		return
-	}
-	r.events = append(r.events, e)
-}
-
-// OnDispatch implements cpu.Listener.
-func (r *Recorder) OnDispatch(t *sched.Thread, now sim.Time) {
-	r.add(Event{At: now, Kind: Dispatch, Thread: t.Name, ThreadID: t.ID})
-}
-
-// OnCharge implements cpu.Listener.
-func (r *Recorder) OnCharge(t *sched.Thread, used sched.Work, now sim.Time, runnable bool) {
-	r.add(Event{At: now, Kind: Charge, Thread: t.Name, ThreadID: t.ID, Used: used, Runnable: runnable})
-}
-
-// OnWake implements cpu.Listener.
-func (r *Recorder) OnWake(t *sched.Thread, now sim.Time) {
-	r.add(Event{At: now, Kind: Wake, Thread: t.Name, ThreadID: t.ID})
-}
-
-// OnBlock implements cpu.Listener.
-func (r *Recorder) OnBlock(t *sched.Thread, now sim.Time) {
-	r.add(Event{At: now, Kind: Block, Thread: t.Name, ThreadID: t.ID})
-}
-
-// OnExit implements cpu.Listener.
-func (r *Recorder) OnExit(t *sched.Thread, now sim.Time) {
-	r.add(Event{At: now, Kind: Exit, Thread: t.Name, ThreadID: t.ID})
-}
-
-// OnInterrupt implements cpu.Listener.
-func (r *Recorder) OnInterrupt(now, service sim.Time) {
-	r.add(Event{At: now, Kind: Interrupt, Service: service})
-}
-
-// OnIdle implements cpu.Listener.
-func (r *Recorder) OnIdle(now sim.Time) {
-	r.add(Event{At: now, Kind: Idle})
-}
-
-// OnDispatchCore implements cpu.SMPListener.
-func (r *Recorder) OnDispatchCore(core int, t *sched.Thread, now sim.Time) {
-	r.add(Event{At: now, Kind: Dispatch, Thread: t.Name, ThreadID: t.ID, Core: core})
-}
-
-// OnChargeCore implements cpu.SMPListener.
-func (r *Recorder) OnChargeCore(core int, t *sched.Thread, used sched.Work, now sim.Time, runnable bool) {
-	r.add(Event{At: now, Kind: Charge, Thread: t.Name, ThreadID: t.ID, Used: used, Runnable: runnable, Core: core})
-}
-
-// OnIdleCore implements cpu.SMPListener.
-func (r *Recorder) OnIdleCore(core int, now sim.Time) {
-	r.add(Event{At: now, Kind: Idle, Core: core})
-}
+// Add records one event.
+func (r *Recorder) Add(e Event) { r.events = append(r.events, e) }
 
 // Events returns the recorded events, oldest first.
 func (r *Recorder) Events() []Event {
@@ -140,9 +78,6 @@ func (r *Recorder) Events() []Event {
 	copy(out, r.events)
 	return out
 }
-
-// Dropped returns how many events were evicted from a bounded recorder.
-func (r *Recorder) Dropped() int { return r.drops }
 
 // Filter returns the events of the given kinds.
 func (r *Recorder) Filter(kinds ...Kind) []Event {

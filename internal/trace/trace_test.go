@@ -5,29 +5,28 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"hsfq/internal/cpu"
-	"hsfq/internal/sched"
-	"hsfq/internal/sim"
 )
 
-func sampleRecorder() (*Recorder, *sched.Thread) {
-	r := NewRecorder(0)
-	t1 := sched.NewThread(1, "worker", 1)
-	r.OnWake(t1, 0)
-	r.OnDispatch(t1, 5)
-	r.OnInterrupt(7, 2)
-	r.OnCharge(t1, 1000, 15, true)
-	r.OnDispatch(t1, 15)
-	r.OnCharge(t1, 500, 20, false)
-	r.OnBlock(t1, 20)
-	r.OnIdle(20)
-	r.OnExit(t1, 30)
-	return r, t1
+func sampleRecorder() *Recorder {
+	r := NewRecorder()
+	for _, e := range []Event{
+		{At: 0, Kind: Wake, Thread: "worker", ThreadID: 1},
+		{At: 5, Kind: Dispatch, Thread: "worker", ThreadID: 1},
+		{At: 7, Kind: Interrupt, Service: 2},
+		{At: 15, Kind: Charge, Thread: "worker", ThreadID: 1, Used: 1000, Runnable: true},
+		{At: 15, Kind: Dispatch, Thread: "worker", ThreadID: 1},
+		{At: 20, Kind: Charge, Thread: "worker", ThreadID: 1, Used: 500},
+		{At: 20, Kind: Block, Thread: "worker", ThreadID: 1},
+		{At: 20, Kind: Idle},
+		{At: 30, Kind: Exit, Thread: "worker", ThreadID: 1},
+	} {
+		r.Add(e)
+	}
+	return r
 }
 
 func TestRecorderEventsAndFilter(t *testing.T) {
-	r, _ := sampleRecorder()
+	r := sampleRecorder()
 	evs := r.Events()
 	if len(evs) != 9 {
 		t.Fatalf("%d events", len(evs))
@@ -45,26 +44,8 @@ func TestRecorderEventsAndFilter(t *testing.T) {
 	}
 }
 
-func TestRecorderBounded(t *testing.T) {
-	r := NewRecorder(3)
-	th := sched.NewThread(1, "t", 1)
-	for i := 0; i < 10; i++ {
-		r.OnDispatch(th, sim.Time(i))
-	}
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("%d events kept", len(evs))
-	}
-	if evs[0].At != 7 || evs[2].At != 9 {
-		t.Errorf("kept wrong window: %v", evs)
-	}
-	if r.Dropped() != 7 {
-		t.Errorf("dropped %d", r.Dropped())
-	}
-}
-
 func TestSpans(t *testing.T) {
-	r, _ := sampleRecorder()
+	r := sampleRecorder()
 	spans := r.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("spans %v", spans)
@@ -82,7 +63,7 @@ func TestSpans(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	r, _ := sampleRecorder()
+	r := sampleRecorder()
 	var b strings.Builder
 	if err := r.WriteCSV(&b); err != nil {
 		t.Fatal(err)
@@ -103,7 +84,7 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestWriteJSON(t *testing.T) {
-	r, _ := sampleRecorder()
+	r := sampleRecorder()
 	var b strings.Builder
 	if err := r.WriteJSON(&b); err != nil {
 		t.Fatal(err)
@@ -114,37 +95,5 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if len(evs) != 9 || evs[3].Used != 1000 {
 		t.Errorf("decoded %d events, evs[3]=%+v", len(evs), evs[3])
-	}
-}
-
-// TestRecorderOnMachine wires the recorder to a real machine run and
-// checks the event stream is self-consistent.
-func TestRecorderOnMachine(t *testing.T) {
-	eng := sim.NewEngine()
-	m := cpu.NewMachine(eng, 1000, sched.NewSFQ(10*sim.Millisecond))
-	r := NewRecorder(0)
-	m.Listen(r)
-	m.Spawn("a", 1, cpu.Sequence(cpu.Compute(25), cpu.Sleep(5*sim.Millisecond), cpu.Compute(5), cpu.Exit()), 0)
-	m.Run(sim.Second)
-
-	spans := r.Spans()
-	var total sched.Work
-	for _, sp := range spans {
-		if sp.End < sp.Start {
-			t.Errorf("span %+v inverted", sp)
-		}
-		total += sp.Used
-	}
-	if total != 30 {
-		t.Errorf("total span work %d, want 30", total)
-	}
-	if got := r.Filter(Exit); len(got) != 1 {
-		t.Errorf("exit events %d", len(got))
-	}
-	if got := r.Filter(Block); len(got) != 1 {
-		t.Errorf("block events %d", len(got))
-	}
-	if got := r.Filter(Wake); len(got) != 2 {
-		t.Errorf("wake events %d (spawn + sleep return)", len(got))
 	}
 }

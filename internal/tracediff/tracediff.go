@@ -206,7 +206,7 @@ func (sd *side) replay(from int) ([]trace.Event, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: replay from instant %d: %w", sd.in.Label, from, err)
 	}
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder()
 	s.Machine.Listen(rec)
 	s.Run()
 	return rec.Events(), nil

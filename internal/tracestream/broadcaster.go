@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hsfq/internal/cpu"
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
 	"hsfq/internal/trace"
@@ -29,19 +28,17 @@ type Recording struct {
 	Lost uint64
 }
 
-// Broadcaster implements cpu.Listener (and cpu.SMPListener): it encodes
-// every scheduling event into the wire format and fans it out to any
-// number of subscribers through bounded per-subscriber buffers. With no
-// subscriber attached and recording disabled, the hot path is a single
-// atomic load — 0 allocs/op, enforced by an alloc-guard test.
+// Broadcaster is a cpu.Listener: Add encodes every scheduling event into
+// the wire format and fans it out to any number of subscribers through
+// bounded per-subscriber buffers. With no subscriber attached and
+// recording disabled, the hot path is a single atomic load — 0 allocs/op,
+// enforced by an alloc-guard test.
 //
 // Lifecycle: New → [EnableRecording] → Machine.Listen (sets the core
 // count) → Begin(meta) → run → Finish(). Subscribe works at any point;
 // a subscriber attaching mid-run is seeded with the recording so far, so
 // its stream is gap-free from tick zero unless the recording cap was hit.
 type Broadcaster struct {
-	cpu.BaseListener
-
 	// active gates the event hot path: true iff recording is enabled or
 	// at least one subscriber is attached. Read without the lock.
 	active atomic.Bool
@@ -79,8 +76,8 @@ func (b *Broadcaster) EnableRecording(maxBytes int) {
 	b.active.Store(true)
 }
 
-// SetNumCores implements the optional Listener upgrade: Machine.Listen
-// calls it before any event. It must run before Begin.
+// SetNumCores tells the broadcaster how many cores feed it;
+// Machine.Listen calls it before any event. It must run before Begin.
 func (b *Broadcaster) SetNumCores(n int) {
 	if n < 1 {
 		n = 1
@@ -219,8 +216,8 @@ func (b *Broadcaster) record(e *trace.Event, frame []byte) {
 	b.recFrames = append(b.recFrames, frame...)
 }
 
-// event is the hot path: encode once, record, fan out.
-func (b *Broadcaster) event(e trace.Event) {
+// Add is the hot path: encode once, record, fan out.
+func (b *Broadcaster) Add(e trace.Event) {
 	if !b.active.Load() {
 		return
 	}
@@ -237,54 +234,15 @@ func (b *Broadcaster) event(e trace.Event) {
 	b.mu.Unlock()
 }
 
-// OnDispatch implements cpu.Listener.
+// OnDispatch adds a dispatch event of t. It and OnCharge stay for the
+// probes of the bench module until a benchmark change retires them.
 func (b *Broadcaster) OnDispatch(t *sched.Thread, now sim.Time) {
-	b.event(trace.Event{At: now, Kind: trace.Dispatch, Thread: t.Name, ThreadID: t.ID})
+	b.Add(trace.Event{At: now, Kind: trace.Dispatch, Thread: t.Name, ThreadID: t.ID})
 }
 
-// OnCharge implements cpu.Listener.
+// OnCharge adds a charge event of t; see OnDispatch.
 func (b *Broadcaster) OnCharge(t *sched.Thread, used sched.Work, now sim.Time, runnable bool) {
-	b.event(trace.Event{At: now, Kind: trace.Charge, Thread: t.Name, ThreadID: t.ID, Used: used, Runnable: runnable})
-}
-
-// OnWake implements cpu.Listener.
-func (b *Broadcaster) OnWake(t *sched.Thread, now sim.Time) {
-	b.event(trace.Event{At: now, Kind: trace.Wake, Thread: t.Name, ThreadID: t.ID})
-}
-
-// OnBlock implements cpu.Listener.
-func (b *Broadcaster) OnBlock(t *sched.Thread, now sim.Time) {
-	b.event(trace.Event{At: now, Kind: trace.Block, Thread: t.Name, ThreadID: t.ID})
-}
-
-// OnExit implements cpu.Listener.
-func (b *Broadcaster) OnExit(t *sched.Thread, now sim.Time) {
-	b.event(trace.Event{At: now, Kind: trace.Exit, Thread: t.Name, ThreadID: t.ID})
-}
-
-// OnInterrupt implements cpu.Listener.
-func (b *Broadcaster) OnInterrupt(now, service sim.Time) {
-	b.event(trace.Event{At: now, Kind: trace.Interrupt, Service: service})
-}
-
-// OnIdle implements cpu.Listener.
-func (b *Broadcaster) OnIdle(now sim.Time) {
-	b.event(trace.Event{At: now, Kind: trace.Idle})
-}
-
-// OnDispatchCore implements cpu.SMPListener.
-func (b *Broadcaster) OnDispatchCore(core int, t *sched.Thread, now sim.Time) {
-	b.event(trace.Event{At: now, Kind: trace.Dispatch, Thread: t.Name, ThreadID: t.ID, Core: core})
-}
-
-// OnChargeCore implements cpu.SMPListener.
-func (b *Broadcaster) OnChargeCore(core int, t *sched.Thread, used sched.Work, now sim.Time, runnable bool) {
-	b.event(trace.Event{At: now, Kind: trace.Charge, Thread: t.Name, ThreadID: t.ID, Used: used, Runnable: runnable, Core: core})
-}
-
-// OnIdleCore implements cpu.SMPListener.
-func (b *Broadcaster) OnIdleCore(core int, now sim.Time) {
-	b.event(trace.Event{At: now, Kind: trace.Idle, Core: core})
+	b.Add(trace.Event{At: now, Kind: trace.Charge, Thread: t.Name, ThreadID: t.ID, Used: used, Runnable: runnable})
 }
 
 // Subscriber is one consumer's bounded view of the stream. The producer

@@ -144,12 +144,12 @@ func TestSlowSubscriberDropsWithoutBackpressure(t *testing.T) {
 	b := New()
 	b.EnableRecording(0)
 	b.Begin([]trace.ThreadMeta{{TID: 1, Name: "x", Depth: 1, Path: "/x"}})
-	th := sched.NewThread(1, "x", 1)
+	charge := trace.Event{Kind: trace.Charge, Thread: "x", ThreadID: 1, Used: 1, Runnable: true}
 
 	sub := b.Subscribe(256) // tiny buffer, never drained during the burst
 	drainDecode(t, sub, NewDecoder())
 	for i := 0; i < 1000; i++ {
-		b.OnCharge(th, 1, 0, true)
+		b.Add(charge)
 	}
 	if sub.Dropped() == 0 {
 		t.Fatal("slow subscriber should have dropped events")
@@ -160,7 +160,7 @@ func TestSlowSubscriberDropsWithoutBackpressure(t *testing.T) {
 	}
 	// After draining, the next event materializes the drop marker.
 	sub.Take()
-	b.OnCharge(th, 1, 0, true)
+	b.Add(charge)
 	b.Finish()
 	var drops uint64
 	events := 0
@@ -187,9 +187,9 @@ func TestTruncatedRecordingMarksGapForLateSubscriber(t *testing.T) {
 	b := New()
 	b.EnableRecording(512)
 	b.Begin([]trace.ThreadMeta{{TID: 1, Name: "x", Depth: 1, Path: "/x"}})
-	th := sched.NewThread(1, "x", 1)
+	charge := trace.Event{Kind: trace.Charge, Thread: "x", ThreadID: 1, Used: 1, Runnable: true}
 	for i := 0; i < 1000; i++ {
-		b.OnCharge(th, 1, 0, true)
+		b.Add(charge)
 	}
 	b.Finish()
 	rec := b.Snapshot()
@@ -232,8 +232,8 @@ func TestBroadcasterNoSubscriberZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		b.OnDispatch(th, 0)
 		b.OnCharge(th, 1, 0, true)
-		b.OnInterrupt(0, 1)
-		b.OnIdle(0)
+		b.Add(trace.Event{Kind: trace.Interrupt, Service: 1})
+		b.Add(trace.Event{Kind: trace.Idle, Core: 1})
 	})
 	if allocs != 0 {
 		t.Fatalf("no-subscriber hot path allocates %v allocs/op, want 0", allocs)

@@ -1,9 +1,9 @@
 GO ?= go
 
 # Benchmarks covered by `make bench` — the scheduling spine, the event
-# queue under timer pressure, whole-run throughput, and the packet
-# algorithms. Output is benchstat-compatible (`benchstat old.txt new.txt`).
-BENCH ?= BenchmarkSchedule|BenchmarkLeafSchedulers|BenchmarkMachineSimulation|BenchmarkEventStorm|BenchmarkSimThroughput|BenchmarkPacketAlgorithms
+# queue under timer pressure, whole-run throughput, config build, and the
+# packet algorithms. Output is benchstat-compatible (`benchstat old.txt new.txt`).
+BENCH ?= BenchmarkSchedule|BenchmarkLeafSchedulers|BenchmarkMachineSimulation|BenchmarkEventStorm|BenchmarkSimThroughput|BenchmarkBuild|BenchmarkPacketAlgorithms
 BENCH_COUNT ?= 5
 BENCH_TIME ?= 200ms
 

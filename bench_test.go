@@ -2,6 +2,8 @@ package hsfq_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -269,6 +271,33 @@ func BenchmarkSimThroughput(b *testing.B) {
 	wall := time.Since(start)
 	if wall > 0 {
 		b.ReportMetric(float64(simulated)/float64(wall.Nanoseconds()), "sim_ns/wall_ns")
+	}
+}
+
+// BenchmarkBuild measures simconfig.Build alone, the setup every job pays
+// before it simulates, on the two shipped configs with MPEG decoders.
+// Decoders draw their frames as they reach them, so Build's B/op does
+// not grow with a config's frame count.
+func BenchmarkBuild(b *testing.B) {
+	for _, name := range []string{"video-server", "paper-fig2"} {
+		b.Run(name, func(b *testing.B) {
+			f, err := os.Open(filepath.Join("examples", "configs", name+".json"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg, err := simconfig.Parse(f)
+			f.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := simconfig.Build(cfg, simconfig.BuildOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -46,7 +46,7 @@ func main() {
 		d := sched.NewThread(3+i, fmt.Sprintf("decoder%d", i), 1)
 		report(mgr.AdmitSoft(d, ms(15), 100*sim.Millisecond), "soft: decoder (15ms/100ms mean)")
 		gen := workload.DefaultMPEG(int64(cpu.DefaultRate), rng.Fork())
-		machine.Add(d, workload.NewDecoder(gen.Trace(100000), true), 0)
+		machine.Add(d, gen.Decoder(100000, true), 0)
 	}
 
 	// Best effort is never refused.
@@ -64,7 +64,7 @@ func main() {
 	report(err, "soft: conference (25ms/100ms mean), growing the class")
 	if err == nil {
 		gen := workload.DefaultMPEG(int64(cpu.DefaultRate), rng.Fork())
-		machine.Add(conf, workload.NewDecoder(gen.Trace(100000), true), 0)
+		machine.Add(conf, gen.Decoder(100000, true), 0)
 	}
 
 	for _, c := range []qosmgr.Class{qosmgr.HardRealTime, qosmgr.SoftRealTime, qosmgr.BestEffort} {

@@ -10,10 +10,7 @@ import (
 	"hsfq/internal/trace"
 )
 
-// tinyConfig is the small simulation the fuzz seeds checkpoint. It avoids
-// the mpeg program on purpose: a mutated frame count in the embedded
-// config JSON could make the rebuild allocate a huge cost trace, which is
-// an out-of-memory hazard for the fuzzer, not a decoding bug.
+// tinyConfig is the small simulation the fuzz seeds checkpoint.
 func tinyConfig() simconfig.Config {
 	return simconfig.Config{
 		RateMIPS: 100,
@@ -65,6 +62,17 @@ func tinyFeedbackConfig() simconfig.Config {
 		{Name: "c", Leaf: "/rr", Weight: 1,
 			Program: simconfig.ProgramConfig{Kind: "onoff", Bursts: 2, Off: simconfig.Duration(5 * sim.Millisecond)}},
 	}
+	return cfg
+}
+
+// tinyMPEGConfig adds a looping mpeg decoder, so checkpoints carry a
+// Decoder's position and completion times. A mutated frame count in the
+// embedded config JSON is harmless: decoders generate frames as they
+// reach them, so the rebuild allocates nothing per frame.
+func tinyMPEGConfig() simconfig.Config {
+	cfg := tinyConfig()
+	cfg.Threads = append(cfg.Threads, simconfig.ThreadConfig{Name: "dec", Leaf: "/run", Weight: 2,
+		Program: simconfig.ProgramConfig{Kind: "mpeg", Frames: 50, Loop: true}})
 	return cfg
 }
 
@@ -127,6 +135,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	skew := append([]byte{}, plain...)
 	skew[len(checkpoint.Magic)+sha256.Size] ^= 0x03 // version word
 	f.Add(skew)
+	f.Add(checkpointOf(f, tinyMPEGConfig(), false))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, data := range [][]byte{b, reframe(b)} {
@@ -155,7 +164,7 @@ func TestDecodeCheckpointHostileInputs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  simconfig.Config
-	}{{"uniprocessor", tinyConfig()}, {"smp", tinySMPConfig()}, {"feedback", tinyFeedbackConfig()}} {
+	}{{"uniprocessor", tinyConfig()}, {"smp", tinySMPConfig()}, {"feedback", tinyFeedbackConfig()}, {"mpeg", tinyMPEGConfig()}} {
 		t.Run(tc.name, func(t *testing.T) { hostileInputs(t, checkpointOf(t, tc.cfg, true)) })
 	}
 }

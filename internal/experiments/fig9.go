@@ -46,8 +46,7 @@ func runFig9(opt Options) *Result {
 	m.Add(t2, p2, 0)
 
 	// An MPEG decoder in SFQ-1, competing from the sibling node.
-	gen := workload.DefaultMPEG(int64(rate), rng)
-	dec := workload.NewDecoder(gen.Trace(100000), true)
+	dec := workload.DefaultMPEG(int64(rate), rng).Decoder(100000, true)
 	td := sched.NewThread(3, "mpeg", 1)
 	must(f.S.Attach(td, f.SFQ1))
 	m.Add(td, dec, 0)

@@ -159,6 +159,27 @@ func TestSimulateValidationErrors(t *testing.T) {
 	}
 }
 
+// TestSimulateHugeFrameCount: an mpeg frame count is where the decoder
+// wraps, not a trace to allocate up front, so a short job with 2^40
+// frames is served like any other instead of exhausting the daemon's
+// memory at build time.
+func TestSimulateHugeFrameCount(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 2})
+	defer srv.Drain()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	resp, body := post(t, ts, "/v1/simulate", `{
+	  "rate_mips": 100,
+	  "horizon": "1s",
+	  "nodes": [{"path": "/soft", "weight": 1, "leaf": "sfq", "quantum": "10ms"}],
+	  "threads": [{"name": "dec", "leaf": "/soft", "program": {"kind": "mpeg", "frames": 1099511627776}}]
+	}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+}
+
 func TestSweepEndpoint(t *testing.T) {
 	srv := New(Config{Workers: 2, QueueDepth: 8, SweepWorkers: 2})
 	defer srv.Drain()

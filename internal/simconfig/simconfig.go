@@ -18,6 +18,11 @@
 //	     "program": {"kind": "loop"}}
 //	  ]
 //	}
+//
+// The decoder draws each frame's decode cost the first time it reaches
+// that frame and replays the drawn frames after it wraps at "frames", so
+// Build allocates nothing per frame and the simulation only pays for the
+// frames it decodes.
 package simconfig
 
 import (
@@ -153,7 +158,9 @@ type ProgramConfig struct {
 	// dhrystone: fault cadence.
 	FaultEvery int      `json:"fault_every"`
 	FaultSleep Duration `json:"fault_sleep"`
-	// mpeg: trace length and looping.
+	// mpeg: the frame count at which the decoder wraps (Loop) or exits;
+	// 0 = 100000. Frames are generated as the decoder reaches them, so a
+	// large count costs nothing until it is decoded.
 	Frames int  `json:"frames"`
 	Loop   bool `json:"loop"`
 	// periodic: cost per period.
@@ -624,8 +631,7 @@ func buildProgram(s *Simulation, tc ThreadConfig, rate cpu.Rate, rng *sim.Rand) 
 		if frames == 0 {
 			frames = 100000
 		}
-		gen := workload.DefaultMPEG(int64(rate), rng.Fork())
-		dec := workload.NewDecoder(gen.Trace(frames), pc.Loop)
+		dec := workload.DefaultMPEG(int64(rate), rng.Fork()).Decoder(frames, pc.Loop)
 		s.Decoders[tc.Name] = dec
 		return dec, nil
 	case "trace":

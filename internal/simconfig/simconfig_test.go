@@ -3,6 +3,7 @@ package simconfig
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -94,6 +95,41 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 	if run() != run() {
 		t.Error("same config produced different runs")
+	}
+}
+
+// TestBuildBytesIndependentOfFrames guards on-demand frame generation:
+// an mpeg thread's frame count only says where its decoder wraps, so
+// Build allocates the same at a thousand frames as at 2^40.
+func TestBuildBytesIndependentOfFrames(t *testing.T) {
+	cfg, err := Parse(strings.NewReader(fullConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	video := &cfg.Threads[1].Program
+	if video.Kind != "mpeg" {
+		t.Fatalf("thread 1 runs %q, want mpeg", video.Kind)
+	}
+	buildBytes := func(frames int) uint64 {
+		video.Frames = frames
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Build(cfg, BuildOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	const slack = 4 << 10
+	base := buildBytes(1000)
+	for _, frames := range []int{1_000_000, 1 << 40} {
+		if got := buildBytes(frames); got > base+slack || got+slack < base {
+			t.Errorf("Build allocated %d bytes at %d frames, %d at 1000", got, frames, base)
+		}
 	}
 }
 

@@ -80,43 +80,81 @@ func (m MPEG) validate() {
 	}
 }
 
+// mpegStream is the generator between two frames: the RNG it draws from,
+// the GOP position of the next frame, and the current scene. Trace and the
+// on-demand Decoder both step it, so the two produce the same costs.
+type mpegStream struct {
+	m         MPEG
+	i         int // index of the next frame
+	sceneLeft int
+	sceneMul  float64
+}
+
+func (m MPEG) stream() *mpegStream {
+	m.validate()
+	return &mpegStream{m: m, sceneMul: 1}
+}
+
+// next returns the decode cost of the next frame.
+func (s *mpegStream) next() sched.Work {
+	m := &s.m
+	if s.sceneLeft == 0 {
+		// Geometric scene length with the configured mean.
+		s.sceneLeft = 1 + int(m.Rand.ExpFloat64()*float64(m.SceneMeanFrames))
+		s.sceneMul = m.SceneLow + m.Rand.Float64()*(m.SceneHigh-m.SceneLow)
+	}
+	s.sceneLeft--
+	var mean sched.Work
+	switch m.GOP[s.i%len(m.GOP)] {
+	case 'I':
+		mean = m.IMean
+	case 'P':
+		mean = m.PMean
+	default:
+		mean = m.BMean
+	}
+	s.i++
+	jitter := 1 + m.Noise*(2*m.Rand.Float64()-1)
+	w := sched.Work(float64(mean) * s.sceneMul * jitter)
+	if w < 1 {
+		w = 1
+	}
+	return w
+}
+
 // Trace generates the decode costs of n consecutive frames.
 func (m MPEG) Trace(n int) []sched.Work {
-	m.validate()
+	s := m.stream()
 	out := make([]sched.Work, n)
-	sceneLeft := 0
-	sceneMul := 1.0
-	for i := 0; i < n; i++ {
-		if sceneLeft == 0 {
-			// Geometric scene length with the configured mean.
-			sceneLeft = 1 + int(m.Rand.ExpFloat64()*float64(m.SceneMeanFrames))
-			sceneMul = m.SceneLow + m.Rand.Float64()*(m.SceneHigh-m.SceneLow)
-		}
-		sceneLeft--
-		var mean sched.Work
-		switch m.GOP[i%len(m.GOP)] {
-		case 'I':
-			mean = m.IMean
-		case 'P':
-			mean = m.PMean
-		default:
-			mean = m.BMean
-		}
-		jitter := 1 + m.Noise*(2*m.Rand.Float64()-1)
-		w := sched.Work(float64(mean) * sceneMul * jitter)
-		if w < 1 {
-			w = 1
-		}
-		out[i] = w
+	for i := range out {
+		out[i] = s.next()
 	}
 	return out
+}
+
+// Decoder returns a decoder over the costs Trace(frames) would return. It
+// draws each frame from the generator the first time it reaches it and
+// keeps it for later passes, so memory grows with the frames decoded, not
+// with frames. If loop is true the frames repeat; otherwise the thread
+// exits after the last one. The decoder draws from m.Rand while it runs,
+// so nothing else may draw from that stream.
+func (m MPEG) Decoder(frames int, loop bool) *Decoder {
+	if frames <= 0 {
+		panic("workload: decoder with no frames")
+	}
+	return &Decoder{frames: frames, gen: m.stream(), loop: loop}
 }
 
 // Decoder is a thread program that decodes a frame trace as fast as its
 // CPU allocation allows, like the Berkeley MPEG player free-running in the
 // paper's Fig. 10 experiment. FramesDecoded(now) is the reproduced metric.
 type Decoder struct {
-	trace     []sched.Work
+	// trace holds the costs of the frames reached so far: all of them
+	// for NewDecoder, a growing prefix for MPEG.Decoder.
+	trace []sched.Work
+	// frames is the frame count at which the decoder wraps or exits.
+	frames    int
+	gen       *mpegStream // extends trace; nil for NewDecoder
 	idx       int
 	doneTimes []sim.Time
 	loop      bool
@@ -128,7 +166,7 @@ func NewDecoder(trace []sched.Work, loop bool) *Decoder {
 	if len(trace) == 0 {
 		panic("workload: decoder with empty trace")
 	}
-	return &Decoder{trace: trace, loop: loop}
+	return &Decoder{trace: trace, frames: len(trace), loop: loop}
 }
 
 // Next implements cpu.Program.
@@ -136,11 +174,16 @@ func (d *Decoder) Next(now sim.Time) cpu.Action {
 	if d.idx > 0 || len(d.doneTimes) > 0 {
 		d.doneTimes = append(d.doneTimes, now)
 	}
-	if d.idx >= len(d.trace) {
+	if d.idx >= d.frames {
 		if !d.loop {
 			return cpu.Exit()
 		}
 		d.idx = 0
+	}
+	// Draw the frame on first reach. A restored position can lie past
+	// the frames drawn so far; this regenerates the prefix up to it.
+	for len(d.trace) <= d.idx {
+		d.trace = append(d.trace, d.gen.next())
 	}
 	w := d.trace[d.idx]
 	d.idx++

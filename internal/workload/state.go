@@ -104,7 +104,8 @@ func (p *interactiveProgram) LoadState(d *sim.Dec) error {
 
 // SaveState implements cpu.Stater. Completion times are part of the
 // state because FramesDecoded — the experiment's metric — is computed
-// from them after the run.
+// from them after the run. Frame costs are not: the rebuild recreates
+// them, and an on-demand decoder regenerates the ones it had drawn.
 func (p *Decoder) SaveState(e *sim.Enc) {
 	e.Int(p.idx)
 	saveTimes(e, p.doneTimes)
@@ -117,8 +118,11 @@ func (p *Decoder) LoadState(d *sim.Dec) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if idx < 0 || idx > len(p.trace) {
-		return fmt.Errorf("workload: decoder position %d out of range [0, %d]", idx, len(p.trace))
+	// Next never runs more than one frame ahead of the completions it
+	// recorded, so the second bound also caps the prefix an on-demand
+	// decoder regenerates at the size of the checkpoint.
+	if idx < 0 || idx > p.frames || idx > len(times)+1 {
+		return fmt.Errorf("workload: decoder position %d out of range [0, %d]", idx, min(p.frames, len(times)+1))
 	}
 	p.idx = idx
 	p.doneTimes = times

@@ -145,6 +145,32 @@ func TestMPEGValidation(t *testing.T) {
 	g.Trace(10)
 }
 
+// TestMPEGDecoderMatchesTrace pins the on-demand decoder to the eager
+// trace: the same generator yields the same costs in the same order,
+// a looping decoder cycles them, and a non-looping one exits after them.
+func TestMPEGDecoderMatchesTrace(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		for _, n := range []int{1, 9, 1000} {
+			want := DefaultMPEG(100_000_000, sim.NewRand(seed)).Trace(n)
+			once := DefaultMPEG(100_000_000, sim.NewRand(seed)).Decoder(n, false)
+			for i, w := range want {
+				if a := once.Next(0); a.Kind != cpu.ActionCompute || a.Work != w {
+					t.Fatalf("seed %d n %d: frame %d is %+v, want compute of %d", seed, n, i, a, w)
+				}
+			}
+			if a := once.Next(0); a.Kind != cpu.ActionExit {
+				t.Fatalf("seed %d n %d: non-looping decoder went on with %+v", seed, n, a)
+			}
+			looping := DefaultMPEG(100_000_000, sim.NewRand(seed)).Decoder(n, true)
+			for i := 0; i < 3*n+2; i++ {
+				if a := looping.Next(0); a.Kind != cpu.ActionCompute || a.Work != want[i%n] {
+					t.Fatalf("seed %d n %d: looped frame %d is %+v, want compute of %d", seed, n, i, a, want[i%n])
+				}
+			}
+		}
+	}
+}
+
 func TestDecoderCountsFrames(t *testing.T) {
 	trace := []sched.Work{100, 200, 300}
 	d := NewDecoder(trace, false)

@@ -93,7 +93,11 @@ func main() {
 	}
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	if err := serve(newHTTPServer(*addr, srv), srv, sigCh, *drainTimeout); err != nil {
+	l, err := net.Listen("tcp", *addr)
+	if err == nil {
+		err = serveListener(newHTTPServer(*addr, srv), srv, sigCh, *drainTimeout, l)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "hsfqd:", err)
 		os.Exit(1)
 	}
@@ -135,16 +139,12 @@ func reloadPolicy(srv *server.Server, path string, hupCh <-chan os.Signal) {
 	}
 }
 
-// serve runs hs until a signal arrives, then drains gracefully: readiness
-// flips first (load balancers stop routing), the listener closes and
-// in-flight requests finish (bounded by drainTimeout), and finally the
-// worker pool runs dry.
-func serve(hs *http.Server, srv *server.Server, sigCh <-chan os.Signal, drainTimeout time.Duration) error {
-	return serveListener(hs, srv, sigCh, drainTimeout, nil)
-}
-
-// serveListener is serve with an injectable listener so tests can bind
-// port 0; l == nil listens on hs.Addr.
+// serveListener runs hs on l until a signal arrives, then drains
+// gracefully: readiness flips first (load balancers stop routing), the
+// listener closes and in-flight requests finish (bounded by
+// drainTimeout), and finally the worker pool runs dry. The startup line
+// names l's address, so an ephemeral port (-addr 127.0.0.1:0) is logged
+// as the port actually bound.
 func serveListener(hs *http.Server, srv *server.Server, sigCh <-chan os.Signal, drainTimeout time.Duration, l net.Listener) error {
 	done := make(chan struct{})
 	go func() {
@@ -164,14 +164,8 @@ func serveListener(hs *http.Server, srv *server.Server, sigCh <-chan os.Signal, 
 	}()
 
 	m := srv.Snapshot()
-	log.Printf("hsfqd: listening on %s (workers=%d queue=%d)", hs.Addr, m.Workers, m.QueueCapacity)
-	var err error
-	if l != nil {
-		err = hs.Serve(l)
-	} else {
-		err = hs.ListenAndServe()
-	}
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
+	log.Printf("hsfqd: listening on %s (workers=%d queue=%d)", l.Addr(), m.Workers, m.QueueCapacity)
+	if err := hs.Serve(l); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
 	<-done

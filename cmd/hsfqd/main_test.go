@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -60,6 +62,31 @@ func TestServeAndDrain(t *testing.T) {
 	// The listener is really closed: new connections are refused.
 	if _, err := http.Get(addr + "/healthz"); err == nil {
 		t.Error("listener still accepting after drain")
+	}
+}
+
+// TestLogsBoundAddress listens the way main does for -addr 127.0.0.1:0
+// and requires the startup line to name the ephemeral port actually
+// bound, not the port 0 that was asked for.
+func TestLogsBoundAddress(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	srv := server.New(server.Config{Workers: 1, QueueDepth: 2})
+	hs := newHTTPServer("127.0.0.1:0", srv)
+	l, err := net.Listen("tcp", hs.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A pending SIGTERM: serve logs its startup line, then drains at once.
+	sigCh := make(chan os.Signal, 1)
+	sigCh <- syscall.SIGTERM
+	if err := serveListener(hs, srv, sigCh, 5*time.Second, l); err != nil {
+		t.Fatalf("serve returned %v", err)
+	}
+	if want := "listening on " + l.Addr().String() + " "; !strings.Contains(logged.String(), want) {
+		t.Errorf("log lacks %q:\n%s", want, logged.String())
 	}
 }
 

@@ -3,18 +3,23 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hsfq/internal/dispatch"
 	"hsfq/internal/server"
-	"hsfq/internal/simconfig"
 	"hsfq/internal/sweep"
 	"hsfq/internal/testutil"
 )
@@ -112,55 +117,46 @@ func TestRunAgainstHTTPBackends(t *testing.T) {
 	}
 }
 
-// corruptingBackend mimics an hsfqd whose results are wrong: it executes
-// jobs correctly but flips a digit in every outcome digest.
+// digestRE matches the start of a JSON digest field.
+var digestRE = regexp.MustCompile(`"digest":"[0-9a-f]`)
+
+// corruptingBackend fronts a real hsfqd server with a reverse proxy that
+// flips the first digit of every outcome digest in POST /v1/jobs
+// responses: a backend with bit rot or a diverging build.
 func corruptingBackend(t *testing.T) *httptest.Server {
 	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Jobs []struct {
-				ID     int              `json:"id"`
-				Seed   uint64           `json:"seed"`
-				Config simconfig.Config `json:"config"`
-			} `json:"jobs"`
+	srv := server.New(server.Config{Workers: 2, QueueDepth: 8})
+	t.Cleanup(srv.Drain)
+	backend := httptest.NewServer(srv)
+	t.Cleanup(backend.Close)
+	u, err := url.Parse(backend.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := httputil.NewSingleHostReverseProxy(u)
+	rp.ModifyResponse = func(resp *http.Response) error {
+		if resp.Request.Method != http.MethodPost || resp.Request.URL.Path != "/v1/jobs" {
+			return nil
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
 		}
-		type outcome struct {
-			ID      int                `json:"id"`
-			Key     string             `json:"key"`
-			Seed    uint64             `json:"seed"`
-			Digest  string             `json:"digest,omitempty"`
-			Metrics map[string]float64 `json:"metrics,omitempty"`
-			Error   string             `json:"error,omitempty"`
-		}
-		var resp struct {
-			Results []outcome `json:"results"`
-		}
-		for _, j := range req.Jobs {
-			res := sweep.RunJob(sweep.Job{ID: j.ID, Seed: j.Seed, Config: j.Config}, false)
-			d := res.Digest
-			if d != "" {
-				if d[0] == '0' {
-					d = "1" + d[1:]
-				} else {
-					d = "0" + d[1:]
-				}
+		body = digestRE.ReplaceAllFunc(body, func(m []byte) []byte {
+			if d := &m[len(m)-1]; *d == '0' {
+				*d = '1'
+			} else {
+				*d = '0'
 			}
-			resp.Results = append(resp.Results, outcome{
-				ID: j.ID, Key: sweep.JobKey(j.Config, j.Seed), Seed: j.Seed,
-				Digest: d, Metrics: res.Metrics, Error: res.Error,
-			})
-		}
-		json.NewEncoder(w).Encode(resp)
-	})
-	ts := httptest.NewServer(mux)
+			return m
+		})
+		resp.Body = io.NopCloser(bytes.NewReader(body))
+		resp.ContentLength = int64(len(body))
+		resp.Header.Set("Content-Length", strconv.Itoa(len(body)))
+		return nil
+	}
+	ts := httptest.NewServer(rp)
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -170,6 +166,12 @@ func TestCorruptBackendExitsMismatch(t *testing.T) {
 	ts := corruptingBackend(t)
 	opt := testOpts()
 	opt.VerifyFraction = 1
+	var quarantined atomic.Bool
+	opt.Logf = func(f string, a ...any) {
+		if strings.Contains(fmt.Sprintf(f, a...), "QUARANTINED") {
+			quarantined.Store(true)
+		}
+	}
 	var stdout, stderr bytes.Buffer
 	code, err := run(context.Background(), writeSpec(t), ts.URL, opt,
 		"-", false, "work_total", false, &stdout, &stderr)
@@ -178,6 +180,9 @@ func TestCorruptBackendExitsMismatch(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), "digest verification") {
 		t.Errorf("err = %v", err)
+	}
+	if !quarantined.Load() {
+		t.Error("no QUARANTINED line logged")
 	}
 	// Detection does not sacrifice the output: every corrupt result was
 	// replaced by the local authority's, so the JSONL is still right.

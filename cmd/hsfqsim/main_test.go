@@ -102,6 +102,73 @@ func TestStdoutDeterministic(t *testing.T) {
 	}
 }
 
+// coresTestConfig sets no core count and mixes a dequeue-safe leaf (edf)
+// with a partitioned-only one (svr4).
+const coresTestConfig = `{
+  "rate_mips": 100,
+  "horizon": "2s",
+  "seed": 7,
+  "nodes": [
+    {"path": "/rt", "weight": 2, "leaf": "edf", "quantum": "5ms"},
+    {"path": "/be", "weight": 1, "leaf": "svr4"}
+  ],
+  "threads": [
+    {"name": "cam", "leaf": "/rt", "program": {"kind": "periodic", "period": "30ms", "cost": "5ms"}},
+    {"name": "hog", "leaf": "/be", "program": {"kind": "loop"}},
+    {"name": "chat", "leaf": "/be", "program": {"kind": "interactive", "think_mean": "50ms"}}
+  ],
+  "interrupts": [{"kind": "poisson", "rate_per_sec": 40, "service": "150us"}]
+}`
+
+// TestRunCores checks -cores against a coreless run: -cores 1 prints the
+// same report and writes the same trace CSV, -cores 2 adds the core
+// column and the per-core report lines, and an svr4 leaf under -policy
+// steal is rejected before the machine is built.
+func TestRunCores(t *testing.T) {
+	dir := t.TempDir()
+	cfg := filepath.Join(dir, "sim.json")
+	if err := os.WriteFile(cfg, []byte(coresTestConfig), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// sim runs the config and returns its report, without the "wrote"
+	// line that names the trace file, and its trace CSV.
+	sim := func(name string, cores int) (string, []byte) {
+		tracePath := filepath.Join(dir, name)
+		out := capture(t, func() error { return run(runOptions{configPath: cfg, tracePath: tracePath, cores: cores}) })
+		out, _, _ = strings.Cut(out, "wrote "+tracePath)
+		csv, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, csv
+	}
+
+	refOut, refCSV := sim("ref.csv", 0)
+	oneOut, oneCSV := sim("one.csv", 1)
+	if d := testutil.DiffBytes(oneCSV, refCSV); d != "" {
+		t.Errorf("-cores 1 trace differs from coreless run: %s", d)
+	}
+	if d := testutil.DiffBytes([]byte(oneOut), []byte(refOut)); d != "" {
+		t.Errorf("-cores 1 report differs from coreless run: %s", d)
+	}
+
+	smpOut, smpCSV := sim("smp.csv", 2)
+	if header, _, _ := strings.Cut(string(smpCSV), "\n"); !strings.HasSuffix(header, ",core") {
+		t.Errorf("-cores 2 trace header %q lacks the core column", header)
+	}
+	if header, _, _ := strings.Cut(string(refCSV), "\n"); strings.HasSuffix(header, ",core") {
+		t.Errorf("coreless trace header %q has a core column", header)
+	}
+	if !strings.Contains(smpOut, "policy partitioned") || !strings.Contains(smpOut, "core 1:") {
+		t.Errorf("-cores 2 report lacks policy/per-core lines:\n%s", smpOut)
+	}
+
+	err := run(runOptions{configPath: cfg, cores: 2, policy: "steal", tracePath: filepath.Join(dir, "never.csv")})
+	if err == nil || !strings.Contains(err.Error(), "does not support") {
+		t.Errorf("svr4 leaf under -policy steal: err %v, want a \"does not support\" rejection", err)
+	}
+}
+
 func TestRunMissingConfig(t *testing.T) {
 	if err := run(runOptions{configPath: "/no/such/config.json"}); err == nil {
 		t.Error("missing config accepted")

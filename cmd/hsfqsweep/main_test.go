@@ -29,53 +29,67 @@ const testSpec = `{
   ]
 }`
 
+// TestRunSweep runs each spec under -verify, checks the JSONL rows and the
+// summary, and requires a -workers 1 rerun to stream identical bytes.
 func TestRunSweep(t *testing.T) {
-	dir := t.TempDir()
-	specPath := filepath.Join(dir, "spec.json")
-	if err := os.WriteFile(specPath, []byte(testSpec), 0o644); err != nil {
+	inline := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(inline, []byte(testSpec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	outPath := filepath.Join(dir, "out.jsonl")
+	for _, tc := range []struct {
+		name, spec, metrics string
+		jobs                int
+		summary             []string
+	}{
+		{"inline", inline, "work_total,share:x", 4, // 2 weights x 2 seeds
+			[]string{"4 job(s)", "2 grid point(s)", "work_total", "share:x", "weight@/a=1"}},
+		{"smoke.json", "../../examples/sweeps/smoke.json", "share:dec,frames:dec", 16, // 2 quanta x 2 leaves x 2 weights x 2 seeds
+			[]string{"16 job(s)", "8 grid point(s)", "share:dec", "frames:dec", "leaf@/soft=stride"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			outPath := filepath.Join(dir, "out.jsonl")
+			var stdout strings.Builder
+			rep, err := run(tc.spec, 4, true, outPath, true, tc.metrics, "", &stdout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep == nil || rep.Failed != 0 || rep.Mismatched != 0 {
+				t.Fatalf("report: %+v", rep)
+			}
+			jsonl, err := os.ReadFile(outPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSpace(string(jsonl)), "\n")
+			if len(lines) != tc.jobs {
+				t.Fatalf("got %d JSONL lines, want %d:\n%s", len(lines), tc.jobs, jsonl)
+			}
+			for _, line := range lines {
+				if !strings.Contains(line, `"digest":"`) {
+					t.Errorf("line without digest: %s", line)
+				}
+			}
+			out := stdout.String()
+			for _, want := range tc.summary {
+				if !strings.Contains(out, want) {
+					t.Errorf("summary missing %q:\n%s", want, out)
+				}
+			}
 
-	var stdout strings.Builder
-	rep, err := run(specPath, 4, true, outPath, true, "work_total,share:x", "", &stdout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep == nil || rep.Mismatched != 0 {
-		t.Fatalf("report: %+v", rep)
-	}
-	jsonl, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(jsonl)), "\n")
-	if len(lines) != 4 { // 2 weights x 2 seeds
-		t.Fatalf("got %d JSONL lines, want 4:\n%s", len(lines), jsonl)
-	}
-	for _, line := range lines {
-		if !strings.Contains(line, `"digest":"`) {
-			t.Errorf("line without digest: %s", line)
-		}
-	}
-	out := stdout.String()
-	for _, want := range []string{"4 job(s)", "2 grid point(s)", "work_total", "share:x", "weight@/a=1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
-		}
-	}
-
-	// A second run with a different worker count streams identical bytes.
-	outPath2 := filepath.Join(dir, "out2.jsonl")
-	if _, err := run(specPath, 1, false, outPath2, false, "work_total", "", &stdout); err != nil {
-		t.Fatal(err)
-	}
-	jsonl2, err := os.ReadFile(outPath2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(jsonl) != string(jsonl2) {
-		t.Error("JSONL output differs between -workers 4 and -workers 1")
+			// A second run with a different worker count streams identical bytes.
+			outPath2 := filepath.Join(dir, "out2.jsonl")
+			if _, err := run(tc.spec, 1, false, outPath2, false, "work_total", "", &stdout); err != nil {
+				t.Fatal(err)
+			}
+			jsonl2, err := os.ReadFile(outPath2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(jsonl) != string(jsonl2) {
+				t.Error("JSONL output differs between -workers 4 and -workers 1")
+			}
+		})
 	}
 }
 

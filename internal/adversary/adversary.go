@@ -69,7 +69,8 @@ func (c Cell) ID() string { return fmt.Sprintf("%s/%s/c%d", c.Attack, c.Leaf, c.
 type Result struct {
 	Cell
 	// Digest is the sweep outcome digest of the run: equal digests across
-	// repeat runs are the determinism contract advsmoke enforces.
+	// repeat runs are the determinism contract TestMatrixDeterminism
+	// enforces.
 	Digest string
 	// VictimShare is the victim's fraction of all work done.
 	VictimShare float64
@@ -138,8 +139,8 @@ func (a Attack) Cells(cores int) []Cell {
 }
 
 // Matrix expands every registered attack over every target at each of the
-// given core counts, in registry order — the deterministic work list
-// advsmoke and the adversary tests run.
+// given core counts, in registry order — the deterministic work list the
+// adversary tests run.
 func Matrix(coreCounts []int) []Cell {
 	var out []Cell
 	for _, cores := range coreCounts {

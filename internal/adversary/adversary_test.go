@@ -25,19 +25,19 @@ func TestMatrixPredicatesHold(t *testing.T) {
 	}
 }
 
-// TestMatrixDeterminism runs the single-core matrix twice and requires
-// identical outcome digests — the reproducibility contract that makes any
-// suite failure bisectable from the cell's config alone.
+// TestMatrixDeterminism runs the matrix at 1 and 4 cores twice and
+// requires identical outcome digests — the reproducibility contract that
+// makes any suite failure bisectable from the cell's config alone.
 func TestMatrixDeterminism(t *testing.T) {
 	first := map[string]string{}
-	for _, c := range Matrix([]int{1}) {
+	for _, c := range Matrix([]int{1, 4}) {
 		r, err := c.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", c.ID(), err)
 		}
 		first[c.ID()] = r.Digest
 	}
-	for _, c := range Matrix([]int{1}) {
+	for _, c := range Matrix([]int{1, 4}) {
 		r, err := c.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", c.ID(), err)

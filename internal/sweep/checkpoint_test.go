@@ -43,9 +43,14 @@ const extensionSpec = `{
 // TestHorizonExtensionByteIdentity is the sweep-level acceptance
 // criterion: the streamed JSONL and the report's results must be
 // byte-for-byte identical whether jobs run from scratch or resume from
-// checkpoints; only Report.Resumed may differ.
+// checkpoints; only Report.Resumed may differ. It runs the inline spec
+// and the shipped examples/sweeps/ckpt.json.
 func TestHorizonExtensionByteIdentity(t *testing.T) {
-	spec := parseTestSpec(t, extensionSpec)
+	t.Run("inline", func(t *testing.T) { checkHorizonExtension(t, parseTestSpec(t, extensionSpec)) })
+	t.Run("ckpt.json", func(t *testing.T) { checkHorizonExtension(t, exampleSpec(t, "ckpt.json")) })
+}
+
+func checkHorizonExtension(t *testing.T, spec Spec) {
 	dir := t.TempDir()
 
 	var fresh bytes.Buffer
@@ -57,8 +62,8 @@ func TestHorizonExtensionByteIdentity(t *testing.T) {
 		t.Fatalf("fresh run claims %d resumed jobs", repFresh.Resumed)
 	}
 
-	// Workers: 1 so the 150ms jobs complete (and store checkpoints)
-	// before the longer-horizon jobs of the same seed start.
+	// Workers: 1 so the shortest-horizon jobs complete (and store
+	// checkpoints) before the longer-horizon jobs of the same seed start.
 	var primed bytes.Buffer
 	repPrimed, err := Run(spec, Options{Workers: 1, Stream: &primed, CheckpointDir: dir})
 	if err != nil {

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hsfq/internal/simconfig"
 )
@@ -47,6 +51,16 @@ func parseTestSpec(t *testing.T, js string) Spec {
 		t.Fatal(err)
 	}
 	return spec
+}
+
+// exampleSpec parses a shipped spec from examples/sweeps.
+func exampleSpec(t *testing.T, name string) Spec {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "examples", "sweeps", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parseTestSpec(t, string(b))
 }
 
 func TestExpandGrid(t *testing.T) {
@@ -260,6 +274,73 @@ func TestRunVerify(t *testing.T) {
 	}
 	if rep.Failed != 0 {
 		t.Fatalf("%d job(s) failed verify", rep.Failed)
+	}
+}
+
+// TestMulticoreGrid runs examples/sweeps/smp.json, a cores x policy x
+// migration-cost grid with every thread homed on core 0, under Verify and
+// checks its cross-point invariants: one core hides policy and migration
+// cost (one digest per seed), steal migrates threads off the packed core,
+// a 500µs migration cost lowers steal's total work, and global and steal
+// machines do more than 1.3x the work of one partitioned core.
+func TestMulticoreGrid(t *testing.T) {
+	rep, err := Run(exampleSpec(t, "smp.json"), Options{Workers: 4, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed != 0 {
+		t.Fatalf("%d job(s) failed verify", rep.Failed)
+	}
+
+	type pointKey struct {
+		policy string
+		cores  int
+		seed   uint64
+	}
+	work := map[pointKey]map[time.Duration]float64{}
+	oneCore := map[uint64]string{}
+	for _, r := range rep.Results {
+		cores, err := strconv.Atoi(r.Point["cores"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost, err := time.ParseDuration(r.Point["migration_cost"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := pointKey{r.Point["policy"], cores, r.Seed}
+		if work[k] == nil {
+			work[k] = map[time.Duration]float64{}
+		}
+		work[k][cost] = r.Metrics["work_total"]
+		if cores == 1 {
+			if d, ok := oneCore[r.Seed]; !ok {
+				oneCore[r.Seed] = r.Digest
+			} else if d != r.Digest {
+				t.Errorf("cores:1 digest varies with %v at seed %d", r.Point, r.Seed)
+			}
+		}
+		if k.policy == "steal" && cores > 1 && r.Metrics["migrations"] <= 0 {
+			t.Errorf("steal at %v seed %d: no migrations off the packed core", r.Point, r.Seed)
+		}
+	}
+	if len(oneCore) == 0 {
+		t.Fatal("spec has no cores:1 plane")
+	}
+	for k, byCost := range work {
+		if k.cores == 1 {
+			continue
+		}
+		free, costly := byCost[0], byCost[500*time.Microsecond]
+		if len(byCost) != 2 || free == 0 || costly == 0 {
+			t.Errorf("%+v: work by migration cost %v, want 0s and 500µs points", k, byCost)
+		}
+		if k.policy == "steal" && costly >= free {
+			t.Errorf("steal cores:%d seed %d: work %v with 500µs migration cost, %v without", k.cores, k.seed, costly, free)
+		}
+		if base := work[pointKey{"partitioned", 1, k.seed}][0]; k.policy != "partitioned" && free <= 1.3*base {
+			t.Errorf("%s cores:%d seed %d: work %v did not scale past one core (%v)", k.policy, k.cores, k.seed, free, base)
+		}
 	}
 }
 

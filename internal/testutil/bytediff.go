@@ -1,6 +1,5 @@
-// Package testutil holds small helpers shared by the repo's tests and
-// smoke harnesses. It is ordinary (non-test) code so the cmd/ smoke
-// binaries can import it too.
+// Package testutil holds small helpers shared by the tests of several
+// packages, the process-level tests in e2e included.
 package testutil
 
 import (

@@ -137,8 +137,9 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 // bytes Hasher folds into its stream digest, one line per event with a
 // trailing core column only on multicore streams. Everything that claims
 // two event streams are "equal" (hsfqdiff's replay comparison, the
-// tracestream follow protocol, tracesmoke) renders rows through this one
-// function, so digest equality and row equality can never drift apart.
+// tracestream follow protocol and its clients) renders rows through this
+// one function, so digest equality and row equality can never drift
+// apart.
 //
 // The bytes are frozen: every trace digest is defined by them. The row is
 // built with plain appends, so a caller reusing buf allocates nothing.

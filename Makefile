@@ -11,11 +11,11 @@ BENCH_TIME ?= 200ms
 # the whole budget is spent fuzzing, not shrinking interesting inputs.
 FUZZ_TIME ?= 30s
 
-.PHONY: all build test race vet bench bench-test fmt check fuzz-smoke e2e
+.PHONY: all build test race vet bench bench-once bench-test fmt check fuzz-smoke e2e
 
 all: build test
 
-check: build fmt vet test race bench-test fuzz-smoke e2e
+check: build fmt vet test race bench-test bench-once fuzz-smoke e2e
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,11 @@ fmt:
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) .
+
+# Every `make bench` rung once, so a rung that fails at run time fails the
+# check, not the next measurement.
+bench-once:
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime 1x -count 1 .
 
 # bench/ is its own module, so the root build and test never compile it,
 # yet it drives sched, core and tenantsched directly: vet and test it here.

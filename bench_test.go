@@ -123,21 +123,25 @@ func BenchmarkScheduleDepth(b *testing.B) {
 // claim.
 
 func BenchmarkLeafSchedulers(b *testing.B) {
-	algos := map[string]func() sched.Scheduler{
-		"sfq":      func() sched.Scheduler { return sched.NewSFQ(10 * sim.Millisecond) },
-		"rr":       func() sched.Scheduler { return sched.NewRoundRobin(10 * sim.Millisecond) },
-		"edf":      func() sched.Scheduler { return sched.NewEDF(10 * sim.Millisecond) },
-		"rm":       func() sched.Scheduler { return sched.NewRM(10 * sim.Millisecond) },
-		"svr4":     func() sched.Scheduler { return sched.NewSVR4(nil, 100_000_000, 25*sim.Millisecond) },
-		"lottery":  func() sched.Scheduler { return sched.NewLottery(10*sim.Millisecond, sim.NewRand(1)) },
-		"stride":   func() sched.Scheduler { return sched.NewStride(10 * sim.Millisecond) },
-		"eevdf":    func() sched.Scheduler { return sched.NewEEVDF(10*sim.Millisecond, 1_000_000) },
-		"priority": func() sched.Scheduler { return sched.NewPriority(10 * sim.Millisecond) },
-		"reserves": func() sched.Scheduler { return sched.NewReserves(10 * sim.Millisecond) },
+	// A slice, not a map, so every run prints the rungs in one order.
+	algos := []struct {
+		name string
+		mk   func() sched.Scheduler
+	}{
+		{"sfq", func() sched.Scheduler { return sched.NewSFQ(10 * sim.Millisecond) }},
+		{"rr", func() sched.Scheduler { return sched.NewRoundRobin(10 * sim.Millisecond) }},
+		{"edf", func() sched.Scheduler { return sched.NewEDF(10 * sim.Millisecond) }},
+		{"rm", func() sched.Scheduler { return sched.NewRM(10 * sim.Millisecond) }},
+		{"svr4", func() sched.Scheduler { return sched.NewSVR4(nil, 100_000_000, 25*sim.Millisecond) }},
+		{"lottery", func() sched.Scheduler { return sched.NewLottery(10*sim.Millisecond, sim.NewRand(1)) }},
+		{"stride", func() sched.Scheduler { return sched.NewStride(10 * sim.Millisecond) }},
+		{"eevdf", func() sched.Scheduler { return sched.NewEEVDF(10*sim.Millisecond, 1_000_000) }},
+		{"priority", func() sched.Scheduler { return sched.NewPriority(10 * sim.Millisecond) }},
+		{"reserves", func() sched.Scheduler { return sched.NewReserves(10 * sim.Millisecond) }},
 	}
-	for name, mk := range algos {
-		b.Run(name, func(b *testing.B) {
-			s := mk()
+	for _, algo := range algos {
+		b.Run(algo.name, func(b *testing.B) {
+			s := algo.mk()
 			for i := 0; i < 16; i++ {
 				t := sched.NewThread(i+1, "t", float64(i%5+1))
 				t.Period = sim.Time(i+1) * 10 * sim.Millisecond
@@ -305,15 +309,18 @@ func BenchmarkBuild(b *testing.B) {
 // across the fair queuing family.
 func BenchmarkPacketAlgorithms(b *testing.B) {
 	weights := []float64{1, 2, 3, 4}
-	algos := map[string]func() fairqueue.Algorithm{
-		"sfq":  func() fairqueue.Algorithm { return fairqueue.NewSFQ(weights) },
-		"scfq": func() fairqueue.Algorithm { return fairqueue.NewSCFQ(weights) },
-		"wfq":  func() fairqueue.Algorithm { return fairqueue.NewWFQ(1e6, weights) },
-		"fqs":  func() fairqueue.Algorithm { return fairqueue.NewFQS(1e6, weights) },
+	algos := []struct {
+		name string
+		mk   func() fairqueue.Algorithm
+	}{
+		{"sfq", func() fairqueue.Algorithm { return fairqueue.NewSFQ(weights) }},
+		{"scfq", func() fairqueue.Algorithm { return fairqueue.NewSCFQ(weights) }},
+		{"wfq", func() fairqueue.Algorithm { return fairqueue.NewWFQ(1e6, weights) }},
+		{"fqs", func() fairqueue.Algorithm { return fairqueue.NewFQS(1e6, weights) }},
 	}
-	for name, mk := range algos {
-		b.Run(name, func(b *testing.B) {
-			alg := mk()
+	for _, algo := range algos {
+		b.Run(algo.name, func(b *testing.B) {
+			alg := algo.mk()
 			b.ReportAllocs()
 			b.ResetTimer()
 			now := sim.Time(0)

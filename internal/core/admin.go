@@ -106,7 +106,7 @@ func (s *Structure) Info(id NodeID) (NodeInfo, error) {
 		Weight:      n.weight,
 		Leaf:        n.IsLeaf(),
 		Runnable:    n.Runnable(),
-		Start:       n.start,
+		Start:       n.run.Tag,
 		Finish:      n.finish,
 		VirtualTime: n.VirtualTime(),
 		Threads:     len(s.threadsOf(n)),
@@ -190,8 +190,12 @@ func (s *Structure) checkNode(n *Node) error {
 	// start <= finish always (F = S + l/w with l >= 0).
 	runq := n.runq.Items()
 	inHeap := make(map[*Node]bool, len(runq))
-	for i, c := range runq {
-		if c.heapIdx != i {
+	for i, x := range runq {
+		c := x.Item
+		if c == nil || &c.run != x {
+			return fmt.Errorf("core: heap slot %d under %q does not point back at its node", i, path)
+		}
+		if x.Slot() != i {
 			return fmt.Errorf("core: node %q heap index %d inconsistent", s.PathOf(c.id), i)
 		}
 		if c.parent != n {
@@ -202,25 +206,25 @@ func (s *Structure) checkNode(n *Node) error {
 	// Heap order property.
 	for i := range runq {
 		for _, j := range []int{2*i + 1, 2*i + 2} {
-			if j < len(runq) && runq[j].HeapLess(runq[i]) {
+			if j < len(runq) && runq[j].Before(runq[i]) {
 				return fmt.Errorf("core: heap order violated under %q", path)
 			}
 		}
 	}
 	for _, c := range n.children {
-		if c.heapIdx != -1 && !inHeap[c] {
+		if c.run.Queued() && !inHeap[c] {
 			return fmt.Errorf("core: node %q claims heap membership it lacks", s.PathOf(c.id))
 		}
 		if c.IsLeaf() {
-			if (c.leaf.Len() > 0) != (c.heapIdx != -1) {
+			if (c.leaf.Len() > 0) != c.run.Queued() {
 				return fmt.Errorf("core: leaf %q runnable flag out of sync with scheduler", s.PathOf(c.id))
 			}
 		} else {
-			if (c.runq.Len() > 0) != (c.heapIdx != -1) {
+			if (c.runq.Len() > 0) != c.run.Queued() {
 				return fmt.Errorf("core: node %q runnable flag out of sync with children", s.PathOf(c.id))
 			}
 		}
-		if c.start < 0 || c.finish < 0 {
+		if c.run.Tag < 0 || c.finish < 0 {
 			return fmt.Errorf("core: node %q has negative tags", s.PathOf(c.id))
 		}
 	}
@@ -291,12 +295,13 @@ func (s *Structure) Threads(id NodeID) ([]*sched.Thread, error) {
 	return s.threadsOf(n), nil
 }
 
-// Detach removes a blocked thread from the structure entirely.
+// Detach removes a blocked thread from the structure entirely. Like Move,
+// it refuses runnable threads and the picked thread until it is charged.
 func (s *Structure) Detach(t *sched.Thread) error {
 	if s.byThread.Get(t) == nil {
 		return fmt.Errorf("%w: %v", ErrNoThread, t)
 	}
-	if t.State == sched.StateRunnable || t.State == sched.StateRunning {
+	if s.busy(t) {
 		return fmt.Errorf("%w: %v", ErrThreadRunning, t)
 	}
 	s.byThread.Delete(t)

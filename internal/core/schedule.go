@@ -42,13 +42,13 @@ func (s *Structure) Enqueue(t *sched.Thread, now sim.Time) {
 // eligible. A node (re)entering its parent's runnable set is stamped with
 // S = max(v(parent), F): it cannot claim credit for time spent ineligible.
 func (s *Structure) setRun(n *Node) {
-	for n.parent != nil && n.heapIdx == -1 {
+	for n.parent != nil && !n.run.Queued() {
 		p := n.parent
 		wasRunnable := p.runq.Len() > 0
-		n.start = sim.Maxf(p.VirtualTime(), n.finish)
-		n.seq = s.seq
+		n.run.Tag = sim.Maxf(p.VirtualTime(), n.finish)
+		n.run.Seq = s.seq
 		s.seq++
-		p.runq.Push(n)
+		p.runq.Push(&n.run)
 		if wasRunnable {
 			return
 		}
@@ -77,9 +77,9 @@ func (s *Structure) Remove(t *sched.Thread, now sim.Time) {
 // sleep removes n from its parent's runnable set and walks up while
 // parents lose their last runnable child.
 func (s *Structure) sleep(n *Node) {
-	for n.parent != nil && n.heapIdx != -1 {
+	for n.parent != nil && n.run.Queued() {
 		p := n.parent
-		p.runq.Remove(n.heapIdx)
+		p.runq.Remove(&n.run)
 		if p.runq.Len() > 0 {
 			return
 		}
@@ -100,7 +100,7 @@ func (s *Structure) Pick(now sim.Time) *sched.Thread {
 			}
 			panic(fmt.Sprintf("core: runnable intermediate node %q with no runnable children", s.PathOf(n.id)))
 		}
-		n = n.runq.Min()
+		n = n.runq.Min().Item
 	}
 	t := n.leaf.Pick(now)
 	if t == nil {
@@ -113,9 +113,11 @@ func (s *Structure) Pick(now sim.Time) *sched.Thread {
 // Quantum implements sched.Scheduler: the quantum is a property of the
 // thread's leaf class.
 func (s *Structure) Quantum(t *sched.Thread, now sim.Time) sim.Time {
-	n := s.byThread.Get(t)
-	if n == nil {
-		panic(fmt.Sprintf("core: Quantum of unattached thread %v", t))
+	n := s.pickedAt
+	if t != s.picked {
+		if n = s.byThread.Get(t); n == nil {
+			panic(fmt.Sprintf("core: Quantum of unattached thread %v", t))
+		}
 	}
 	return n.leaf.Quantum(t, now)
 }
@@ -131,13 +133,18 @@ func (s *Structure) Quantum(t *sched.Thread, now sim.Time) sim.Time {
 // tag while it is in service and F >= S; if it became ineligible it
 // leaves its parent's runnable heap (the hsfq_sleep case folded into the
 // update).
+//
+// The picked thread is charged at the leaf it was picked from: Move,
+// Detach and LoadState keep it attached there until this charge.
 func (s *Structure) Charge(t *sched.Thread, used sched.Work, now sim.Time, runnable bool) {
-	n := s.byThread.Get(t)
-	if n == nil {
-		panic(fmt.Sprintf("core: Charge of unattached thread %v", t))
-	}
-	if s.picked != nil && (t != s.picked || n != s.pickedAt) {
-		panic(fmt.Sprintf("core: Charge of %v but %v was picked", t, s.picked))
+	n := s.pickedAt
+	if t != s.picked {
+		if s.picked != nil {
+			panic(fmt.Sprintf("core: Charge of %v but %v was picked", t, s.picked))
+		}
+		if n = s.byThread.Get(t); n == nil {
+			panic(fmt.Sprintf("core: Charge of unattached thread %v", t))
+		}
 	}
 	s.picked, s.pickedAt = nil, nil
 
@@ -149,26 +156,26 @@ func (s *Structure) Charge(t *sched.Thread, used sched.Work, now sim.Time, runna
 	stillRunnable := n.leaf.Len() > 0
 	for n.parent != nil {
 		p := n.parent
-		n.finish = n.start + float64(used)/n.weight
+		n.finish = n.run.Tag + float64(used)/n.weight
 		if n.finish > p.maxFinish {
 			p.maxFinish = n.finish
 		}
 		if stillRunnable {
-			if n.heapIdx == -1 {
+			if !n.run.Queued() {
 				panic(fmt.Sprintf("core: charged node %q not on parent's runnable heap", s.PathOf(n.id)))
 			}
 			// S = max(v(t), F) with v(t) = this node's own start tag, and
 			// F >= S because used >= 0: the max reduces to F.
-			n.start = n.finish
-			n.seq = s.seq
+			n.run.Tag = n.finish
+			n.run.Seq = s.seq
 			s.seq++
 			// A single-child runnable set (common on chain-shaped
 			// hierarchies) cannot reorder; skip the sift entirely.
 			if p.runq.Len() > 1 {
-				p.runq.Fix(n.heapIdx)
+				p.runq.Fix(&n.run)
 			}
-		} else if n.heapIdx != -1 {
-			p.runq.Remove(n.heapIdx)
+		} else if n.run.Queued() {
+			p.runq.Remove(&n.run)
 		}
 		stillRunnable = p.runq.Len() > 0
 		n = p

@@ -41,11 +41,11 @@ func (s *Structure) SaveState(e *sim.Enc) error {
 		}
 		e.Int(int(n.id))
 		e.F64(n.weight)
-		e.F64(n.start)
+		e.F64(n.run.Tag)
 		e.F64(n.finish)
-		e.U64(n.seq)
+		e.U64(n.run.Seq)
 		e.F64(n.maxFinish)
-		e.Bool(n.heapIdx != -1)
+		e.Bool(n.run.Queued())
 		if n.IsLeaf() {
 			e.Bool(true)
 			st, ok := n.leaf.(sched.Stater)
@@ -104,9 +104,9 @@ func (s *Structure) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) er
 			return fmt.Errorf("core: checkpoint references unknown node %d", id)
 		}
 		weight := d.F64()
-		nd.start = d.F64()
+		nd.run.Tag = d.F64()
 		nd.finish = d.F64()
-		nd.seq = d.U64()
+		nd.run.Seq = d.U64()
 		nd.maxFinish = d.F64()
 		inQ := d.Bool()
 		isLeaf := d.Bool()
@@ -144,7 +144,7 @@ func (s *Structure) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) er
 			leafRunnable, runnable)
 	}
 	for _, nd := range inRunq {
-		nd.parent.runq.Push(nd)
+		nd.parent.runq.Push(&nd.run)
 	}
 	s.runnable = runnable
 
@@ -157,6 +157,9 @@ func (s *Structure) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) er
 		nd := s.Node(NodeID(pickedAtID))
 		if nd == nil || !nd.IsLeaf() {
 			return fmt.Errorf("core: picked-at node %d missing or not a leaf", pickedAtID)
+		}
+		if s.byThread.Get(t) != nd {
+			return fmt.Errorf("core: picked thread %v is not attached to picked-at node %q", t, s.PathOf(nd.id))
 		}
 		s.picked, s.pickedAt = t, nd
 	} else if pickedAtID != -1 {

@@ -73,14 +73,17 @@ type Node struct {
 
 	weight float64
 
-	// SFQ state, in the parent's virtual-time domain.
-	start, finish float64
-	seq           uint64
-	heapIdx       int // index in parent's runnable heap; -1 if not runnable
+	// SFQ state, in the parent's virtual-time domain. run.Tag is the
+	// start tag and run.Seq its FIFO tie-break: "threads are serviced in
+	// the increasing order of the start tags; ties are broken
+	// arbitrarily", and we break them FIFO for determinism. run is queued
+	// on the parent's runq exactly while the node is runnable.
+	run    sim.Tagged[*Node]
+	finish float64
 
 	// Virtual-time state for this node's own domain.
-	runq      sim.Heap[*Node] // runnable children ordered by start tag
-	maxFinish float64         // max finish tag ever assigned to a child
+	runq      sim.TagHeap[*Node] // runnable children ordered by start tag
+	maxFinish float64            // max finish tag ever assigned to a child
 
 	// Leaf state.
 	leaf sched.Scheduler
@@ -100,7 +103,7 @@ func (n *Node) Leaf() sched.Scheduler { return n.leaf }
 
 // Tags returns the node's SFQ start and finish tags in its parent's
 // virtual-time domain. The root carries no tags and reports zeros.
-func (n *Node) Tags() (start, finish float64) { return n.start, n.finish }
+func (n *Node) Tags() (start, finish float64) { return n.run.Tag, n.finish }
 
 // Runnable reports whether the node is eligible for scheduling, i.e. some
 // leaf in its subtree has a runnable thread.
@@ -108,7 +111,7 @@ func (n *Node) Runnable() bool {
 	if n.parent == nil {
 		return n.runq.Len() > 0
 	}
-	return n.heapIdx != -1
+	return n.run.Queued()
 }
 
 // VirtualTime returns v(t) of the node's own scheduling domain: the
@@ -116,7 +119,7 @@ func (n *Node) Runnable() bool {
 // finish tag ever assigned while idle (§3, rule 2). Leaves report 0.
 func (n *Node) VirtualTime() float64 {
 	if n.runq.Len() > 0 {
-		return n.runq.Min().start
+		return n.runq.Min().Tag
 	}
 	return n.maxFinish
 }
@@ -127,21 +130,6 @@ func (n *Node) Children() []*Node {
 	copy(out, n.children)
 	return out
 }
-
-// HeapLess implements sim.HeapItem so a node can sit on its parent's
-// runnable heap; it is not part of the public API. Runnable children are
-// ordered by (start tag, insertion sequence): "threads are serviced in the
-// increasing order of the start tags; ties are broken arbitrarily" — we
-// break them FIFO for determinism.
-func (n *Node) HeapLess(o *Node) bool {
-	if n.start != o.start {
-		return n.start < o.start
-	}
-	return n.seq < o.seq
-}
-
-// HeapIndex implements sim.HeapItem; it is not part of the public API.
-func (n *Node) HeapIndex() *int { return &n.heapIdx }
 
 // Structure is a scheduling structure: the tree plus the thread-to-leaf
 // table. It implements sched.Scheduler.
@@ -162,7 +150,7 @@ type Structure struct {
 // has no weight and no scheduler of its own; it only dispatches its
 // children by SFQ.
 func NewStructure() *Structure {
-	root := &Node{id: RootID, weight: 1, heapIdx: -1, byName: make(map[string]*Node)}
+	root := &Node{id: RootID, weight: 1, byName: make(map[string]*Node)}
 	return &Structure{root: root, nodes: []*Node{nil, root}}
 }
 
@@ -200,14 +188,14 @@ func (s *Structure) Mknod(name string, parent NodeID, weight float64, leaf sched
 		return 0, fmt.Errorf("%w: %q under %q", ErrDupName, name, s.PathOf(parent))
 	}
 	n := &Node{
-		id:      NodeID(len(s.nodes)),
-		name:    name,
-		parent:  p,
-		weight:  weight,
-		heapIdx: -1,
-		byName:  make(map[string]*Node),
-		leaf:    leaf,
+		id:     NodeID(len(s.nodes)),
+		name:   name,
+		parent: p,
+		weight: weight,
+		byName: make(map[string]*Node),
+		leaf:   leaf,
 	}
+	n.run.Item = n
 	p.children = append(p.children, n)
 	p.byName[name] = n
 	s.nodes = append(s.nodes, n)
@@ -308,7 +296,7 @@ func (s *Structure) Rmnod(id NodeID) error {
 	if len(s.threadsOf(n)) > 0 {
 		return fmt.Errorf("%w: %q", ErrHasThreads, s.PathOf(id))
 	}
-	if n.heapIdx != -1 {
+	if n.run.Queued() {
 		return fmt.Errorf("core: node %q is runnable", s.PathOf(id))
 	}
 	p := n.parent
@@ -343,12 +331,13 @@ func (s *Structure) Attach(t *sched.Thread, leaf NodeID) error {
 }
 
 // Move reassigns a blocked thread to another leaf, mirroring hsfq_move.
-// Runnable threads must be blocked first so their leaf's tags settle.
+// Runnable threads, and the picked thread until it is charged, must be
+// blocked first so their leaf's tags settle.
 func (s *Structure) Move(t *sched.Thread, to NodeID) error {
 	if s.byThread.Get(t) == nil {
 		return fmt.Errorf("%w: %v", ErrNoThread, t)
 	}
-	if t.State == sched.StateRunnable || t.State == sched.StateRunning {
+	if s.busy(t) {
 		return fmt.Errorf("%w: %v", ErrThreadRunning, t)
 	}
 	dst := s.Node(to)
@@ -360,6 +349,13 @@ func (s *Structure) Move(t *sched.Thread, to NodeID) error {
 	}
 	s.byThread.Put(t, dst)
 	return nil
+}
+
+// busy reports whether t may not leave its leaf: it is runnable or
+// running, or it is the picked thread, which Charge charges at the leaf
+// it was picked from.
+func (s *Structure) busy(t *sched.Thread) bool {
+	return t.State == sched.StateRunnable || t.State == sched.StateRunning || t == s.picked
 }
 
 // LeafOf returns the leaf node a thread is attached to, or nil.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -228,6 +229,87 @@ func TestAttachMoveDetach(t *testing.T) {
 	other := sched.NewThread(2, "o", 1)
 	if err := s.Move(other, ids["user1"]); !errors.Is(err, ErrNoThread) {
 		t.Errorf("move of unattached err %v", err)
+	}
+}
+
+// twoLeaves builds SFQ leaves /x and /y with thread a attached to /x.
+func twoLeaves(t *testing.T) (s *Structure, a *sched.Thread, x, y NodeID) {
+	t.Helper()
+	s = NewStructure()
+	x, errX := s.Mknod("x", RootID, 1, q())
+	y, errY := s.Mknod("y", RootID, 1, q())
+	if err := errors.Join(errX, errY); err != nil {
+		t.Fatal(err)
+	}
+	a = sched.NewThread(1, "a", 1)
+	must(s.Attach(a, x))
+	return s, a, x, y
+}
+
+// pickA enqueues a and picks it, leaving it uncharged.
+func pickA(t *testing.T, s *Structure, a *sched.Thread) {
+	t.Helper()
+	s.Enqueue(a, 0)
+	if got := s.Pick(0); got != a {
+		t.Fatalf("Pick = %v, want %v", got, a)
+	}
+}
+
+// TestMoveRefusesPickedThread: Charge charges the picked thread at the
+// leaf it was picked from, so until then Move refuses it, whatever its
+// State says.
+func TestMoveRefusesPickedThread(t *testing.T) {
+	s, a, _, y := twoLeaves(t)
+	pickA(t, s, a)
+	if err := s.Move(a, y); !errors.Is(err, ErrThreadRunning) {
+		t.Fatalf("Move of the picked thread: err %v, want ErrThreadRunning", err)
+	}
+	s.Charge(a, 1, 0, false)
+	if err := s.Move(a, y); err != nil {
+		t.Fatalf("Move after its charge: %v", err)
+	}
+}
+
+// TestDetachRefusesPickedThread is TestMoveRefusesPickedThread for Detach.
+func TestDetachRefusesPickedThread(t *testing.T) {
+	s, a, _, _ := twoLeaves(t)
+	pickA(t, s, a)
+	if err := s.Detach(a); !errors.Is(err, ErrThreadRunning) {
+		t.Fatalf("Detach of the picked thread: err %v, want ErrThreadRunning", err)
+	}
+	s.Charge(a, 1, 0, false)
+	if err := s.Detach(a); err != nil {
+		t.Fatalf("Detach after its charge: %v", err)
+	}
+}
+
+// TestLoadStateRejectsPickedAtOtherLeaf: a checkpoint whose picked-at
+// node is not the picked thread's leaf must fail to load, not panic at
+// the next Charge.
+func TestLoadStateRejectsPickedAtOtherLeaf(t *testing.T) {
+	s, a, _, y := twoLeaves(t)
+	pickA(t, s, a)
+	var e sim.Enc
+	if err := s.SaveState(&e); err != nil {
+		t.Fatal(err)
+	}
+	load := func(b []byte) error {
+		r, ra, _, _ := twoLeaves(t)
+		return r.LoadState(sim.NewDec(b), func(id int) *sched.Thread {
+			if id == ra.ID {
+				return ra
+			}
+			return nil
+		})
+	}
+	if err := load(e.Bytes()); err != nil {
+		t.Fatalf("intact checkpoint: %v", err)
+	}
+	// The header is seq, runnable count, picked thread, picked-at node.
+	b := e.Bytes()
+	binary.LittleEndian.PutUint64(b[24:32], uint64(y))
+	if err := load(b); err == nil {
+		t.Fatal("LoadState accepted a picked-at node that is not the picked thread's leaf")
 	}
 }
 

@@ -17,32 +17,22 @@ type EEVDF struct {
 	quantum sim.Time
 	reqWork Work
 	entries Table[*eevdfEntry]
-	heap    sim.Heap[*eevdfEntry] // ordered by (vd, seq); eligibility filtered at Pick
+	heap    sim.TagHeap[*eevdfEntry] // ordered by (vd, seq); eligibility filtered at Pick
 	vtime   float64
 	total   float64
 	seq     uint64
 	picked  *eevdfEntry
 }
 
+// eevdfEntry is one thread's request. Tag is the virtual deadline vd;
+// Seq breaks ties FIFO among equal deadlines; the entry is queued while
+// the thread is runnable.
 type eevdfEntry struct {
+	sim.Tagged[*eevdfEntry]
 	t      *Thread
-	ve, vd float64
-	served Work // progress within the current request
-	seq    uint64
-	idx    int
+	ve     float64 // virtual eligible time
+	served Work    // progress within the current request
 }
-
-// HeapLess implements sim.HeapItem: earliest virtual deadline first, FIFO
-// among equal deadlines.
-func (e *eevdfEntry) HeapLess(o *eevdfEntry) bool {
-	if e.vd != o.vd {
-		return e.vd < o.vd
-	}
-	return e.seq < o.seq
-}
-
-// HeapIndex implements sim.HeapItem.
-func (e *eevdfEntry) HeapIndex() *int { return &e.idx }
 
 // NewEEVDF returns an EEVDF scheduler. reqWork is the nominal request size
 // in work units (typically quantum x CPU rate); it must be positive.
@@ -60,7 +50,8 @@ func NewEEVDF(quantum sim.Time, reqWork Work) *EEVDF {
 func (s *EEVDF) entryFor(t *Thread) *eevdfEntry {
 	e := s.entries.Get(t)
 	if e == nil {
-		e = &eevdfEntry{t: t, idx: -1}
+		e = &eevdfEntry{t: t}
+		e.Item = e
 		s.entries.Put(t, e)
 	}
 	return e
@@ -77,27 +68,27 @@ func (s *EEVDF) VirtualTime() float64 { return s.vtime }
 // credit.
 func (s *EEVDF) Enqueue(t *Thread, now sim.Time) {
 	e := s.entryFor(t)
-	if e.idx != -1 {
+	if e.Queued() {
 		panic(fmt.Sprintf("eevdf: Enqueue of runnable thread %v", t))
 	}
 	if e.ve < s.vtime {
 		e.ve = s.vtime
 	}
-	e.vd = e.ve + float64(s.reqWork)/t.Weight
+	e.Tag = e.ve + float64(s.reqWork)/t.Weight
 	e.served = 0
-	e.seq = s.seq
+	e.Seq = s.seq
 	s.seq++
-	s.heap.Push(e)
+	s.heap.Push(&e.Tagged)
 	s.total += t.Weight
 }
 
 // Remove implements Scheduler.
 func (s *EEVDF) Remove(t *Thread, now sim.Time) {
 	e := s.entries.Get(t)
-	if e == nil || e.idx == -1 {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("eevdf: Remove of non-runnable thread %v", t))
 	}
-	s.heap.Remove(e.idx)
+	s.heap.Remove(&e.Tagged)
 	s.total -= t.Weight
 }
 
@@ -113,10 +104,10 @@ func (s *EEVDF) Pick(now sim.Time) *Thread {
 	if best == nil {
 		// Jump virtual time to the earliest eligible request.
 		items := s.heap.Items()
-		minVE := items[0].ve
-		for _, e := range items {
-			if e.ve < minVE {
-				minVE = e.ve
+		minVE := items[0].Item.ve
+		for _, x := range items {
+			if x.Item.ve < minVE {
+				minVE = x.Item.ve
 			}
 		}
 		s.vtime = minVE
@@ -131,12 +122,12 @@ func (s *EEVDF) eligibleMinVD() *eevdfEntry {
 	// scan is O(n) in the worst case but the heap order makes the common
 	// case (heap top eligible) O(1).
 	var best *eevdfEntry
-	for _, e := range s.heap.Items() {
-		if e.ve > s.vtime {
+	for _, x := range s.heap.Items() {
+		if x.Item.ve > s.vtime {
 			continue
 		}
-		if best == nil || e.vd < best.vd || (e.vd == best.vd && e.seq < best.seq) {
-			best = e
+		if best == nil || x.Before(&best.Tagged) {
+			best = x.Item
 		}
 	}
 	return best
@@ -145,10 +136,11 @@ func (s *EEVDF) eligibleMinVD() *eevdfEntry {
 // Quantum implements Scheduler.
 func (s *EEVDF) Quantum(t *Thread, now sim.Time) sim.Time { return s.quantum }
 
-// Charge implements Scheduler.
+// Charge implements Scheduler. Only the picked thread may be charged, so
+// its entry is the picked one.
 func (s *EEVDF) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
-	e := s.entries.Get(t)
-	if e == nil || e.idx == -1 || s.picked != e {
+	e := s.picked
+	if e == nil || e.t != t || !e.Queued() {
 		panic(fmt.Sprintf("eevdf: Charge of thread %v that was not picked", t))
 	}
 	s.picked = nil
@@ -159,15 +151,15 @@ func (s *EEVDF) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 	for e.served >= s.reqWork {
 		// Request fulfilled: issue the next one back to back.
 		e.served -= s.reqWork
-		e.ve = e.vd
-		e.vd = e.ve + float64(s.reqWork)/t.Weight
+		e.ve = e.Tag
+		e.Tag = e.ve + float64(s.reqWork)/t.Weight
 	}
 	if runnable {
-		e.seq = s.seq
+		e.Seq = s.seq
 		s.seq++
-		s.heap.Fix(e.idx)
+		s.heap.Fix(&e.Tagged)
 	} else {
-		s.heap.Remove(e.idx)
+		s.heap.Remove(&e.Tagged)
 		s.total -= t.Weight
 	}
 }

@@ -19,11 +19,11 @@ import (
 //
 // The hot path is allocation- and map-free: per-thread entries live in an
 // ID-ordered Table, which keeps tag state across sleeps and hsfq_move
-// round-trips, and the runnable set is an intrusive sim.Heap.
+// round-trips, and the runnable set is an intrusive sim.TagHeap.
 type SFQ struct {
 	quantum   sim.Time
 	entries   Table[*sfqEntry]
-	heap      sim.Heap[*sfqEntry]
+	heap      sim.TagHeap[*sfqEntry]
 	inService *sfqEntry
 	maxFinish float64
 	seq       uint64
@@ -31,26 +31,15 @@ type SFQ struct {
 	donated   Table[float64] // priority-inversion weight transfers (§4)
 }
 
+// sfqEntry is one thread's tags. Tag is the start tag S; Seq breaks ties
+// FIFO among equal start tags; the entry is queued while the thread is
+// runnable.
 type sfqEntry struct {
+	sim.Tagged[*sfqEntry]
 	t       *Thread
-	start   float64
 	finish  float64
 	quantum sim.Time // per-thread override; 0 selects the scheduler default
-	seq     uint64   // tie-break: FIFO among equal start tags
-	idx     int      // heap index; -1 while not runnable
 }
-
-// HeapLess implements sim.HeapItem: minimum start tag first, FIFO among
-// equal start tags.
-func (e *sfqEntry) HeapLess(o *sfqEntry) bool {
-	if e.start != o.start {
-		return e.start < o.start
-	}
-	return e.seq < o.seq
-}
-
-// HeapIndex implements sim.HeapItem.
-func (e *sfqEntry) HeapIndex() *int { return &e.idx }
 
 // NewSFQ returns an SFQ scheduler granting the given quantum per
 // scheduling decision; quantum <= 0 selects DefaultQuantum.
@@ -65,7 +54,8 @@ func NewSFQ(quantum sim.Time) *SFQ {
 func (s *SFQ) entryFor(t *Thread) *sfqEntry {
 	e := s.entries.Get(t)
 	if e == nil {
-		e = &sfqEntry{t: t, idx: -1}
+		e = &sfqEntry{t: t}
+		e.Item = e
 		s.entries.Put(t, e)
 	}
 	return e
@@ -91,10 +81,10 @@ func (s *SFQ) Name() string { return "sfq" }
 // ever assigned while idle.
 func (s *SFQ) VirtualTime() float64 {
 	if s.inService != nil {
-		return s.inService.start
+		return s.inService.Tag
 	}
 	if s.heap.Len() > 0 {
-		return s.heap.Min().start
+		return s.heap.Min().Tag
 	}
 	return s.maxFinish
 }
@@ -103,7 +93,7 @@ func (s *SFQ) VirtualTime() float64 {
 // never been enqueued report zero tags.
 func (s *SFQ) Tags(t *Thread) (start, finish float64) {
 	if e := s.entries.Get(t); e != nil {
-		return e.start, e.finish
+		return e.Tag, e.finish
 	}
 	return 0, 0
 }
@@ -113,26 +103,26 @@ func (s *SFQ) Tags(t *Thread) (start, finish float64) {
 // for the time it was absent.
 func (s *SFQ) Enqueue(t *Thread, now sim.Time) {
 	e := s.entryFor(t)
-	if e.idx != -1 {
+	if e.Queued() {
 		panic(fmt.Sprintf("sfq: Enqueue of runnable thread %v", t))
 	}
-	e.start = sim.Maxf(s.VirtualTime(), e.finish)
-	e.seq = s.seq
+	e.Tag = sim.Maxf(s.VirtualTime(), e.finish)
+	e.Seq = s.seq
 	s.seq++
-	s.heap.Push(e)
+	s.heap.Push(&e.Tagged)
 	s.total += s.EffectiveWeight(t)
 }
 
 // Remove implements Scheduler.
 func (s *SFQ) Remove(t *Thread, now sim.Time) {
 	e := s.entries.Get(t)
-	if e == nil || e.idx == -1 {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("sfq: Remove of non-runnable thread %v", t))
 	}
 	if s.inService == e {
 		panic(fmt.Sprintf("sfq: Remove of in-service thread %v", t))
 	}
-	s.heap.Remove(e.idx)
+	s.heap.Remove(&e.Tagged)
 	s.total -= s.EffectiveWeight(t)
 }
 
@@ -142,13 +132,23 @@ func (s *SFQ) Pick(now sim.Time) *Thread {
 	if s.heap.Len() == 0 {
 		return nil
 	}
-	s.inService = s.heap.Min()
+	s.inService = s.heap.Min().Item
 	return s.inService.t
+}
+
+// entryOf returns t's entry, or nil: the in-service entry when it holds t,
+// which is every Quantum and Charge of a picked thread, else a table
+// lookup.
+func (s *SFQ) entryOf(t *Thread) *sfqEntry {
+	if e := s.inService; e != nil && e.t == t {
+		return e
+	}
+	return s.entries.Get(t)
 }
 
 // Quantum implements Scheduler.
 func (s *SFQ) Quantum(t *Thread, now sim.Time) sim.Time {
-	if e := s.entries.Get(t); e != nil && e.quantum != 0 {
+	if e := s.entryOf(t); e != nil && e.quantum != 0 {
 		return e.quantum
 	}
 	return s.quantum
@@ -161,22 +161,22 @@ func (s *SFQ) Quantum(t *Thread, now sim.Time) sim.Time {
 // reduces to S = F for a continuing thread, exactly as in the paper's
 // worked example.
 func (s *SFQ) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
-	e := s.entries.Get(t)
-	if e == nil || e.idx == -1 {
+	e := s.entryOf(t)
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("sfq: Charge of non-runnable thread %v", t))
 	}
-	e.finish = e.start + float64(used)/s.EffectiveWeight(t)
+	e.finish = e.Tag + float64(used)/s.EffectiveWeight(t)
 	if e.finish > s.maxFinish {
 		s.maxFinish = e.finish
 	}
 	s.inService = nil
 	if runnable {
-		e.start = e.finish
-		e.seq = s.seq
+		e.Tag = e.finish
+		e.Seq = s.seq
 		s.seq++
-		s.heap.Fix(e.idx)
+		s.heap.Fix(&e.Tagged)
 	} else {
-		s.heap.Remove(e.idx)
+		s.heap.Remove(&e.Tagged)
 		s.total -= s.EffectiveWeight(t)
 	}
 }
@@ -196,7 +196,7 @@ func (s *SFQ) TotalWeight() float64 { return s.total }
 // not grow without bound in long simulations.
 func (s *SFQ) Forget(t *Thread) {
 	if e := s.entries.Get(t); e != nil {
-		if e.idx != -1 {
+		if e.Queued() {
 			panic(fmt.Sprintf("sfq: Forget of runnable thread %v", t))
 		}
 		s.entries.Delete(t)

@@ -101,11 +101,11 @@ func (s *SFQ) SaveState(e *sim.Enc) error {
 	for _, r := range s.entries.Rows() {
 		en := r.E
 		e.Int(en.t.ID)
-		e.F64(en.start)
+		e.F64(en.Tag)
 		e.F64(en.finish)
 		e.Time(en.quantum)
-		e.U64(en.seq)
-		e.Bool(en.idx != -1)
+		e.U64(en.Seq)
+		e.Bool(en.Queued())
 	}
 	return nil
 }
@@ -157,13 +157,13 @@ func (s *SFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 			return fmt.Errorf("sfq: checkpoint references unknown thread %d", id)
 		}
 		en := s.entryFor(t)
-		if en.idx != -1 {
+		if en.Queued() {
 			return fmt.Errorf("sfq: thread %d already runnable", id)
 		}
-		en.start = d.F64()
+		en.Tag = d.F64()
 		en.finish = d.F64()
 		en.quantum = d.Time()
-		en.seq = d.U64()
+		en.Seq = d.U64()
 		runnable := d.Bool()
 		if err := d.Err(); err != nil {
 			return err
@@ -172,7 +172,7 @@ func (s *SFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 			return fmt.Errorf("sfq: negative quantum for thread %d", id)
 		}
 		if runnable {
-			s.heap.Push(en)
+			s.heap.Push(&en.Tagged)
 		}
 		if id == svcID {
 			s.inService = en
@@ -182,7 +182,7 @@ func (s *SFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		if s.inService == nil {
 			return fmt.Errorf("sfq: in-service thread %d not in checkpoint", svcID)
 		}
-		if s.inService.idx == -1 {
+		if !s.inService.Queued() {
 			return fmt.Errorf("sfq: in-service thread %d not runnable", svcID)
 		}
 	}
@@ -596,9 +596,9 @@ func (s *Stride) SaveState(e *sim.Enc) error {
 	for _, r := range s.entries.Rows() {
 		en := r.E
 		e.Int(en.t.ID)
-		e.F64(en.pass)
-		e.U64(en.seq)
-		e.Bool(en.idx != -1)
+		e.F64(en.Tag)
+		e.U64(en.Seq)
+		e.Bool(en.Queued())
 	}
 	return nil
 }
@@ -627,13 +627,13 @@ func (s *Stride) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 			return fmt.Errorf("stride: checkpoint references unknown thread %d", id)
 		}
 		en := s.entryFor(t)
-		if en.idx != -1 {
+		if en.Queued() {
 			return fmt.Errorf("stride: thread %d already runnable", id)
 		}
-		en.pass = d.F64()
-		en.seq = d.U64()
+		en.Tag = d.F64()
+		en.Seq = d.U64()
 		if d.Bool() && d.Err() == nil {
-			s.heap.Push(en)
+			s.heap.Push(&en.Tagged)
 		}
 	}
 	return d.Err()
@@ -657,10 +657,10 @@ func (s *EEVDF) SaveState(e *sim.Enc) error {
 		en := r.E
 		e.Int(en.t.ID)
 		e.F64(en.ve)
-		e.F64(en.vd)
+		e.F64(en.Tag)
 		e.I64(int64(en.served))
-		e.U64(en.seq)
-		e.Bool(en.idx != -1)
+		e.U64(en.Seq)
+		e.Bool(en.Queued())
 	}
 	return nil
 }
@@ -691,15 +691,15 @@ func (s *EEVDF) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 			return fmt.Errorf("eevdf: checkpoint references unknown thread %d", id)
 		}
 		en := s.entryFor(t)
-		if en.idx != -1 {
+		if en.Queued() {
 			return fmt.Errorf("eevdf: thread %d already runnable", id)
 		}
 		en.ve = d.F64()
-		en.vd = d.F64()
+		en.Tag = d.F64()
 		en.served = Work(d.I64())
-		en.seq = d.U64()
+		en.Seq = d.U64()
 		if d.Bool() && d.Err() == nil {
-			s.heap.Push(en)
+			s.heap.Push(&en.Tagged)
 		}
 		if id == pickedID {
 			s.picked = en
@@ -709,7 +709,7 @@ func (s *EEVDF) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		return err
 	}
 	if pickedID != -1 {
-		if s.picked == nil || s.picked.idx == -1 {
+		if s.picked == nil || !s.picked.Queued() {
 			return fmt.Errorf("eevdf: picked thread %d is not runnable", pickedID)
 		}
 	}

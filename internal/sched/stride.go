@@ -15,30 +15,18 @@ import (
 type Stride struct {
 	quantum sim.Time
 	entries Table[*strideEntry]
-	heap    sim.Heap[*strideEntry]
+	heap    sim.TagHeap[*strideEntry]
 	global  float64 // pass of the most recently dispatched thread
 	seq     uint64
 	total   float64
 }
 
+// strideEntry is one thread's pass. Tag is the pass; Seq breaks ties FIFO
+// among equal passes; the entry is queued while the thread is runnable.
 type strideEntry struct {
-	t    *Thread
-	pass float64
-	seq  uint64
-	idx  int
+	sim.Tagged[*strideEntry]
+	t *Thread
 }
-
-// HeapLess implements sim.HeapItem: minimum pass first, FIFO among equal
-// passes.
-func (e *strideEntry) HeapLess(o *strideEntry) bool {
-	if e.pass != o.pass {
-		return e.pass < o.pass
-	}
-	return e.seq < o.seq
-}
-
-// HeapIndex implements sim.HeapItem.
-func (e *strideEntry) HeapIndex() *int { return &e.idx }
 
 // NewStride returns a stride scheduler; quantum <= 0 selects
 // DefaultQuantum.
@@ -53,7 +41,8 @@ func NewStride(quantum sim.Time) *Stride {
 func (s *Stride) entryFor(t *Thread) *strideEntry {
 	e := s.entries.Get(t)
 	if e == nil {
-		e = &strideEntry{t: t, idx: -1}
+		e = &strideEntry{t: t}
+		e.Item = e
 		s.entries.Put(t, e)
 	}
 	return e
@@ -65,7 +54,7 @@ func (s *Stride) Name() string { return "stride" }
 // Pass returns t's current pass value, for tests.
 func (s *Stride) Pass(t *Thread) float64 {
 	if e := s.entries.Get(t); e != nil {
-		return e.pass
+		return e.Tag
 	}
 	return 0
 }
@@ -73,25 +62,25 @@ func (s *Stride) Pass(t *Thread) float64 {
 // Enqueue implements Scheduler.
 func (s *Stride) Enqueue(t *Thread, now sim.Time) {
 	e := s.entryFor(t)
-	if e.idx != -1 {
+	if e.Queued() {
 		panic(fmt.Sprintf("stride: Enqueue of runnable thread %v", t))
 	}
-	if e.pass < s.global {
-		e.pass = s.global
+	if e.Tag < s.global {
+		e.Tag = s.global
 	}
-	e.seq = s.seq
+	e.Seq = s.seq
 	s.seq++
-	s.heap.Push(e)
+	s.heap.Push(&e.Tagged)
 	s.total += t.Weight
 }
 
 // Remove implements Scheduler.
 func (s *Stride) Remove(t *Thread, now sim.Time) {
 	e := s.entries.Get(t)
-	if e == nil || e.idx == -1 {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("stride: Remove of non-runnable thread %v", t))
 	}
-	s.heap.Remove(e.idx)
+	s.heap.Remove(&e.Tagged)
 	s.total -= t.Weight
 }
 
@@ -101,8 +90,8 @@ func (s *Stride) Pick(now sim.Time) *Thread {
 		return nil
 	}
 	e := s.heap.Min()
-	s.global = e.pass
-	return e.t
+	s.global = e.Tag
+	return e.Item.t
 }
 
 // Quantum implements Scheduler.
@@ -113,16 +102,16 @@ func (s *Stride) Quantum(t *Thread, now sim.Time) sim.Time { return s.quantum }
 // variable-length quanta.
 func (s *Stride) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 	e := s.entries.Get(t)
-	if e == nil || e.idx == -1 {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("stride: Charge of non-runnable thread %v", t))
 	}
-	e.pass += float64(used) / t.Weight
+	e.Tag += float64(used) / t.Weight
 	if runnable {
-		e.seq = s.seq
+		e.Seq = s.seq
 		s.seq++
-		s.heap.Fix(e.idx)
+		s.heap.Fix(&e.Tagged)
 	} else {
-		s.heap.Remove(e.idx)
+		s.heap.Remove(&e.Tagged)
 		s.total -= t.Weight
 	}
 }

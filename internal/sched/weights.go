@@ -17,7 +17,7 @@ func (s *SFQ) SetWeight(t *Thread, weight float64) {
 	if weight <= 0 {
 		panic(fmt.Sprintf("sfq: SetWeight(%v) with non-positive weight %v", t, weight))
 	}
-	if e := s.entries.Get(t); e != nil && e.idx != -1 {
+	if e := s.entries.Get(t); e != nil && e.Queued() {
 		s.total += weight - t.Weight
 	}
 	t.Weight = weight
@@ -39,7 +39,7 @@ func (s *Stride) SetWeight(t *Thread, weight float64) {
 	if weight <= 0 {
 		panic(fmt.Sprintf("stride: SetWeight(%v) with non-positive weight %v", t, weight))
 	}
-	if e := s.entries.Get(t); e != nil && e.idx != -1 {
+	if e := s.entries.Get(t); e != nil && e.Queued() {
 		s.total += weight - t.Weight
 	}
 	t.Weight = weight
@@ -50,7 +50,7 @@ func (s *EEVDF) SetWeight(t *Thread, weight float64) {
 	if weight <= 0 {
 		panic(fmt.Sprintf("eevdf: SetWeight(%v) with non-positive weight %v", t, weight))
 	}
-	if e := s.entries.Get(t); e != nil && e.idx != -1 {
+	if e := s.entries.Get(t); e != nil && e.Queued() {
 		s.total += weight - t.Weight
 	}
 	t.Weight = weight
@@ -76,7 +76,7 @@ func (s *SFQ) Donate(from, to *Thread) Donation {
 	}
 	amount := from.Weight
 	s.donated.Put(to, s.donated.Get(to)+amount)
-	if e := s.entries.Get(to); e != nil && e.idx != -1 {
+	if e := s.entries.Get(to); e != nil && e.Queued() {
 		s.total += amount
 	}
 	return Donation{to: to, amount: amount}
@@ -97,7 +97,7 @@ func (s *SFQ) Revoke(d Donation) {
 	} else {
 		s.donated.Put(d.to, cur-d.amount)
 	}
-	if e := s.entries.Get(d.to); e != nil && e.idx != -1 {
+	if e := s.entries.Get(d.to); e != nil && e.Queued() {
 		s.total -= d.amount
 	}
 }

@@ -100,6 +100,9 @@ func TestTenantMetrics(t *testing.T) {
 	if resp, _ := post(t, ts, "/v1/simulate", scenarioJSON(4)); resp.StatusCode != 200 {
 		t.Fatalf("headerless: %d", resp.StatusCode)
 	}
+	// A worker records the task done, and the tenant's completion, after
+	// the task returns, when the handler may already have responded.
+	waitFor(t, func() bool { return srv.pool.Done() == 4 })
 
 	resp, body := get(t, ts, "/metrics")
 	if resp.StatusCode != 200 {

@@ -1,24 +1,34 @@
 package sim
 
-// This file provides the intrusive min-heap behind the runnable child
-// heaps of the hierarchy (internal/core) and the heap-based leaf
-// schedulers (internal/sched). It replaces container/heap, whose
-// interface-typed Push/Pop box every element into an `any`; here elements
-// carry their own index, so a steady-state push/pop/fix cycle performs no
-// allocation at all. Comparisons are not direct calls, though: every
-// pointer type argument shares one GC shape (go.shape.*uint8 in
-// profiles), so HeapLess and HeapIndex are called through the generic
-// dictionary, indirectly and never inlined. The simulation event queue,
-// which every event passes through, therefore has its own concrete heap
-// (eventHeap in events.go).
+// This file provides the two intrusive min-heaps behind the runnable sets
+// of the hierarchy (internal/core) and the heap-based leaf schedulers
+// (internal/sched). Both replace container/heap, whose interface-typed
+// Push/Pop box every element into an `any`; here elements carry their own
+// position, so a steady-state push/remove/fix cycle performs no
+// allocation at all.
 //
-// The sift-up/sift-down algorithm is the same as container/heap's, and
-// because HeapLess is required to be a strict total order (keys tie-broken
-// by a monotone sequence number), the minimum element — the only element
-// scheduling decisions observe — is identical no matter how the rest of
-// the array is arranged. Schedules are therefore bit-for-bit those of the
-// container/heap implementation this replaced; TestHeapMatchesContainerHeap
-// pins that equivalence.
+// TagHeap serves every order of the form (float64 tag, sequence number):
+// the core.Node run queues and the SFQ leaf (start tag), Stride (pass)
+// and EEVDF (virtual deadline). These sit on every scheduling decision.
+// Its element is the concrete struct Tagged, so its sift loops compare
+// tags and write slots inline, like the engine's eventHeap (events.go):
+// it never calls a method of its type parameter, and its one shared
+// instantiation (go.shape.*uint8 in profiles) makes no dictionary calls.
+//
+// Heap serves the orders that are not (float64, seq): EDF (an int64
+// deadline), RM (a composite rate-monotonic key), Priority (descending
+// priority) and Reserves (a thread-ID tie-break). Its comparisons are not
+// direct calls: every pointer type argument shares one GC shape, so
+// HeapLess and HeapIndex are called through the generic dictionary,
+// indirectly and never inlined.
+//
+// Both sift with container/heap's algorithm, and because both orders are
+// strict total orders (keys tie-broken by a monotone sequence number), the
+// minimum element — the only element scheduling decisions observe — is
+// identical no matter how the rest of the array is arranged. Schedules
+// are therefore bit-for-bit those of the container/heap implementation
+// these replaced; TestHeapMatchesContainerHeap pins that equivalence for
+// both heaps.
 
 // HeapItem constrains the element type of Heap. T is invariably a pointer
 // to a struct that embeds its own heap-index field.
@@ -137,4 +147,117 @@ func (h *Heap[T]) down(i0, n int) bool {
 		i = j
 	}
 	return i > i0
+}
+
+// Tagged is one element of a TagHeap. An owner holds a Tagged whose Item
+// points back at the owner, and orders it by (Tag, Seq): smaller Tag
+// first, and among equal tags smaller Seq. Owners stamp Seq from a
+// monotonically increasing counter, so the order is strict and equal tags
+// pop FIFO. The zero Tagged is not queued; an owner may change Tag and Seq
+// while it is not queued, or while queued if it calls Fix right after.
+type Tagged[T any] struct {
+	Tag  float64
+	Seq  uint64
+	slot int // position in the heap plus one; 0 while not queued
+	Item T
+}
+
+// Queued reports whether x is in a heap.
+func (x *Tagged[T]) Queued() bool { return x.slot != 0 }
+
+// Slot returns x's position in its heap's Items, or -1 if x is not
+// queued.
+func (x *Tagged[T]) Slot() int { return x.slot - 1 }
+
+// Before reports whether x pops ahead of y.
+func (x *Tagged[T]) Before(y *Tagged[T]) bool {
+	return x.Tag < y.Tag || x.Tag == y.Tag && x.Seq < y.Seq
+}
+
+// TagHeap is an intrusive binary min-heap of Tagged elements ordered by
+// (Tag, Seq). The zero value is an empty heap ready for use. An element
+// may be in at most one heap at a time.
+type TagHeap[T any] struct {
+	items []*Tagged[T]
+}
+
+// Len returns the number of queued elements.
+func (h *TagHeap[T]) Len() int { return len(h.items) }
+
+// Min returns the minimum element without removing it. It panics on an
+// empty heap, like indexing a slice out of range.
+func (h *TagHeap[T]) Min() *Tagged[T] { return h.items[0] }
+
+// Items exposes the underlying array for read-only scans (EEVDF's
+// eligibility filter, invariant checkers). Callers must not reorder it or
+// change a Tag or Seq through it.
+func (h *TagHeap[T]) Items() []*Tagged[T] { return h.items }
+
+// Push queues x, which must not be queued.
+func (h *TagHeap[T]) Push(x *Tagged[T]) {
+	h.items = append(h.items, x)
+	h.up(len(h.items)-1, x)
+}
+
+// Remove detaches the queued element x: the last element fills x's slot
+// and sifts down, or up if it cannot move down.
+func (h *TagHeap[T]) Remove(x *Tagged[T]) {
+	q := h.items
+	i, n := x.slot-1, len(q)-1
+	last := q[n]
+	q[n] = nil // drop the stale pointer so a removed owner can be collected
+	h.items = q[:n]
+	if i != n && h.down(i, last) == i {
+		h.up(i, last)
+	}
+	x.slot = 0
+}
+
+// Fix restores heap order after the queued element x changed its Tag or
+// Seq. It is equivalent to Remove followed by Push of x, but cheaper.
+func (h *TagHeap[T]) Fix(x *Tagged[T]) {
+	if i := x.slot - 1; h.down(i, x) == i {
+		h.up(i, x)
+	}
+}
+
+// up places x, which belongs at slot j or above, by moving the hole at j
+// towards the root past every parent that x pops ahead of.
+func (h *TagHeap[T]) up(j int, x *Tagged[T]) {
+	q := h.items
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		p := q[i]
+		if !x.Before(p) {
+			break
+		}
+		q[j], p.slot = p, j+1
+		j = i
+	}
+	q[j], x.slot = x, j+1
+}
+
+// down places x, which belongs at slot i or below, by moving the hole at i
+// towards the leaves past every smaller child that pops ahead of x. It
+// returns x's final slot.
+func (h *TagHeap[T]) down(i int, x *Tagged[T]) int {
+	q := h.items
+	n := len(q)
+	for {
+		c := 2*i + 1 // left child; negative after int overflow
+		if c >= n || c < 0 {
+			break
+		}
+		if r := c + 1; r < n && q[r].Before(q[c]) {
+			c = r // right child
+		}
+		child := q[c]
+		if !child.Before(x) {
+			break
+		}
+		q[i], child.slot = child, i+1
+		i = c
+	}
+	q[i], x.slot = x, i+1
+	return i
 }

@@ -6,22 +6,80 @@ import (
 	"testing"
 )
 
-// hItem is a test heap element with the (key, seq) strict total order every
-// scheduler in this repository uses.
+// hItem is a test heap element with the (key, seq) strict total order
+// every scheduler in this repository uses. It can sit in a Heap, through
+// idx, or in a TagHeap, through the embedded Tagged; either way Tag is its
+// key.
 type hItem struct {
-	key float64
-	seq uint64
+	Tagged[*hItem]
 	idx int
 }
 
+func newHItem(key float64, seq uint64) *hItem {
+	it := &hItem{idx: -1}
+	it.Tag, it.Seq, it.Item = key, seq, it
+	return it
+}
+
 func (a *hItem) HeapLess(b *hItem) bool {
-	if a.key != b.key {
-		return a.key < b.key
+	if a.Tag != b.Tag {
+		return a.Tag < b.Tag
 	}
-	return a.seq < b.seq
+	return a.Seq < b.Seq
 }
 
 func (a *hItem) HeapIndex() *int { return &a.idx }
+
+// heapUnderTest is the surface the heap tests drive, so one script checks
+// both Heap and TagHeap. TagHeap has no Pop; its Pop is Remove(Min()).
+type heapUnderTest interface {
+	Len() int
+	Min() *hItem
+	At(i int) *hItem   // the item in slot i
+	Slot(x *hItem) int // x's slot, or -1 when not queued
+	Push(x *hItem)
+	Pop() *hItem
+	Fix(x *hItem)
+	Remove(x *hItem) *hItem
+}
+
+type genericHeap struct{ h Heap[*hItem] }
+
+func (g *genericHeap) Len() int               { return g.h.Len() }
+func (g *genericHeap) Min() *hItem            { return g.h.Min() }
+func (g *genericHeap) At(i int) *hItem        { return g.h.Items()[i] }
+func (g *genericHeap) Slot(x *hItem) int      { return x.idx }
+func (g *genericHeap) Push(x *hItem)          { g.h.Push(x) }
+func (g *genericHeap) Pop() *hItem            { return g.h.Pop() }
+func (g *genericHeap) Fix(x *hItem)           { g.h.Fix(x.idx) }
+func (g *genericHeap) Remove(x *hItem) *hItem { return g.h.Remove(x.idx) }
+
+type tagHeap struct{ h TagHeap[*hItem] }
+
+func (t *tagHeap) Len() int          { return t.h.Len() }
+func (t *tagHeap) Min() *hItem       { return t.h.Min().Item }
+func (t *tagHeap) At(i int) *hItem   { return t.h.Items()[i].Item }
+func (t *tagHeap) Slot(x *hItem) int { return x.Slot() }
+func (t *tagHeap) Push(x *hItem)     { t.h.Push(&x.Tagged) }
+func (t *tagHeap) Pop() *hItem {
+	m := t.h.Min()
+	t.h.Remove(m)
+	return m.Item
+}
+func (t *tagHeap) Fix(x *hItem) { t.h.Fix(&x.Tagged) }
+func (t *tagHeap) Remove(x *hItem) *hItem {
+	t.h.Remove(&x.Tagged)
+	return x
+}
+
+// heapsUnderTest lists the heaps every heap test runs against.
+var heapsUnderTest = []struct {
+	name string
+	mk   func() heapUnderTest
+}{
+	{"Heap", func() heapUnderTest { return &genericHeap{} }},
+	{"TagHeap", func() heapUnderTest { return &tagHeap{} }},
+}
 
 // refHeap drives the same elements through container/heap as the oracle.
 type refHeap []*refItem
@@ -59,103 +117,110 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// TestHeapMatchesContainerHeap drives Heap and container/heap through the
-// same random operation sequences — push, pop, fix (with key mutation),
-// remove at a random index — and requires identical minima, lengths, and
-// pop order throughout. Keys are drawn from a small set so seq tie-breaks
-// are exercised constantly.
+// TestHeapMatchesContainerHeap drives Heap and TagHeap, each in turn,
+// and container/heap through the same random operation sequences — push,
+// pop, fix (with key mutation), remove at a random index — and requires
+// identical minima, lengths, and pop order throughout. Keys are drawn from
+// a small set so seq tie-breaks are exercised constantly.
 func TestHeapMatchesContainerHeap(t *testing.T) {
-	for trial := 0; trial < 200; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		var h Heap[*hItem]
-		var ref refHeap
-		var hs []*hItem
-		var rs []*refItem
-		var seq uint64
-
-		check := func(op string) {
-			t.Helper()
-			if h.Len() != ref.Len() {
-				t.Fatalf("trial %d after %s: Len %d, oracle %d", trial, op, h.Len(), ref.Len())
+	for _, hc := range heapsUnderTest {
+		t.Run(hc.name, func(t *testing.T) {
+			for trial := 0; trial < 200; trial++ {
+				matchContainerHeap(t, trial, hc.mk())
 			}
-			if h.Len() > 0 {
-				m, o := h.Min(), ref[0]
-				if m.key != o.key || m.seq != o.seq {
-					t.Fatalf("trial %d after %s: Min (%v,%d), oracle (%v,%d)",
-						trial, op, m.key, m.seq, o.key, o.seq)
-				}
+		})
+	}
+}
+
+func matchContainerHeap(t *testing.T, trial int, h heapUnderTest) {
+	rng := rand.New(rand.NewSource(int64(trial)))
+	var ref refHeap
+	var hs []*hItem
+	var rs []*refItem
+	var seq uint64
+
+	check := func(op string) {
+		t.Helper()
+		if h.Len() != ref.Len() {
+			t.Fatalf("trial %d after %s: Len %d, oracle %d", trial, op, h.Len(), ref.Len())
+		}
+		if h.Len() > 0 {
+			m, o := h.Min(), ref[0]
+			if m.Tag != o.key || m.Seq != o.seq {
+				t.Fatalf("trial %d after %s: Min (%v,%d), oracle (%v,%d)",
+					trial, op, m.Tag, m.Seq, o.key, o.seq)
 			}
 		}
+	}
 
-		for op := 0; op < 300; op++ {
-			switch r := rng.Intn(10); {
-			case r < 4 || h.Len() == 0: // push
-				key := float64(rng.Intn(5))
-				a := &hItem{key: key, seq: seq, idx: -1}
-				b := &refItem{key: key, seq: seq, idx: -1}
-				seq++
-				h.Push(a)
-				heap.Push(&ref, b)
-				hs = append(hs, a)
-				rs = append(rs, b)
-				check("push")
-			case r < 6: // pop
-				a := h.Pop()
-				b := heap.Pop(&ref).(*refItem)
-				if a.key != b.key || a.seq != b.seq {
-					t.Fatalf("trial %d: Pop (%v,%d), oracle (%v,%d)", trial, a.key, a.seq, b.key, b.seq)
-				}
-				if a.idx != -1 {
-					t.Fatalf("trial %d: popped item keeps index %d", trial, a.idx)
-				}
-				hs = drop(hs, a)
-				rs = dropRef(rs, b)
-				check("pop")
-			case r < 8: // fix with key mutation, same element in both heaps
-				i := rng.Intn(len(hs))
-				a, b := hs[i], rs[i]
-				key := float64(rng.Intn(5))
-				newSeq := seq
-				seq++
-				a.key, a.seq = key, newSeq
-				b.key, b.seq = key, newSeq
-				h.Fix(a.idx)
-				heap.Fix(&ref, b.idx)
-				check("fix")
-			default: // remove a random live element
-				i := rng.Intn(len(hs))
-				a, b := hs[i], rs[i]
-				got := h.Remove(a.idx)
-				if got != a {
-					t.Fatalf("trial %d: Remove returned wrong item", trial)
-				}
-				if a.idx != -1 {
-					t.Fatalf("trial %d: removed item keeps index %d", trial, a.idx)
-				}
-				heap.Remove(&ref, b.idx)
-				hs = drop(hs, a)
-				rs = dropRef(rs, b)
-				check("remove")
-			}
-			// Index integrity on every step.
-			for i, it := range h.Items() {
-				if it.idx != i {
-					t.Fatalf("trial %d: item at %d has index %d", trial, i, it.idx)
-				}
-			}
-		}
-
-		// Drain: pop order must match exactly, including all ties.
-		for h.Len() > 0 {
+	for op := 0; op < 300; op++ {
+		switch r := rng.Intn(10); {
+		case r < 4 || h.Len() == 0: // push
+			key := float64(rng.Intn(5))
+			a := newHItem(key, seq)
+			b := &refItem{key: key, seq: seq, idx: -1}
+			seq++
+			h.Push(a)
+			heap.Push(&ref, b)
+			hs = append(hs, a)
+			rs = append(rs, b)
+			check("push")
+		case r < 6: // pop
 			a := h.Pop()
 			b := heap.Pop(&ref).(*refItem)
-			if a.key != b.key || a.seq != b.seq {
-				t.Fatalf("trial %d drain: Pop (%v,%d), oracle (%v,%d)", trial, a.key, a.seq, b.key, b.seq)
+			if a.Tag != b.key || a.Seq != b.seq {
+				t.Fatalf("trial %d: Pop (%v,%d), oracle (%v,%d)", trial, a.Tag, a.Seq, b.key, b.seq)
+			}
+			if i := h.Slot(a); i != -1 {
+				t.Fatalf("trial %d: popped item keeps index %d", trial, i)
+			}
+			hs = drop(hs, a)
+			rs = dropRef(rs, b)
+			check("pop")
+		case r < 8: // fix with key mutation, same element in both heaps
+			i := rng.Intn(len(hs))
+			a, b := hs[i], rs[i]
+			key := float64(rng.Intn(5))
+			newSeq := seq
+			seq++
+			a.Tag, a.Seq = key, newSeq
+			b.key, b.seq = key, newSeq
+			h.Fix(a)
+			heap.Fix(&ref, b.idx)
+			check("fix")
+		default: // remove a random live element
+			i := rng.Intn(len(hs))
+			a, b := hs[i], rs[i]
+			got := h.Remove(a)
+			if got != a {
+				t.Fatalf("trial %d: Remove returned wrong item", trial)
+			}
+			if i := h.Slot(a); i != -1 {
+				t.Fatalf("trial %d: removed item keeps index %d", trial, i)
+			}
+			heap.Remove(&ref, b.idx)
+			hs = drop(hs, a)
+			rs = dropRef(rs, b)
+			check("remove")
+		}
+		// Index integrity on every step.
+		for i := 0; i < h.Len(); i++ {
+			if j := h.Slot(h.At(i)); j != i {
+				t.Fatalf("trial %d: item at %d has index %d", trial, i, j)
 			}
 		}
-		if ref.Len() != 0 {
-			t.Fatalf("trial %d: oracle retains %d items", trial, ref.Len())
+	}
+
+	// Drain: pop order must match exactly, including all ties.
+	for h.Len() > 0 {
+		a := h.Pop()
+		b := heap.Pop(&ref).(*refItem)
+		if a.Tag != b.key || a.Seq != b.seq {
+			t.Fatalf("trial %d drain: Pop (%v,%d), oracle (%v,%d)", trial, a.Tag, a.Seq, b.key, b.seq)
 		}
+	}
+	if ref.Len() != 0 {
+		t.Fatalf("trial %d: oracle retains %d items", trial, ref.Len())
 	}
 }
 
@@ -178,27 +243,27 @@ func dropRef(s []*refItem, x *refItem) []*refItem {
 }
 
 // TestHeapOperationsDoNotAllocate verifies the steady-state heap cycle is
-// allocation-free once the backing array has grown.
+// allocation-free once the backing array has grown, for both heaps.
 func TestHeapOperationsDoNotAllocate(t *testing.T) {
-	var h Heap[*hItem]
-	items := make([]*hItem, 64)
-	for i := range items {
-		items[i] = &hItem{key: float64(i % 7), seq: uint64(i), idx: -1}
-	}
-	for _, it := range items {
-		h.Push(it)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		it := h.Pop()
-		it.key++
-		h.Push(it)
-		h.Fix(it.idx)
-		min := h.Min()
-		h.Remove(min.idx)
-		h.Push(min)
-	})
-	if allocs != 0 {
-		t.Fatalf("heap cycle allocates %v times per run, want 0", allocs)
+	for _, hc := range heapsUnderTest {
+		t.Run(hc.name, func(t *testing.T) {
+			h := hc.mk()
+			for i := 0; i < 64; i++ {
+				h.Push(newHItem(float64(i%7), uint64(i)))
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				it := h.Pop()
+				it.Tag++
+				h.Push(it)
+				h.Fix(it)
+				min := h.Min()
+				h.Remove(min)
+				h.Push(min)
+			})
+			if allocs != 0 {
+				t.Fatalf("heap cycle allocates %v times per run, want 0", allocs)
+			}
+		})
 	}
 }
 

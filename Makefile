@@ -53,8 +53,10 @@ bench-test:
 # corpora: config intake must never panic, content addresses must survive
 # the wire round trip and vary with the seed, the event engine must keep
 # its (At, Seq) firing contract under any op script, no byte stream may
-# panic the trace-frame decoder or make it allocate unboundedly, and the
-# canonical row encoder must match its reference format on any event.
+# panic the trace-frame decoder or make it allocate unboundedly, the
+# canonical row encoder must match its reference format on any event, and
+# a hierarchy over every leaf kind must keep its invariants, and resume
+# exactly from a checkpoint, under any script of structure operations.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/simconfig
 	$(GO) test -run '^$$' -fuzz FuzzJobKey -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sweep
@@ -62,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTraceFrameDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/tracestream
 	$(GO) test -run '^$$' -fuzz FuzzAppendRow -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzStructureOps -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/core
 
 # The CLIs as real processes: SIGKILL and resume, SIGTERM drain with a
 # trace stream open, saturated multi-tenant daemons, a mesh backend

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
@@ -76,29 +75,17 @@ func (s *Structure) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) er
 	runnable := d.Int()
 	pickedID := d.Int()
 	pickedAtID := d.Int()
-	n := d.Count(35)
 	if err := d.Err(); err != nil {
 		return err
-	}
-	if live := s.numNodes(); n != live {
-		return fmt.Errorf("core: checkpoint has %d nodes, structure has %d", n, live)
 	}
 	if runnable < 0 {
 		return fmt.Errorf("core: negative runnable count %d", runnable)
 	}
 
 	var inRunq []*Node
-	prev := math.MinInt
-	leafRunnable := 0
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id <= prev {
-			return fmt.Errorf("core: node IDs not strictly increasing at %d", id)
-		}
-		prev = id
+	nodes, leafRunnable := 0, 0
+	err := d.Rows("core node", 35, func(id int) error {
+		nodes++
 		nd := s.Node(NodeID(id))
 		if nd == nil {
 			return fmt.Errorf("core: checkpoint references unknown node %d", id)
@@ -127,17 +114,25 @@ func (s *Structure) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) er
 			}
 			inRunq = append(inRunq, nd)
 		}
-		if isLeaf {
-			st, ok := nd.leaf.(sched.Stater)
-			if !ok {
-				return fmt.Errorf("core: leaf %q scheduler %q does not support checkpointing",
-					s.PathOf(nd.id), nd.leaf.Name())
-			}
-			if err := st.LoadState(d, resolve); err != nil {
-				return err
-			}
-			leafRunnable += nd.leaf.Len()
+		if !isLeaf {
+			return nil
 		}
+		st, ok := nd.leaf.(sched.Stater)
+		if !ok {
+			return fmt.Errorf("core: leaf %q scheduler %q does not support checkpointing",
+				s.PathOf(nd.id), nd.leaf.Name())
+		}
+		if err := st.LoadState(d, resolve); err != nil {
+			return err
+		}
+		leafRunnable += nd.leaf.Len()
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if live := s.numNodes(); nodes != live {
+		return fmt.Errorf("core: checkpoint has %d nodes, structure has %d", nodes, live)
 	}
 	if leafRunnable != runnable {
 		return fmt.Errorf("core: leaves hold %d runnable threads but structure count is %d",
@@ -165,7 +160,7 @@ func (s *Structure) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) er
 	} else if pickedAtID != -1 {
 		return fmt.Errorf("core: picked-at node %d without a picked thread", pickedAtID)
 	}
-	return d.Err()
+	return s.CheckInvariants()
 }
 
 // numNodes returns the number of nodes in the structure, root included.

@@ -57,7 +57,21 @@ func (p *PeriodicInterrupts) SaveState(e *sim.Enc) {
 func (p *PeriodicInterrupts) LoadState(d *sim.Dec) error {
 	p.next = d.Time()
 	p.init = d.Bool()
-	return d.Err()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if p.init && !onGrid(p.next, p.Offset, p.Period) {
+		return fmt.Errorf("cpu: periodic source's next arrival %v is not on its grid %v + k*%v", p.next, p.Offset, p.Period)
+	}
+	return nil
+}
+
+// onGrid reports whether t is offset + k*period for some k >= 0: the only
+// instants a periodic or burst source's saved position can hold. Next
+// walks a position below now forward one period per step, so a far-past
+// position from a hostile checkpoint would spin or flood the run.
+func onGrid(t, offset, period sim.Time) bool {
+	return period > 0 && t >= offset && (t-offset)%period == 0
 }
 
 // PoissonInterrupts models an irregular source (network, disk) with
@@ -166,6 +180,9 @@ func (b *BurstInterrupts) LoadState(d *sim.Dec) error {
 	}
 	if b.inBurst < 0 || (b.Count > 0 && b.inBurst >= b.Count) {
 		return fmt.Errorf("cpu: burst position %d out of range", b.inBurst)
+	}
+	if b.init && !onGrid(b.burstStart, b.Offset, b.Period) {
+		return fmt.Errorf("cpu: burst start %v is not on its grid %v + k*%v", b.burstStart, b.Offset, b.Period)
 	}
 	return nil
 }

@@ -122,10 +122,9 @@ func (m *Machine) SaveState(e *sim.Enc) error {
 	e.Time(c0.idleFrom)
 	e.Time(m.intrUntil)
 
-	e.Int(m.threads.Len())
-	for _, r := range m.threads.Rows() {
-		ts, t := r.E, r.T
-		e.Int(t.ID)
+	var err error
+	m.threads.SaveRows(e, func(ts *tstate) {
+		t := ts.t
 		e.F64(t.Weight)
 		e.Int(t.Priority)
 		e.Time(t.Period)
@@ -139,11 +138,14 @@ func (m *Machine) SaveState(e *sim.Enc) error {
 		e.I64(int64(ts.burstLeft))
 		saveEvent(e, ts.start)
 		saveEvent(e, ts.wake)
-		p, ok := ts.prog.(Stater)
-		if !ok {
-			return fmt.Errorf("cpu: program %T of thread %v does not support checkpointing", ts.prog, t)
+		if p, ok := ts.prog.(Stater); ok {
+			p.SaveState(e)
+		} else if err == nil {
+			err = fmt.Errorf("cpu: program %T of thread %v does not support checkpointing", ts.prog, t)
 		}
-		p.SaveState(e)
+	})
+	if err != nil {
+		return err
 	}
 
 	saveSegment(e, c0.seg)
@@ -268,27 +270,12 @@ func (m *Machine) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) erro
 	// The thread list must name exactly the machine's threads: with
 	// strictly increasing IDs, its order is then the table's order.
 	var rearms []rearm
-	n := d.Count(1)
-	if d.Err() == nil && n != m.threads.Len() {
-		return fmt.Errorf("cpu: checkpoint has %d threads, machine has %d", n, m.threads.Len())
-	}
-	prevID := -1 << 62
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if id <= prevID {
-			return fmt.Errorf("cpu: thread IDs not strictly increasing at %d", id)
-		}
-		prevID = id
-		t := resolve(id)
-		if t == nil {
-			return fmt.Errorf("cpu: checkpoint references unknown thread %d", id)
-		}
+	threads := 0
+	err := sched.LoadRows(d, "cpu", 1, resolve, func(t *sched.Thread) error {
+		threads++
 		ts := m.threads.Get(t)
 		if ts == nil {
-			return fmt.Errorf("cpu: thread %d not registered with this machine", id)
+			return fmt.Errorf("cpu: thread %d not registered with this machine", t.ID)
 		}
 		t.Weight = d.F64()
 		t.Priority = d.Int()
@@ -296,7 +283,7 @@ func (m *Machine) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) erro
 		t.RelDeadline = d.Time()
 		st := sched.ThreadState(d.Int())
 		if d.Err() == nil && (st < sched.StateNew || st > sched.StateExited) {
-			return fmt.Errorf("cpu: thread %d with invalid state %d", id, st)
+			return fmt.Errorf("cpu: thread %d with invalid state %d", t.ID, st)
 		}
 		t.State = st
 		t.Done = sched.Work(d.I64())
@@ -318,9 +305,13 @@ func (m *Machine) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) erro
 		if err := p.LoadState(d); err != nil {
 			return err
 		}
-		if d.Err() != nil {
-			return d.Err()
-		}
+		return d.Err()
+	})
+	if err != nil {
+		return err
+	}
+	if threads != m.threads.Len() {
+		return fmt.Errorf("cpu: checkpoint has %d threads, machine has %d", threads, m.threads.Len())
 	}
 
 	seen := map[int]bool{}
@@ -347,6 +338,9 @@ func (m *Machine) LoadState(d *sim.Dec, resolve func(id int) *sched.Thread) erro
 			rearms = append(rearms, rearm{seq, at, 0, is.fire, func(ev *sim.Event) { is.next = ev }})
 		}
 		is.service = d.Time()
+		if d.Err() == nil && is.service < 0 {
+			return fmt.Errorf("cpu: interrupt source %d with negative service %v", i, is.service)
+		}
 		s, ok := is.src.(Stater)
 		if !ok {
 			return fmt.Errorf("cpu: interrupt source %T does not support checkpointing", is.src)

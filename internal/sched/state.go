@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"hsfq/internal/sim"
@@ -15,13 +14,14 @@ import (
 // that advances as the simulation runs: tags, queues, passes, budgets,
 // RNG streams.
 //
-// Encodings are canonical: per-thread entries are emitted in thread-ID
-// order (the order of each leaf's Table), so identical state always
-// produces identical bytes. Load resolves thread IDs through the supplied
-// resolve function and validates every structural invariant it relies on
-// (strictly increasing IDs, no thread queued twice, picked threads
-// runnable), so corrupt or hostile checkpoints fail with an error rather
-// than corrupting the scheduler.
+// Encodings are canonical: per-thread entries are written by
+// Table.SaveRows in thread-ID order, so identical state always produces
+// identical bytes. Load reads them back through LoadRows, and ordered
+// queues through loadQueue, which own the ID order, the resolution of
+// each ID through the supplied resolve function and the rejection of
+// unknown threads. Each leaf adds only its own checks (ranges, no thread
+// queued twice, picked threads runnable), so corrupt or hostile
+// checkpoints fail with an error rather than corrupting the scheduler.
 //
 // Heaps are rebuilt by pushing runnable entries in thread-ID order. That
 // is sound because every heap in this package tie-breaks on a monotone
@@ -75,6 +75,56 @@ func decTID(d *sim.Dec, resolve func(id int) *Thread, what string) (*Thread, err
 	return t, nil
 }
 
+// SaveRows appends tb's rows in thread-ID order: the row count, then per
+// row the thread's ID followed by whatever row writes for its entry.
+// LoadRows reads the list back.
+func (tb *Table[E]) SaveRows(e *sim.Enc, row func(E)) {
+	e.Int(len(tb.rows))
+	for _, r := range tb.rows {
+		e.Int(r.T.ID)
+		row(r.E)
+	}
+}
+
+// LoadRows reads a row list written by SaveRows: Dec.Rows, with each ID
+// resolved to a thread that carries that ID before row decodes the rest
+// of the row. Rows therefore name distinct threads, in ID order. Each row
+// is at least minBytes long, its ID included; who names the list in
+// errors.
+func LoadRows(d *sim.Dec, who string, minBytes int, resolve func(id int) *Thread, row func(*Thread) error) error {
+	return d.Rows(who, minBytes, func(id int) error {
+		t := resolve(id)
+		if t == nil {
+			return fmt.Errorf("%s: checkpoint references unknown thread %d", who, id)
+		}
+		if t.ID != id {
+			return fmt.Errorf("%s: thread ID %d resolves to thread %v", who, id, t)
+		}
+		return row(t)
+	})
+}
+
+// loadQueue reads an ordered list of thread IDs, a count and then the
+// IDs in queue order, and hands each resolved thread to add. -1 and
+// unknown IDs are errors; add keeps the leaf's own duplicate and
+// placement checks.
+func loadQueue(d *sim.Dec, who string, resolve func(id int) *Thread, add func(*Thread) error) error {
+	n := d.Count(8)
+	for i := 0; i < n; i++ {
+		t, err := decTID(d, resolve, who)
+		if err != nil {
+			return err
+		}
+		if t == nil {
+			return fmt.Errorf("sched: %s holds no thread at position %d", who, i)
+		}
+		if err := add(t); err != nil {
+			return err
+		}
+	}
+	return d.Err()
+}
+
 // ---------------------------------------------------------------------------
 // SFQ
 
@@ -91,22 +141,14 @@ func (s *SFQ) SaveState(e *sim.Enc) error {
 		e.Int(-1)
 	}
 
-	e.Int(s.donated.Len())
-	for _, r := range s.donated.Rows() {
-		e.Int(r.T.ID)
-		e.F64(r.E)
-	}
-
-	e.Int(s.entries.Len())
-	for _, r := range s.entries.Rows() {
-		en := r.E
-		e.Int(en.t.ID)
+	s.donated.SaveRows(e, e.F64)
+	s.entries.SaveRows(e, func(en *sfqEntry) {
 		e.F64(en.Tag)
 		e.F64(en.finish)
 		e.Time(en.quantum)
 		e.U64(en.Seq)
 		e.Bool(en.Queued())
-	}
+	})
 	return nil
 }
 
@@ -121,45 +163,17 @@ func (s *SFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	svcID := d.Int()
 
 	s.donated = Table[float64]{}
-	n := d.Count(16)
-	prev := math.MinInt
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		amt := d.F64()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id <= prev {
-			return fmt.Errorf("sfq: donation thread IDs not strictly increasing at %d", id)
-		}
-		prev = id
-		t := resolve(id)
-		if t == nil {
-			return fmt.Errorf("sfq: donation references unknown thread %d", id)
-		}
-		s.donated.Put(t, amt)
+	err := LoadRows(d, "sfq donation", 16, resolve, func(t *Thread) error {
+		s.donated.Put(t, d.F64())
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
-	n = d.Count(41)
-	prev = math.MinInt
 	s.inService = nil
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id <= prev {
-			return fmt.Errorf("sfq: thread IDs not strictly increasing at %d", id)
-		}
-		prev = id
-		t := resolve(id)
-		if t == nil {
-			return fmt.Errorf("sfq: checkpoint references unknown thread %d", id)
-		}
+	err = LoadRows(d, "sfq", 41, resolve, func(t *Thread) error {
 		en := s.entryFor(t)
-		if en.Queued() {
-			return fmt.Errorf("sfq: thread %d already runnable", id)
-		}
 		en.Tag = d.F64()
 		en.finish = d.F64()
 		en.quantum = d.Time()
@@ -169,24 +183,23 @@ func (s *SFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 			return err
 		}
 		if en.quantum < 0 {
-			return fmt.Errorf("sfq: negative quantum for thread %d", id)
+			return fmt.Errorf("sfq: negative quantum for thread %d", t.ID)
 		}
 		if runnable {
 			s.heap.Push(&en.Tagged)
 		}
-		if id == svcID {
+		if t.ID == svcID {
 			s.inService = en
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if svcID != -1 {
-		if s.inService == nil {
-			return fmt.Errorf("sfq: in-service thread %d not in checkpoint", svcID)
-		}
-		if !s.inService.Queued() {
-			return fmt.Errorf("sfq: in-service thread %d not runnable", svcID)
-		}
+	if svcID != -1 && (s.inService == nil || !s.inService.Queued()) {
+		return fmt.Errorf("sfq: in-service thread %d not runnable", svcID)
 	}
-	return d.Err()
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -206,18 +219,13 @@ func (r *RoundRobin) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	if len(r.queue) != 0 {
 		return fmt.Errorf("rr: LoadState into a scheduler with runnable threads")
 	}
-	n := d.Count(8)
-	for i := 0; i < n; i++ {
-		t, err := decTID(d, resolve, "rr queue")
-		if err != nil {
-			return err
-		}
-		if t == nil || r.index(t) != -1 {
-			return fmt.Errorf("rr: invalid or duplicate queue entry at position %d", i)
+	return loadQueue(d, "rr queue", resolve, func(t *Thread) error {
+		if r.index(t) != -1 {
+			return fmt.Errorf("rr: thread %d queued twice", t.ID)
 		}
 		r.queue = append(r.queue, t)
-	}
-	return d.Err()
+		return nil
+	})
 }
 
 // SaveState implements Stater.
@@ -234,18 +242,13 @@ func (f *FIFO) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	if len(f.queue) != 0 {
 		return fmt.Errorf("fifo: LoadState into a scheduler with runnable threads")
 	}
-	n := d.Count(8)
-	for i := 0; i < n; i++ {
-		t, err := decTID(d, resolve, "fifo queue")
-		if err != nil {
-			return err
-		}
-		if t == nil || f.index(t) != -1 {
-			return fmt.Errorf("fifo: invalid or duplicate queue entry at position %d", i)
+	return loadQueue(d, "fifo queue", resolve, func(t *Thread) error {
+		if f.index(t) != -1 {
+			return fmt.Errorf("fifo: thread %d queued twice", t.ID)
 		}
 		f.queue = append(f.queue, t)
-	}
-	return d.Err()
+		return nil
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -254,14 +257,11 @@ func (f *FIFO) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 // SaveState implements Stater.
 func (s *Priority) SaveState(e *sim.Enc) error {
 	e.U64(s.seq)
-	e.Int(s.entries.Len())
-	for _, r := range s.entries.Rows() {
-		en := r.E
-		e.Int(en.t.ID)
+	s.entries.SaveRows(e, func(en *prioEntry) {
 		e.Int(en.prio)
 		e.U64(en.seq)
 		e.Bool(en.idx != -1)
-	}
+	})
 	return nil
 }
 
@@ -271,32 +271,15 @@ func (s *Priority) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		return fmt.Errorf("priority: LoadState into a scheduler with runnable threads")
 	}
 	s.seq = d.U64()
-	n := d.Count(25)
-	prev := math.MinInt
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id <= prev {
-			return fmt.Errorf("priority: thread IDs not strictly increasing at %d", id)
-		}
-		prev = id
-		t := resolve(id)
-		if t == nil {
-			return fmt.Errorf("priority: checkpoint references unknown thread %d", id)
-		}
+	return LoadRows(d, "priority", 25, resolve, func(t *Thread) error {
 		en := s.entryFor(t)
-		if en.idx != -1 {
-			return fmt.Errorf("priority: thread %d already runnable", id)
-		}
 		en.prio = d.Int()
 		en.seq = d.U64()
 		if d.Bool() && d.Err() == nil {
 			s.heap.Push(en)
 		}
-	}
-	return d.Err()
+		return nil
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -305,14 +288,11 @@ func (s *Priority) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 // SaveState implements Stater.
 func (s *EDF) SaveState(e *sim.Enc) error {
 	e.U64(s.seq)
-	e.Int(s.entries.Len())
-	for _, r := range s.entries.Rows() {
-		en := r.E
-		e.Int(en.t.ID)
+	s.entries.SaveRows(e, func(en *edfEntry) {
 		e.Time(en.deadline)
 		e.U64(en.seq)
 		e.Bool(en.idx != -1)
-	}
+	})
 	return nil
 }
 
@@ -322,32 +302,15 @@ func (s *EDF) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		return fmt.Errorf("edf: LoadState into a scheduler with runnable threads")
 	}
 	s.seq = d.U64()
-	n := d.Count(25)
-	prev := math.MinInt
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id <= prev {
-			return fmt.Errorf("edf: thread IDs not strictly increasing at %d", id)
-		}
-		prev = id
-		t := resolve(id)
-		if t == nil {
-			return fmt.Errorf("edf: checkpoint references unknown thread %d", id)
-		}
+	return LoadRows(d, "edf", 25, resolve, func(t *Thread) error {
 		en := s.entryFor(t)
-		if en.idx != -1 {
-			return fmt.Errorf("edf: thread %d already runnable", id)
-		}
 		en.deadline = d.Time()
 		en.seq = d.U64()
 		if d.Bool() && d.Err() == nil {
 			s.heap.Push(en)
 		}
-	}
-	return d.Err()
+		return nil
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -356,15 +319,12 @@ func (s *EDF) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 // SaveState implements Stater.
 func (s *RM) SaveState(e *sim.Enc) error {
 	e.U64(s.seq)
-	e.Int(s.entries.Len())
-	for _, r := range s.entries.Rows() {
-		en := r.E
-		e.Int(en.t.ID)
+	s.entries.SaveRows(e, func(en *rmEntry) {
 		e.Time(en.key.period)
 		e.Int(en.key.prio)
 		e.U64(en.seq)
 		e.Bool(en.idx != -1)
-	}
+	})
 	return nil
 }
 
@@ -374,33 +334,16 @@ func (s *RM) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		return fmt.Errorf("rm: LoadState into a scheduler with runnable threads")
 	}
 	s.seq = d.U64()
-	n := d.Count(33)
-	prev := math.MinInt
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id <= prev {
-			return fmt.Errorf("rm: thread IDs not strictly increasing at %d", id)
-		}
-		prev = id
-		t := resolve(id)
-		if t == nil {
-			return fmt.Errorf("rm: checkpoint references unknown thread %d", id)
-		}
+	return LoadRows(d, "rm", 33, resolve, func(t *Thread) error {
 		en := s.entryFor(t)
-		if en.idx != -1 {
-			return fmt.Errorf("rm: thread %d already runnable", id)
-		}
 		en.key.period = d.Time()
 		en.key.prio = d.Int()
 		en.seq = d.U64()
 		if d.Bool() && d.Err() == nil {
 			s.heap.Push(en)
 		}
-	}
-	return d.Err()
+		return nil
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -416,14 +359,11 @@ func (s *SVR4) SaveState(e *sim.Enc) error {
 	} else {
 		e.Int(-1)
 	}
-	e.Int(s.entries.Len())
-	for _, r := range s.entries.Rows() {
-		en := r.E
-		e.Int(en.t.ID)
+	s.entries.SaveRows(e, func(en *svr4Entry) {
 		e.Int(en.class)
 		e.Int(en.level)
 		e.Time(en.waitFrom)
-	}
+	})
 	s.prioScratch = s.prioScratch[:0]
 	for p := range s.queues {
 		s.prioScratch = append(s.prioScratch, p)
@@ -449,21 +389,7 @@ func (s *SVR4) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		return fmt.Errorf("svr4: LoadState into a scheduler with runnable threads")
 	}
 	pickedID := d.Int()
-	n := d.Count(32)
-	prev := math.MinInt
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id <= prev {
-			return fmt.Errorf("svr4: thread IDs not strictly increasing at %d", id)
-		}
-		prev = id
-		t := resolve(id)
-		if t == nil {
-			return fmt.Errorf("svr4: checkpoint references unknown thread %d", id)
-		}
+	err := LoadRows(d, "svr4", 32, resolve, func(t *Thread) error {
 		en := s.entry(t)
 		en.class = d.Int()
 		en.level = d.Int()
@@ -475,64 +401,54 @@ func (s *SVR4) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		switch en.class {
 		case classTS:
 			if en.level < 0 || en.level >= TSLevels {
-				return fmt.Errorf("svr4: TS level %d of thread %d out of range", en.level, id)
+				return fmt.Errorf("svr4: TS level %d of thread %d out of range", en.level, t.ID)
 			}
 		case classRT:
 			if en.level < 0 || en.level >= RTLevels {
-				return fmt.Errorf("svr4: RT priority %d of thread %d out of range", en.level, id)
+				return fmt.Errorf("svr4: RT priority %d of thread %d out of range", en.level, t.ID)
 			}
 		default:
-			return fmt.Errorf("svr4: unknown class %d of thread %d", en.class, id)
+			return fmt.Errorf("svr4: unknown class %d of thread %d", en.class, t.ID)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	s.picked = nil
-	np := d.Count(24)
-	prevP := math.MinInt
-	for i := 0; i < np; i++ {
-		p := d.Int()
-		cnt := d.Count(8)
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if p <= prevP {
-			return fmt.Errorf("svr4: queue priorities not strictly increasing at %d", p)
-		}
-		prevP = p
-		if cnt == 0 {
-			return fmt.Errorf("svr4: empty queue at priority %d", p)
-		}
-		for j := 0; j < cnt; j++ {
-			id := d.Int()
-			if err := d.Err(); err != nil {
-				return err
-			}
-			t := resolve(id)
-			if t == nil {
-				return fmt.Errorf("svr4: queue references unknown thread %d", id)
-			}
+	err = d.Rows("svr4 queue", 24, func(p int) error {
+		err := loadQueue(d, "svr4 queue", resolve, func(t *Thread) error {
 			en := s.entries.Get(t)
 			if en == nil {
-				return fmt.Errorf("svr4: queued thread %d has no entry", id)
+				return fmt.Errorf("svr4: queued thread %d has no entry", t.ID)
 			}
 			if en.runnable {
-				return fmt.Errorf("svr4: thread %d queued twice", id)
+				return fmt.Errorf("svr4: thread %d queued twice", t.ID)
 			}
 			if en.globalPrio() != p {
-				return fmt.Errorf("svr4: thread %d queued at priority %d but carries %d", id, p, en.globalPrio())
+				return fmt.Errorf("svr4: thread %d queued at priority %d but carries %d", t.ID, p, en.globalPrio())
 			}
 			en.runnable = true
 			s.queues[p] = append(s.queues[p], en)
 			s.count++
-			if id == pickedID {
+			if t.ID == pickedID {
 				s.picked = en
 			}
+			return nil
+		})
+		if err == nil && len(s.queues[p]) == 0 {
+			return fmt.Errorf("svr4: empty queue at priority %d", p)
 		}
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	if pickedID != -1 && s.picked == nil {
 		return fmt.Errorf("svr4: picked thread %d is not runnable", pickedID)
 	}
-	return d.Err()
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -562,18 +478,14 @@ func (l *Lottery) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	if err != nil {
 		return err
 	}
-	n := d.Count(8)
-	for i := 0; i < n; i++ {
-		t, err := decTID(d, resolve, "lottery queue")
-		if err != nil {
-			return err
-		}
-		if t == nil || l.index(t) != -1 {
-			return fmt.Errorf("lottery: invalid or duplicate queue entry at position %d", i)
+	err = loadQueue(d, "lottery queue", resolve, func(t *Thread) error {
+		if l.index(t) != -1 {
+			return fmt.Errorf("lottery: thread %d queued twice", t.ID)
 		}
 		l.queue = append(l.queue, t)
-	}
-	if err := d.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	if picked != nil && l.index(picked) == -1 {
@@ -592,14 +504,11 @@ func (s *Stride) SaveState(e *sim.Enc) error {
 	e.F64(s.global)
 	e.U64(s.seq)
 	e.F64(s.total)
-	e.Int(s.entries.Len())
-	for _, r := range s.entries.Rows() {
-		en := r.E
-		e.Int(en.t.ID)
+	s.entries.SaveRows(e, func(en *strideEntry) {
 		e.F64(en.Tag)
 		e.U64(en.Seq)
 		e.Bool(en.Queued())
-	}
+	})
 	return nil
 }
 
@@ -611,32 +520,15 @@ func (s *Stride) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	s.global = d.F64()
 	s.seq = d.U64()
 	s.total = d.F64()
-	n := d.Count(25)
-	prev := math.MinInt
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id <= prev {
-			return fmt.Errorf("stride: thread IDs not strictly increasing at %d", id)
-		}
-		prev = id
-		t := resolve(id)
-		if t == nil {
-			return fmt.Errorf("stride: checkpoint references unknown thread %d", id)
-		}
+	return LoadRows(d, "stride", 25, resolve, func(t *Thread) error {
 		en := s.entryFor(t)
-		if en.Queued() {
-			return fmt.Errorf("stride: thread %d already runnable", id)
-		}
 		en.Tag = d.F64()
 		en.Seq = d.U64()
 		if d.Bool() && d.Err() == nil {
 			s.heap.Push(&en.Tagged)
 		}
-	}
-	return d.Err()
+		return nil
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -652,16 +544,13 @@ func (s *EEVDF) SaveState(e *sim.Enc) error {
 	} else {
 		e.Int(-1)
 	}
-	e.Int(s.entries.Len())
-	for _, r := range s.entries.Rows() {
-		en := r.E
-		e.Int(en.t.ID)
+	s.entries.SaveRows(e, func(en *eevdfEntry) {
 		e.F64(en.ve)
 		e.F64(en.Tag)
 		e.I64(int64(en.served))
 		e.U64(en.Seq)
 		e.Bool(en.Queued())
-	}
+	})
 	return nil
 }
 
@@ -675,43 +564,28 @@ func (s *EEVDF) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	s.seq = d.U64()
 	pickedID := d.Int()
 	s.picked = nil
-	n := d.Count(41)
-	prev := math.MinInt
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id <= prev {
-			return fmt.Errorf("eevdf: thread IDs not strictly increasing at %d", id)
-		}
-		prev = id
-		t := resolve(id)
-		if t == nil {
-			return fmt.Errorf("eevdf: checkpoint references unknown thread %d", id)
-		}
+	err := LoadRows(d, "eevdf", 41, resolve, func(t *Thread) error {
 		en := s.entryFor(t)
-		if en.Queued() {
-			return fmt.Errorf("eevdf: thread %d already runnable", id)
-		}
 		en.ve = d.F64()
 		en.Tag = d.F64()
 		en.served = Work(d.I64())
 		en.Seq = d.U64()
+		if d.Err() == nil && (en.served < 0 || en.served >= s.reqWork) {
+			return fmt.Errorf("eevdf: thread %d served %d outside [0, %d)", t.ID, en.served, s.reqWork)
+		}
 		if d.Bool() && d.Err() == nil {
 			s.heap.Push(&en.Tagged)
 		}
-		if id == pickedID {
+		if t.ID == pickedID {
 			s.picked = en
 		}
-	}
-	if err := d.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	if pickedID != -1 {
-		if s.picked == nil || !s.picked.Queued() {
-			return fmt.Errorf("eevdf: picked thread %d is not runnable", pickedID)
-		}
+	if pickedID != -1 && (s.picked == nil || !s.picked.Queued()) {
+		return fmt.Errorf("eevdf: picked thread %d is not runnable", pickedID)
 	}
 	return nil
 }
@@ -723,13 +597,10 @@ func (s *EEVDF) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 // (front-inserted preempted threads come back out first), so each occupied
 // level is serialized as an ordered ID list after the per-thread entries.
 func (s *MLFQ) SaveState(e *sim.Enc) error {
-	e.Int(s.entries.Len())
-	for _, r := range s.entries.Rows() {
-		en := r.E
-		e.Int(en.t.ID)
+	s.entries.SaveRows(e, func(en *mlfqEntry) {
 		e.Int(en.level)
 		e.Time(en.waitFrom)
-	}
+	})
 	occupied := 0
 	for i := range s.levels {
 		if s.levels[i].head != nil {
@@ -761,21 +632,7 @@ func (s *MLFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	if s.count != 0 {
 		return fmt.Errorf("mlfq: LoadState into a scheduler with runnable threads")
 	}
-	n := d.Count(24)
-	prev := math.MinInt
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id <= prev {
-			return fmt.Errorf("mlfq: thread IDs not strictly increasing at %d", id)
-		}
-		prev = id
-		t := resolve(id)
-		if t == nil {
-			return fmt.Errorf("mlfq: checkpoint references unknown thread %d", id)
-		}
+	err := LoadRows(d, "mlfq", 24, resolve, func(t *Thread) error {
 		en := s.entry(t)
 		en.level = d.Int()
 		en.waitFrom = d.Time()
@@ -784,51 +641,36 @@ func (s *MLFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 			return err
 		}
 		if en.level < 0 || en.level >= len(s.levels) {
-			return fmt.Errorf("mlfq: level %d of thread %d out of range", en.level, id)
+			return fmt.Errorf("mlfq: level %d of thread %d out of range", en.level, t.ID)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	nl := d.Count(16)
-	prevL := math.MinInt
-	for i := 0; i < nl; i++ {
-		lvl := d.Int()
-		cnt := d.Count(8)
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if lvl <= prevL {
-			return fmt.Errorf("mlfq: queue levels not strictly increasing at %d", lvl)
-		}
-		prevL = lvl
+	return d.Rows("mlfq queue", 16, func(lvl int) error {
 		if lvl < 0 || lvl >= len(s.levels) {
 			return fmt.Errorf("mlfq: queue at level %d out of range", lvl)
 		}
-		if cnt == 0 {
-			return fmt.Errorf("mlfq: empty queue at level %d", lvl)
-		}
-		for j := 0; j < cnt; j++ {
-			id := d.Int()
-			if err := d.Err(); err != nil {
-				return err
-			}
-			t := resolve(id)
-			if t == nil {
-				return fmt.Errorf("mlfq: queue references unknown thread %d", id)
-			}
+		err := loadQueue(d, "mlfq queue", resolve, func(t *Thread) error {
 			en := s.entries.Get(t)
 			if en == nil {
-				return fmt.Errorf("mlfq: queued thread %d has no entry", id)
+				return fmt.Errorf("mlfq: queued thread %d has no entry", t.ID)
 			}
 			if en.queued {
-				return fmt.Errorf("mlfq: thread %d queued twice", id)
+				return fmt.Errorf("mlfq: thread %d queued twice", t.ID)
 			}
 			if en.level != lvl {
-				return fmt.Errorf("mlfq: thread %d queued at level %d but carries %d", id, lvl, en.level)
+				return fmt.Errorf("mlfq: thread %d queued at level %d but carries %d", t.ID, lvl, en.level)
 			}
-			wf := en.waitFrom
-			s.insert(en, wf, tailInsert)
+			s.insert(en, en.waitFrom, tailInsert)
+			return nil
+		})
+		if err == nil && s.levels[lvl].head == nil {
+			return fmt.Errorf("mlfq: empty queue at level %d", lvl)
 		}
-	}
-	return d.Err()
+		return err
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -837,12 +679,7 @@ func (s *MLFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 // SaveState implements Stater. The adaptive quanta are per-thread learned
 // state; the round-robin queue order is serialized as an ordered ID list.
 func (s *DRR) SaveState(e *sim.Enc) error {
-	e.Int(s.entries.Len())
-	for _, r := range s.entries.Rows() {
-		en := r.E
-		e.Int(en.t.ID)
-		e.Time(en.quantum)
-	}
+	s.entries.SaveRows(e, func(en *drrEntry) { e.Time(en.quantum) })
 	e.Int(s.count)
 	for en := s.list.head; en != nil; en = en.next {
 		e.Int(en.t.ID)
@@ -855,21 +692,7 @@ func (s *DRR) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	if s.count != 0 {
 		return fmt.Errorf("drr: LoadState into a scheduler with runnable threads")
 	}
-	n := d.Count(16)
-	prev := math.MinInt
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id <= prev {
-			return fmt.Errorf("drr: thread IDs not strictly increasing at %d", id)
-		}
-		prev = id
-		t := resolve(id)
-		if t == nil {
-			return fmt.Errorf("drr: checkpoint references unknown thread %d", id)
-		}
+	err := LoadRows(d, "drr", 16, resolve, func(t *Thread) error {
 		en := s.entry(t)
 		en.quantum = d.Time()
 		en.queued = false
@@ -877,29 +700,24 @@ func (s *DRR) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 			return err
 		}
 		if en.quantum < s.minQ || en.quantum > s.maxQ {
-			return fmt.Errorf("drr: quantum %v of thread %d outside [%v, %v]", en.quantum, id, s.minQ, s.maxQ)
+			return fmt.Errorf("drr: quantum %v of thread %d outside [%v, %v]", en.quantum, t.ID, s.minQ, s.maxQ)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	nq := d.Count(8)
-	for i := 0; i < nq; i++ {
-		id := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		t := resolve(id)
-		if t == nil {
-			return fmt.Errorf("drr: queue references unknown thread %d", id)
-		}
+	return loadQueue(d, "drr queue", resolve, func(t *Thread) error {
 		en := s.entries.Get(t)
 		if en == nil {
-			return fmt.Errorf("drr: queued thread %d has no entry", id)
+			return fmt.Errorf("drr: queued thread %d has no entry", t.ID)
 		}
 		if en.queued {
-			return fmt.Errorf("drr: thread %d queued twice", id)
+			return fmt.Errorf("drr: thread %d queued twice", t.ID)
 		}
 		s.insert(en, tailInsert)
-	}
-	return d.Err()
+		return nil
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -915,17 +733,14 @@ func (s *Reserves) SaveState(e *sim.Enc) error {
 	} else {
 		e.Int(-1)
 	}
-	e.Int(s.entries.Len())
-	for _, r := range s.entries.Rows() {
-		en := r.E
-		e.Int(en.t.ID)
+	s.entries.SaveRows(e, func(en *resEntry) {
 		e.I64(int64(en.capacity))
 		e.Time(en.period)
 		e.I64(int64(en.budget))
 		e.Time(en.refillAt)
 		e.Bool(en.runnable)
 		e.Bool(en.idx != -1)
-	}
+	})
 	e.Int(len(s.bg))
 	for _, en := range s.bg {
 		e.Int(en.t.ID)
@@ -941,22 +756,8 @@ func (s *Reserves) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	savedCount := d.Int()
 	pickedID := d.Int()
 	s.picked = nil
-	n := d.Count(42)
-	prev := math.MinInt
 	runnable := 0
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id <= prev {
-			return fmt.Errorf("reserves: thread IDs not strictly increasing at %d", id)
-		}
-		prev = id
-		t := resolve(id)
-		if t == nil {
-			return fmt.Errorf("reserves: checkpoint references unknown thread %d", id)
-		}
+	err := LoadRows(d, "reserves", 42, resolve, func(t *Thread) error {
 		en := s.entry(t)
 		en.capacity = Work(d.I64())
 		en.period = d.Time()
@@ -968,13 +769,13 @@ func (s *Reserves) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 			return err
 		}
 		if en.capacity != 0 && (en.capacity < 0 || en.period <= 0) {
-			return fmt.Errorf("reserves: thread %d with invalid reserve C=%d T=%v", id, en.capacity, en.period)
+			return fmt.Errorf("reserves: thread %d with invalid reserve C=%d T=%v", t.ID, en.capacity, en.period)
 		}
 		if en.refillAt < -1 {
-			return fmt.Errorf("reserves: thread %d with invalid replenishment time %v", id, en.refillAt)
+			return fmt.Errorf("reserves: thread %d with invalid replenishment time %v", t.ID, en.refillAt)
 		}
 		if reserved && !en.runnable {
-			return fmt.Errorf("reserves: thread %d reserved but not runnable", id)
+			return fmt.Errorf("reserves: thread %d reserved but not runnable", t.ID)
 		}
 		en.idx = -1
 		if reserved {
@@ -985,35 +786,30 @@ func (s *Reserves) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		if en.runnable {
 			runnable++
 		}
-		if id == pickedID {
+		if t.ID == pickedID {
 			s.picked = en
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	nbg := d.Count(8)
-	if d.Err() == nil && nbg != runnable-s.heap.Len() {
-		return fmt.Errorf("reserves: background band has %d threads, want %d", nbg, runnable-s.heap.Len())
-	}
-	for i := 0; i < nbg; i++ {
-		t, err := decTID(d, resolve, "reserves background band")
-		if err != nil {
-			return err
-		}
-		if t == nil {
-			return fmt.Errorf("reserves: invalid background entry at position %d", i)
-		}
+	err = loadQueue(d, "reserves background band", resolve, func(t *Thread) error {
 		en := s.entries.Get(t)
 		if en == nil || !en.runnable || en.idx != -1 {
 			return fmt.Errorf("reserves: background thread %d not runnable or already reserved", t.ID)
 		}
-		for _, x := range s.bg {
-			if x == en {
-				return fmt.Errorf("reserves: thread %d in background band twice", t.ID)
-			}
+		if slices.Contains(s.bg, en) {
+			return fmt.Errorf("reserves: thread %d in background band twice", t.ID)
 		}
 		s.bg = append(s.bg, en)
-	}
-	if err := d.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
+	}
+	if len(s.bg) != runnable-s.heap.Len() {
+		return fmt.Errorf("reserves: background band has %d threads, want %d", len(s.bg), runnable-s.heap.Len())
 	}
 	if runnable != savedCount {
 		return fmt.Errorf("reserves: %d runnable threads but count %d", runnable, savedCount)

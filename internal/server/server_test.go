@@ -593,6 +593,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	post(t, ts, "/v1/simulate", scenarioJSON(1))
+	// A worker records the task done after the task returns, when the
+	// handler may already have responded.
+	waitFor(t, func() bool { return srv.pool.Done() == 1 })
 	resp, body := get(t, ts, "/metrics")
 	if resp.StatusCode != 200 {
 		t.Fatalf("metrics: %d", resp.StatusCode)

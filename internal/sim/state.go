@@ -189,3 +189,29 @@ func (d *Dec) Count(minBytes int) int {
 	}
 	return int(n)
 }
+
+// Rows reads a list of keyed rows: a count bounded as by Count, then per
+// row a key, which must be greater than the previous row's, and the rest
+// of the row, which row decodes. Every checkpoint list keyed by thread
+// ID, node ID or queue priority goes through Rows, so the strictly
+// increasing order that makes those encodings canonical, and that rules
+// out a key listed twice, is enforced in this one place. who names the
+// list in the ordering error.
+func (d *Dec) Rows(who string, minBytes int, row func(key int) error) error {
+	n := d.Count(minBytes)
+	prev := math.MinInt
+	for i := 0; i < n; i++ {
+		key := d.Int()
+		if d.err != nil {
+			return d.err
+		}
+		if key <= prev {
+			return fmt.Errorf("%s: keys not strictly increasing at %d", who, key)
+		}
+		prev = key
+		if err := row(key); err != nil {
+			return err
+		}
+	}
+	return d.err
+}

@@ -1,9 +1,10 @@
 GO ?= go
 
 # Benchmarks covered by `make bench` — the scheduling spine, the event
-# queue under timer pressure, whole-run throughput, config build, and the
-# packet algorithms. Output is benchstat-compatible (`benchstat old.txt new.txt`).
-BENCH ?= BenchmarkSchedule|BenchmarkLeafSchedulers|BenchmarkMachineSimulation|BenchmarkEventStorm|BenchmarkSimThroughput|BenchmarkBuild|BenchmarkPacketAlgorithms
+# queue under timer pressure, whole-run throughput, config build, the
+# packet algorithms, and trace recording per event row. Output is
+# benchstat-compatible (`benchstat old.txt new.txt`).
+BENCH ?= BenchmarkSchedule|BenchmarkLeafSchedulers|BenchmarkMachineSimulation|BenchmarkEventStorm|BenchmarkSimThroughput|BenchmarkBuild|BenchmarkPacketAlgorithms|BenchmarkTraceRecord
 BENCH_COUNT ?= 5
 BENCH_TIME ?= 200ms
 
@@ -54,7 +55,9 @@ bench-test:
 # the wire round trip and vary with the seed, the event engine must keep
 # its (At, Seq) firing contract under any op script, no byte stream may
 # panic the trace-frame decoder or make it allocate unboundedly, the
-# canonical row encoder must match its reference format on any event, and
+# in-place event frame encoder must match its two-step reference and
+# decode back on any event, the canonical row encoder must match its
+# reference format on any event, and
 # a hierarchy over every leaf kind must keep its invariants, and resume
 # exactly from a checkpoint, under any script of structure operations.
 fuzz-smoke:
@@ -63,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTraceFrameDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/tracestream
+	$(GO) test -run '^$$' -fuzz FuzzAppendEventFrame -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/tracestream
 	$(GO) test -run '^$$' -fuzz FuzzAppendRow -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzStructureOps -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/core
 

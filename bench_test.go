@@ -15,6 +15,8 @@ import (
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
 	"hsfq/internal/simconfig"
+	"hsfq/internal/trace"
+	"hsfq/internal/tracestream"
 )
 
 // ---- Figure regeneration benchmarks: one per table/figure of the
@@ -299,6 +301,56 @@ func BenchmarkBuild(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := simconfig.Build(cfg, simconfig.BuildOptions{}); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTraceRecord measures the trace recording hsfqd attaches to
+// every job it executes, per event row: a recording Broadcaster folds
+// each event into its digest and encodes its frame onto the recording,
+// once with no subscriber and once with one subscriber that takes its
+// frames after every run. The rows are the events of one video-server
+// run, replayed from memory, so ns/op and allocs/op are per row and
+// include the recording's amortized growth.
+func BenchmarkTraceRecord(b *testing.B) {
+	f, err := os.Open(filepath.Join("examples", "configs", "video-server.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := simconfig.Parse(f)
+	f.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := simconfig.Build(cfg, simconfig.BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := trace.NewRecorder()
+	s.Machine.Listen(rec)
+	s.Run()
+	events, metas := rec.Events(), s.ThreadMetas()
+	for _, subs := range []int{0, 1} {
+		b.Run(fmt.Sprintf("subs-%d", subs), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for left := b.N; left > 0; left -= len(events) {
+				bc := tracestream.New()
+				bc.EnableRecording(0)
+				bc.SetNumCores(s.Machine.NumCores())
+				var sub *tracestream.Subscriber
+				if subs > 0 {
+					sub = bc.Subscribe(64 << 20)
+				}
+				bc.Begin(metas)
+				for _, e := range events[:min(left, len(events))] {
+					bc.Add(e)
+				}
+				bc.Finish()
+				if sub != nil {
+					sub.Take()
 				}
 			}
 		})

@@ -132,14 +132,14 @@ func (h *traceHub) finish(key string, ok bool) {
 		return
 	}
 	e.bc.Finish()
-	rec := e.bc.Snapshot()
+	size := e.bc.Size()
 	e.mu.Lock()
 	if ok {
 		e.state = "done"
 	} else {
 		e.state = "failed"
 	}
-	e.bytes = len(rec.Frames)
+	e.bytes = size
 	e.mu.Unlock()
 
 	h.mu.Lock()

@@ -198,6 +198,48 @@ func TestTraceRawAndViews(t *testing.T) {
 	}
 }
 
+// TestTraceLRUAccountsRecordedBytes pins the finished-trace LRU's byte
+// accounting to the recordings it holds: each entry counts
+// len(Snapshot().Frames) and the total is their sum, for complete
+// recordings and for ones truncated at the recording cap.
+func TestTraceLRUAccountsRecordedBytes(t *testing.T) {
+	for _, tc := range []struct{ recBytes, truncated int }{{4 << 20, 0}, {256, 3}} {
+		srv := New(Config{Workers: 2, QueueDepth: 8, TraceBytes: tc.recBytes})
+		ts := httptest.NewServer(srv)
+		for seed := 1; seed <= 3; seed++ {
+			if resp, body := post(t, ts, "/v1/simulate", scenarioJSON(seed)); resp.StatusCode != 200 {
+				t.Fatalf("simulate: %d %s", resp.StatusCode, body)
+			}
+		}
+		h := srv.traces
+		h.mu.Lock()
+		var frames int64
+		truncated := 0
+		for key, e := range h.done {
+			rec := e.bc.Snapshot()
+			e.mu.Lock()
+			if e.bytes != len(rec.Frames) {
+				t.Errorf("trace %s accounts %d bytes, recording holds %d", key, e.bytes, len(rec.Frames))
+			}
+			e.mu.Unlock()
+			frames += int64(len(rec.Frames))
+			if rec.Truncated {
+				truncated++
+			}
+		}
+		done, doneSize := len(h.done), h.doneSize
+		h.mu.Unlock()
+		ts.Close()
+		srv.Drain()
+		if done != 3 || doneSize != frames {
+			t.Errorf("cap %d: %d finished traces account %d bytes, recordings hold %d", tc.recBytes, done, doneSize, frames)
+		}
+		if truncated != tc.truncated {
+			t.Errorf("cap %d: %d of %d recordings truncated, want %d", tc.recBytes, truncated, done, tc.truncated)
+		}
+	}
+}
+
 // TestTraceDisabled pins the opt-in: without TraceBytes the endpoint is
 // 404 and executions stay on the plain path.
 func TestTraceDisabled(t *testing.T) {

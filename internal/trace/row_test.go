@@ -54,6 +54,16 @@ func TestAppendRowMatchesReference(t *testing.T) {
 	for _, k := range []Kind{Dispatch, Charge, Wake, Block, Exit, Interrupt, Idle, "custom", ""} {
 		events = append(events, Event{At: 42, Kind: k, Thread: "t", ThreadID: 1, Used: 2, Runnable: true, Service: 3, Core: 1})
 	}
+	// Every digit count, at and around each power of ten, both signs:
+	// where the integer encoder sizes a number.
+	for p, digits := int64(1), 1; digits <= 19; p, digits = p*10, digits+1 {
+		for _, v := range []int64{p - 1, p, p + 1} {
+			events = append(events, Event{
+				At: sim.Time(v), Kind: Charge, ThreadID: int(-v), Used: sched.Work(v),
+				Service: sim.Time(-v), Core: int(v),
+			})
+		}
+	}
 	for _, e := range events {
 		for _, n := range []int{0, 1, 2, 64} {
 			checkRow(t, e, n)

@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 	"strconv"
 
 	"hsfq/internal/sched"
@@ -142,26 +144,88 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 // apart.
 //
 // The bytes are frozen: every trace digest is defined by them. The row is
-// built with plain appends, so a caller reusing buf allocates nothing.
+// written straight into buf, so a caller reusing buf allocates nothing.
 func AppendRow(buf []byte, e Event, numCores int) []byte {
-	buf = strconv.AppendInt(buf, int64(e.At), 10)
+	return appendRow(buf, &e, numCores)
+}
+
+// appendRow is AppendRow for a caller holding the event by pointer.
+func appendRow(buf []byte, e *Event, numCores int) []byte {
+	buf = appendInt(buf, int64(e.At))
 	buf = append(buf, ',')
 	buf = append(buf, e.Kind...)
 	buf = append(buf, ',')
 	buf = append(buf, e.Thread...)
 	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(e.ThreadID), 10)
+	buf = appendInt(buf, int64(e.ThreadID))
 	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(e.Used), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendBool(buf, e.Runnable)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(e.Service), 10)
+	buf = appendInt(buf, int64(e.Used))
+	if e.Runnable {
+		buf = append(buf, ",true,"...)
+	} else {
+		buf = append(buf, ",false,"...)
+	}
+	buf = appendInt(buf, int64(e.Service))
 	if numCores > 1 {
 		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(e.Core), 10)
+		buf = appendInt(buf, int64(e.Core))
 	}
 	return append(buf, '\n')
+}
+
+// digitPairs holds "00" through "99": appendInt writes two digits per
+// division by looking them up here.
+const digitPairs = "0001020304050607080910111213141516171819" +
+	"2021222324252627282930313233343536373839" +
+	"4041424344454647484950515253545556575859" +
+	"6061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
+
+// pow10 holds 10^0 through 10^19, the powers decimalLen compares against.
+var pow10 = [...]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// decimalLen returns the number of decimal digits of u >= 1.
+// bits.Len64(u)*1233>>12 is log10(2^bits.Len64(u)) rounded down: the
+// digit count of u or one less, and comparing u with 10^n tells which.
+func decimalLen(u uint64) int {
+	n := bits.Len64(u) * 1233 >> 12
+	if u >= pow10[n] {
+		n++
+	}
+	return n
+}
+
+// appendInt appends v in decimal, the bytes strconv.AppendInt(buf, v, 10)
+// appends. It sizes the number first and then writes its digits in place
+// at the end of buf, two at a time, with no scratch array to copy from.
+func appendInt(buf []byte, v int64) []byte {
+	if 0 <= v && v < 10 {
+		return append(buf, byte('0'+v))
+	}
+	u := uint64(v)
+	if v < 0 {
+		buf = append(buf, '-')
+		u = -u
+	}
+	n := decimalLen(u)
+	buf = slices.Grow(buf, n)
+	i := len(buf) + n
+	buf = buf[:i]
+	for u >= 100 {
+		r := u % 100 * 2
+		u /= 100
+		i -= 2
+		buf[i], buf[i+1] = digitPairs[r], digitPairs[r+1]
+	}
+	if u >= 10 {
+		buf[i-2], buf[i-1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		buf[i-1] = byte('0' + u)
+	}
+	return buf
 }
 
 // RowText is AppendRow as a string, without the trailing newline — the

@@ -20,9 +20,9 @@ type Recording struct {
 	Digest string
 	// Rows is the total event count of the run.
 	Rows int
-	// Truncated reports that the frame cap was hit: Frames is missing
-	// Lost events (a drop frame marks the gap), though Digest and Rows
-	// still cover the whole run.
+	// Truncated reports that the frame cap was hit: Frames holds an exact
+	// prefix of the events, and once finished one drop frame of Lost
+	// before the end frame. Digest and Rows still cover the whole run.
 	Truncated bool
 	// Lost is how many events the recording dropped to stay under its cap.
 	Lost uint64
@@ -45,16 +45,22 @@ type Broadcaster struct {
 
 	mu       sync.Mutex
 	numCores int
-	meta     []trace.ThreadMeta
 	began    bool
 	finished bool
 	subs     map[*Subscriber]struct{}
-	scratch  []byte
+	scratch  []byte // event frames for subscribers that the recording does not hold
 
-	// Recording state (nil digest = recording disabled).
+	// Recording state (nil digest before Finish = recording disabled).
+	// recFrames always holds the control frames; once an event frame does
+	// not fit under recCap, recTrunc is set and no later event frame is
+	// kept, so the recorded events are an exact prefix of the stream.
+	// Finish keeps only the digest's final rows and sum, so the hasher's
+	// buffer does not live as long as the recording.
 	recCap    int
 	recFrames []byte
 	recDigest *trace.Hasher
+	recRows   int
+	recSum    string
 	recTrunc  bool
 	recLost   uint64
 }
@@ -100,18 +106,18 @@ func (b *Broadcaster) Begin(meta []trace.ThreadMeta) {
 		return
 	}
 	b.began = true
-	b.meta = meta
-	b.scratch = AppendHeaderFrame(b.scratch[:0], b.numCores)
-	b.scratch = AppendThreadsFrame(b.scratch, meta)
-	b.record(nil, b.scratch)
+	start := len(b.recFrames)
+	b.recFrames = AppendHeaderFrame(b.recFrames, b.numCores)
+	b.recFrames = AppendThreadsFrame(b.recFrames, meta)
 	for s := range b.subs {
-		s.push(b.scratch, false)
+		s.push(b.recFrames[start:], false)
 	}
 }
 
 // Finish closes the stream: it appends the end frame (row count + full
-// digest) to the recording and every subscriber. The broadcaster ignores
-// events after Finish.
+// digest) to the recording and every subscriber. A truncated recording
+// gets a drop frame of every lost event just before its end frame. The
+// broadcaster ignores events after Finish.
 func (b *Broadcaster) Finish() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -119,15 +125,25 @@ func (b *Broadcaster) Finish() {
 		return
 	}
 	b.finished = true
-	rows, digest := 0, ""
-	if b.recDigest != nil {
-		rows, digest = b.recDigest.Rows(), b.recDigest.Sum()
+	b.recRows, b.recSum = b.digest()
+	b.recDigest = nil
+	if b.recTrunc {
+		b.recFrames = AppendDropFrame(b.recFrames, b.recLost)
 	}
-	b.scratch = AppendEndFrame(b.scratch[:0], rows, digest)
-	b.record(nil, b.scratch)
+	start := len(b.recFrames)
+	b.recFrames = AppendEndFrame(b.recFrames, b.recRows, b.recSum)
 	for s := range b.subs {
-		s.push(b.scratch, false)
+		s.push(b.recFrames[start:], false)
 	}
+}
+
+// digest returns the row count and hex digest of the events recorded so
+// far. Caller holds b.mu.
+func (b *Broadcaster) digest() (rows int, sum string) {
+	if b.recDigest == nil {
+		return b.recRows, b.recSum
+	}
+	return b.recDigest.Rows(), b.recDigest.Sum()
 }
 
 // Snapshot returns the recording. Meaningful after Finish; before that
@@ -140,18 +156,23 @@ func (b *Broadcaster) Snapshot() Recording {
 		Truncated: b.recTrunc,
 		Lost:      b.recLost,
 	}
-	if b.recDigest != nil {
-		rec.Digest = b.recDigest.Sum()
-		rec.Rows = b.recDigest.Rows()
-	}
+	rec.Rows, rec.Digest = b.digest()
 	return rec
+}
+
+// Size returns the length in bytes of the recorded frames, the
+// len(Snapshot().Frames) of this moment, without copying them.
+func (b *Broadcaster) Size() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.recFrames)
 }
 
 // Subscribe attaches a new subscriber with the given pending-buffer cap
 // in bytes (<=0 picks a 1 MiB default). The subscriber is seeded with the
 // recorded stream so far — gap-free from tick zero when the recording is
-// complete, or marked with a drop frame when the recording cap was hit —
-// and then receives live frames.
+// complete, or an exact prefix followed by one drop frame when the
+// recording cap was hit — and then receives live frames.
 func (b *Broadcaster) Subscribe(bufBytes int) *Subscriber {
 	if bufBytes <= 0 {
 		bufBytes = 1 << 20
@@ -165,14 +186,11 @@ func (b *Broadcaster) Subscribe(bufBytes int) *Subscriber {
 		// stream prefix.
 		s.buf = append(s.buf, b.recFrames...)
 		if b.recTrunc {
-			s.buf = AppendDropFrame(s.buf, b.recLost)
 			s.dropped += b.recLost
+			if !b.finished { // a finished recording holds its drop frame
+				s.buf = AppendDropFrame(s.buf, b.recLost)
+			}
 		}
-		s.signal()
-	} else if b.began {
-		// No recording to seed from: open the stream for this subscriber.
-		s.buf = AppendHeaderFrame(s.buf, b.numCores)
-		s.buf = AppendThreadsFrame(s.buf, b.meta)
 		s.signal()
 	}
 	b.subs[s] = struct{}{}
@@ -196,40 +214,50 @@ func (b *Broadcaster) Subscribers() int {
 	return len(b.subs)
 }
 
-// record folds one event (e != nil) or a control frame into the
-// recording. Control frames are always kept — they are tiny and every
-// late subscriber is seeded from recFrames, so the stream prefix must
-// stay coherent even when event recording is disabled or capped. Caller
-// holds b.mu.
-func (b *Broadcaster) record(e *trace.Event, frame []byte) {
-	if e != nil {
-		if b.recDigest == nil {
-			return
-		}
-		b.recDigest.Add(*e)
-		if b.recCap > 0 && len(b.recFrames)+len(frame) > b.recCap {
-			b.recTrunc = true
-			b.recLost++
-			return
-		}
+// record folds one event into the digest and encodes its frame straight
+// onto the recording, returning the frame there; it returns nil when
+// recording is disabled or truncated. Control frames bypass it: they are
+// always kept — they are tiny and every late subscriber is seeded from
+// recFrames, so the stream prefix must stay coherent even when event
+// recording is disabled or capped. Caller holds b.mu.
+func (b *Broadcaster) record(e *trace.Event) []byte {
+	if b.recDigest == nil {
+		return nil
 	}
-	b.recFrames = append(b.recFrames, frame...)
+	b.recDigest.Fold(e)
+	if !b.recTrunc {
+		start := len(b.recFrames)
+		b.recFrames = appendEventFrame(b.recFrames, e)
+		if b.recCap <= 0 || len(b.recFrames) <= b.recCap {
+			return b.recFrames[start:]
+		}
+		// Over the cap: take the frame back and keep no later one, even
+		// one that would fit, so the recording stays an exact prefix.
+		b.recFrames = b.recFrames[:start]
+		b.recTrunc = true
+	}
+	b.recLost++
+	return nil
 }
 
-// Add is the hot path: encode once, record, fan out.
+// Add is the hot path: encode once, record, fan out. With no subscriber
+// the frame goes straight onto the recording and nowhere else.
 func (b *Broadcaster) Add(e trace.Event) {
 	if !b.active.Load() {
 		return
 	}
 	b.mu.Lock()
-	if b.finished || !b.began {
-		b.mu.Unlock()
-		return
-	}
-	b.scratch = AppendEventFrame(b.scratch[:0], e)
-	b.record(&e, b.scratch)
-	for s := range b.subs {
-		s.push(b.scratch, true)
+	if b.began && !b.finished {
+		frame := b.record(&e)
+		if len(b.subs) > 0 {
+			if frame == nil {
+				b.scratch = appendEventFrame(b.scratch[:0], &e)
+				frame = b.scratch
+			}
+			for s := range b.subs {
+				s.push(frame, true)
+			}
+		}
 	}
 	b.mu.Unlock()
 }

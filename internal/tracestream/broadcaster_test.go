@@ -1,6 +1,7 @@
 package tracestream
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -205,6 +206,54 @@ func TestTruncatedRecordingMarksGapForLateSubscriber(t *testing.T) {
 	}
 	if drops != rec.Lost {
 		t.Fatalf("late subscriber saw %d drops, recording lost %d", drops, rec.Lost)
+	}
+}
+
+// TestTruncatedRecordingIsExactPrefix pins sticky truncation: once the
+// cap drops one event frame, every later event frame is dropped too, even
+// a smaller one that would still fit. The recording, a subscriber that
+// attaches after the gap and one that attaches after Finish all hold the
+// same bytes: the kept events, one drop frame of every lost event, and
+// the end frame.
+func TestTruncatedRecordingIsExactPrefix(t *testing.T) {
+	meta := []trace.ThreadMeta{{TID: 1, Name: "x", Depth: 1, Path: "/x"}}
+	dispatch := trace.Event{At: 1, Kind: trace.Dispatch, Thread: "x", ThreadID: 1}
+	charge := trace.Event{At: 2, Kind: trace.Charge, Thread: "x", ThreadID: 1, Used: 1_000_000, Runnable: true}
+	control := AppendThreadsFrame(AppendHeaderFrame(nil, 1), meta)
+	dispatchLen := len(AppendEventFrame(nil, dispatch))
+	if len(AppendEventFrame(nil, charge)) <= dispatchLen {
+		t.Fatal("the charge frame must be longer than the dispatch frame")
+	}
+
+	b := New()
+	b.EnableRecording(len(control) + 2*dispatchLen) // room for two dispatches
+	b.Begin(meta)
+	h := trace.NewHasher()
+	for _, e := range []trace.Event{dispatch, charge, dispatch} {
+		b.Add(e)
+		h.Add(e)
+	}
+	live := b.Subscribe(0)
+	b.Finish()
+
+	want := AppendEventFrame(bytes.Clone(control), dispatch)
+	want = AppendDropFrame(want, 2)
+	want = AppendEndFrame(want, 3, h.Sum())
+	rec := b.Snapshot()
+	if !rec.Truncated || rec.Lost != 2 || rec.Rows != 3 || rec.Digest != h.Sum() {
+		t.Fatalf("recording: truncated %v, lost %d, rows %d, digest %s (want %s)", rec.Truncated, rec.Lost, rec.Rows, rec.Digest, h.Sum())
+	}
+	if !bytes.Equal(rec.Frames, want) {
+		t.Fatalf("recording frames\n got  %x\n want %x", rec.Frames, want)
+	}
+	if b.Size() != len(rec.Frames) {
+		t.Fatalf("Size %d, recording holds %d bytes", b.Size(), len(rec.Frames))
+	}
+	late := b.Subscribe(0)
+	for name, sub := range map[string]*Subscriber{"live": live, "late": late} {
+		if got := sub.Take(); !bytes.Equal(got, want) || sub.Dropped() != 2 {
+			t.Errorf("%s subscriber dropped %d of\n got  %x\n want %x", name, sub.Dropped(), got, want)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package tracestream
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
@@ -121,25 +122,42 @@ func AppendThreadsFrame(buf []byte, meta []trace.ThreadMeta) []byte {
 	return appendFrame(buf, body)
 }
 
+// maxEventFrame bounds an event frame: a length byte, then a body of the
+// type and kind bytes, five uvarints of at most binary.MaxVarintLen64
+// bytes and the runnable byte. The body is at most 53 bytes, below 128,
+// so its uvarint length prefix is always the one byte len(body).
+const maxEventFrame = 1 + 2 + 5*binary.MaxVarintLen64 + 1
+
 // AppendEventFrame appends one scheduling event. The thread name is not
 // encoded — events carry only the TID, resolved against the threads
 // frame on decode — so the frame stays a handful of bytes.
 func AppendEventFrame(buf []byte, e trace.Event) []byte {
-	var scratch [64]byte
-	body := scratch[:0]
-	body = append(body, frameEvent)
-	body = append(body, kindCode(e.Kind))
-	body = binary.AppendUvarint(body, uint64(e.At))
-	body = binary.AppendUvarint(body, uint64(e.ThreadID))
-	body = binary.AppendUvarint(body, uint64(e.Used))
+	return appendEventFrame(buf, &e)
+}
+
+// appendEventFrame encodes e in place at the end of buf: it reserves
+// room for the longest frame once, writes the body after a length byte,
+// and fills that byte in last.
+func appendEventFrame(buf []byte, e *trace.Event) []byte {
+	start := len(buf)
+	buf = slices.Grow(buf, maxEventFrame)
+	f := buf[start : start+maxEventFrame]
+	f[1] = frameEvent
+	f[2] = kindCode(e.Kind)
+	n := 3
+	n += binary.PutUvarint(f[n:], uint64(e.At))
+	n += binary.PutUvarint(f[n:], uint64(e.ThreadID))
+	n += binary.PutUvarint(f[n:], uint64(e.Used))
 	if e.Runnable {
-		body = append(body, 1)
+		f[n] = 1
 	} else {
-		body = append(body, 0)
+		f[n] = 0
 	}
-	body = binary.AppendUvarint(body, uint64(e.Service))
-	body = binary.AppendUvarint(body, uint64(e.Core))
-	return appendFrame(buf, body)
+	n++
+	n += binary.PutUvarint(f[n:], uint64(e.Service))
+	n += binary.PutUvarint(f[n:], uint64(e.Core))
+	f[0] = byte(n - 1)
+	return buf[:start+n]
 }
 
 // AppendDropFrame appends a gap marker: count events were dropped here

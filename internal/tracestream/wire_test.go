@@ -2,6 +2,8 @@ package tracestream
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"hsfq/internal/sched"
@@ -198,6 +200,73 @@ func TestEventFrameNegativeValuesRoundTrip(t *testing.T) {
 	if f.Event.At != e.At || f.Event.Used != e.Used {
 		t.Fatalf("round-trip: %+v", f.Event)
 	}
+}
+
+// refEventFrame is the event frame in two steps, as first defined: the
+// body in a scratch slice, then its uvarint length and a copy of the
+// body. It is kept only here, as the reference the in-place encoder is
+// pinned against.
+func refEventFrame(buf []byte, e trace.Event) []byte {
+	body := []byte{frameEvent, kindCode(e.Kind)}
+	body = binary.AppendUvarint(body, uint64(e.At))
+	body = binary.AppendUvarint(body, uint64(e.ThreadID))
+	body = binary.AppendUvarint(body, uint64(e.Used))
+	if e.Runnable {
+		body = append(body, 1)
+	} else {
+		body = append(body, 0)
+	}
+	body = binary.AppendUvarint(body, uint64(e.Service))
+	body = binary.AppendUvarint(body, uint64(e.Core))
+	buf = binary.AppendUvarint(buf, uint64(len(body)))
+	return append(buf, body...)
+}
+
+// FuzzAppendEventFrame pins the in-place event frame encoder to the
+// two-step reference on arbitrary field values, after a non-empty prefix
+// so a clobbered prefix shows too, and checks that the frame decodes back
+// to the event. kind picks a known kind by its wire code; any other value
+// is an unknown kind, which encodes as badKind and must not decode.
+func FuzzAppendEventFrame(f *testing.F) {
+	f.Add(int64(5), uint8(1), 1, int64(7), true, int64(0), 0)
+	f.Add(int64(-1), uint8(5), 0, int64(0), false, int64(-100), 3)
+	f.Add(int64(math.MaxInt64), uint8(6), math.MaxInt64, int64(math.MaxInt64), true, int64(math.MaxInt64), math.MaxInt64)
+	f.Add(int64(math.MinInt64), uint8(0), -1, int64(math.MinInt64), false, int64(-1), math.MinInt64)
+	f.Add(int64(0), uint8(200), 0, int64(0), false, int64(0), 0)
+	f.Fuzz(func(t *testing.T, at int64, kind uint8, tid int, used int64, runnable bool, service int64, core int) {
+		e := trace.Event{
+			At: sim.Time(at), Kind: "unknown", ThreadID: tid,
+			Used: sched.Work(used), Runnable: runnable, Service: sim.Time(service), Core: core,
+		}
+		if int(kind) < len(codeKinds) {
+			e.Kind = codeKinds[kind]
+		}
+		prefix := []byte("prefix|")
+		got := AppendEventFrame(bytes.Clone(prefix), e)
+		want := refEventFrame(bytes.Clone(prefix), e)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendEventFrame(%+v)\n got  %x\n want %x", e, got, want)
+		}
+		frame := got[len(prefix):]
+		if len(frame) > maxEventFrame || int(frame[0]) != len(frame)-1 {
+			t.Fatalf("frame of %d bytes has length byte %d (max frame %d)", len(frame), frame[0], maxEventFrame)
+		}
+		dec := NewDecoder()
+		dec.Feed(frame)
+		d, err := dec.Next()
+		if e.Kind == "unknown" {
+			if err == nil {
+				t.Fatalf("decoder accepted an unknown kind: %+v", d)
+			}
+			return
+		}
+		if err != nil || d == nil || d.Type != frameEvent {
+			t.Fatalf("decode %x: %+v, %v", frame, d, err)
+		}
+		if d.Event != e {
+			t.Fatalf("round trip: got %+v, want %+v", d.Event, e)
+		}
+	})
 }
 
 func FuzzTraceFrameDecode(f *testing.F) {

@@ -52,7 +52,9 @@ bench-test:
 
 # Short coverage-guided runs of each fuzz target on top of the checked-in
 # corpora: config intake must never panic, content addresses must survive
-# the wire round trip and vary with the seed, the event engine must keep
+# the wire round trip and vary with the seed, any small valid config must
+# run through sweep.Execute and resume from its own shorter run to the
+# from-scratch digest, the event engine must keep
 # its (At, Seq) firing contract under any op script, no byte stream may
 # panic the trace-frame decoder or make it allocate unboundedly, the
 # in-place event frame encoder must match its two-step reference and
@@ -63,6 +65,7 @@ bench-test:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/simconfig
 	$(GO) test -run '^$$' -fuzz FuzzJobKey -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sweep
+	$(GO) test -run '^$$' -fuzz FuzzExecute -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTraceFrameDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/tracestream

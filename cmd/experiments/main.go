@@ -22,9 +22,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"hsfq/internal/experiments"
+	"hsfq/internal/sweep"
 )
 
 func main() {
@@ -77,37 +77,18 @@ func main() {
 	}
 }
 
-// runPool executes the experiments across a bounded worker pool and
-// returns the results in id order. Every experiment builds its own
-// simulated machine, so runs cannot interact.
+// runPool executes the experiments on a bounded worker pool and returns
+// the results in id order. Every experiment builds its own simulated
+// machine, so runs cannot interact.
 func runPool(ids []string, opt experiments.Options, workers int) []*experiments.Result {
-	if workers <= 1 {
-		workers = 1
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
 	results := make([]*experiments.Result, len(ids))
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				res, err := experiments.Run(ids[i], opt)
-				if err != nil { // ids come from IDs(): cannot be unknown
-					panic(err)
-				}
-				results[i] = res
-			}
-		}()
-	}
-	for i := range ids {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
+	sweep.ForEach(len(ids), workers, func(i int) {
+		res, err := experiments.Run(ids[i], opt)
+		if err != nil { // ids come from IDs(): cannot be unknown
+			panic(err)
+		}
+		results[i] = res
+	})
 	return results
 }
 

@@ -28,13 +28,11 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
 
 	"hsfq/internal/dispatch"
-	"hsfq/internal/metrics"
 	"hsfq/internal/sweep"
 )
 
@@ -157,57 +155,14 @@ func run(ctx context.Context, specPath, backendList string, opt dispatch.Options
 		}
 	}
 	if summary {
-		printSummary(stdout, rep, len(remotes), strings.Split(metricNames, ","))
+		sweep.WriteSummary(stdout, rep, fmt.Sprintf("over %d backend(s) + local", len(remotes)), strings.Split(metricNames, ","))
 	}
 
 	if res.Mismatches > 0 {
 		return exitMismatch, fmt.Errorf("%d remote result(s) failed digest verification (backend quarantined; affected jobs re-run locally)", res.Mismatches)
 	}
 	if rep.Failed > 0 {
-		return 1, fmt.Errorf("%d of %d job(s) failed (first: %s)", rep.Failed, rep.Jobs, firstError(res.Results))
+		return 1, fmt.Errorf("%d of %d job(s) failed (first: %s)", rep.Failed, rep.Jobs, sweep.FirstError(res.Results))
 	}
 	return 0, nil
-}
-
-func firstError(results []sweep.JobResult) string {
-	for _, r := range results {
-		if r.Error != "" {
-			return r.Error
-		}
-	}
-	return ""
-}
-
-func printSummary(w io.Writer, rep *sweep.Report, remotes int, names []string) {
-	fmt.Fprintf(w, "sweep %q: %d job(s) over %d backend(s) + local, %d grid point(s)\n",
-		rep.Name, rep.Jobs, remotes, len(rep.Aggregates))
-	tbl := metrics.NewTable("point", "seeds", "metric", "mean", "p50", "p99", "min", "max")
-	for _, agg := range rep.Aggregates {
-		for _, name := range names {
-			name = strings.TrimSpace(name)
-			s, ok := agg.Metrics[name]
-			if !ok {
-				continue
-			}
-			tbl.AddRow(pointLabel(agg.Point), agg.Seeds, name, s.Mean, s.P50, s.P99, s.Min, s.Max)
-		}
-	}
-	fmt.Fprint(w, tbl.String())
-}
-
-// pointLabel renders a grid point compactly: "leaf@/soft=sfq quantum@/soft=5ms".
-func pointLabel(point map[string]string) string {
-	if len(point) == 0 {
-		return "(base)"
-	}
-	keys := make([]string, 0, len(point))
-	for k := range point {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + point[k]
-	}
-	return strings.Join(parts, " ")
 }

@@ -22,10 +22,8 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 
-	"hsfq/internal/metrics"
 	"hsfq/internal/sched"
 	"hsfq/internal/sweep"
 )
@@ -131,41 +129,7 @@ func run(specPath string, workers int, verify bool, outPath string, summary bool
 		return rep, err
 	}
 	if summary {
-		printSummary(stdout, rep, strings.Split(metricNames, ","))
+		sweep.WriteSummary(stdout, rep, fmt.Sprintf("on %d worker(s)", rep.Workers), strings.Split(metricNames, ","))
 	}
 	return rep, nil
-}
-
-func printSummary(w io.Writer, rep *sweep.Report, names []string) {
-	fmt.Fprintf(w, "sweep %q: %d job(s) on %d worker(s), %d grid point(s)\n",
-		rep.Name, rep.Jobs, rep.Workers, len(rep.Aggregates))
-	tbl := metrics.NewTable("point", "seeds", "metric", "mean", "p50", "p99", "min", "max")
-	for _, agg := range rep.Aggregates {
-		for _, name := range names {
-			name = strings.TrimSpace(name)
-			s, ok := agg.Metrics[name]
-			if !ok {
-				continue
-			}
-			tbl.AddRow(pointLabel(agg.Point), agg.Seeds, name, s.Mean, s.P50, s.P99, s.Min, s.Max)
-		}
-	}
-	fmt.Fprint(w, tbl.String())
-}
-
-// pointLabel renders a grid point compactly: "leaf@/soft=sfq quantum@/soft=5ms".
-func pointLabel(point map[string]string) string {
-	if len(point) == 0 {
-		return "(base)"
-	}
-	keys := make([]string, 0, len(point))
-	for k := range point {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + point[k]
-	}
-	return strings.Join(parts, " ")
 }

@@ -147,10 +147,6 @@ func (m *Machine) NumCores() int { return len(m.cores) }
 // Policy returns the machine's scheduling policy.
 func (m *Machine) Policy() Policy { return m.policy }
 
-// SchedulerOn returns the scheduler core picks from; under PolicyGlobal
-// every core returns the same instance.
-func (m *Machine) SchedulerOn(core int) sched.Scheduler { return m.cores[core].sched }
-
 // CoreStats returns a snapshot of one core's counters.
 func (m *Machine) CoreStats(core int) Stats { return m.cores[core].stats }
 
@@ -161,14 +157,4 @@ func (m *Machine) HomeCore(t *sched.Thread) int {
 		panic(fmt.Sprintf("cpu: HomeCore of unknown thread %v", t))
 	}
 	return ts.core
-}
-
-// LastCore returns the core the thread most recently ran on, or -1 if it
-// has never been dispatched.
-func (m *Machine) LastCore(t *sched.Thread) int {
-	ts := m.threads.Get(t)
-	if ts == nil {
-		panic(fmt.Sprintf("cpu: LastCore of unknown thread %v", t))
-	}
-	return ts.lastCore
 }

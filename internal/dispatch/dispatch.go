@@ -32,6 +32,14 @@ import (
 	"hsfq/internal/sweep"
 )
 
+const (
+	// localWindow bounds concurrent claims on the local fallback backend.
+	localWindow = 2
+	// verifySeed seeds the verification sampler. Sampling affects only
+	// how much is verified, never the output bytes.
+	verifySeed = 1
+)
+
 // Per-backend counter names, in reporting order.
 const (
 	cDispatched  = "dispatched"
@@ -56,9 +64,6 @@ func newCounters() *metrics.CounterSet {
 type Options struct {
 	// Window bounds concurrent claims per remote backend; <= 0 means 4.
 	Window int
-	// LocalWindow bounds concurrent claims on the local fallback backend;
-	// <= 0 means 2.
-	LocalWindow int
 	// Batch is the number of jobs per claim; <= 0 means 1.
 	Batch int
 	// Timeout is the per-job attempt deadline (a claim of k jobs gets
@@ -79,9 +84,6 @@ type Options struct {
 	// backend, substitutes the local result, and is reported in
 	// Result.Mismatches. 1 makes every remote result verified.
 	VerifyFraction float64
-	// VerifySeed seeds the verification sampler; 0 means 1. Sampling
-	// affects only how much is verified, never the output bytes.
-	VerifySeed int64
 	// ProbeInterval is the health-probe cadence for down backends;
 	// <= 0 means 250 ms.
 	ProbeInterval time.Duration
@@ -93,9 +95,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = 4
-	}
-	if o.LocalWindow <= 0 {
-		o.LocalWindow = 2
 	}
 	if o.Batch <= 0 {
 		o.Batch = 1
@@ -111,9 +110,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 2 * time.Second
-	}
-	if o.VerifySeed == 0 {
-		o.VerifySeed = 1
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 250 * time.Millisecond
@@ -218,7 +214,7 @@ func (c *Coordinator) Run(ctx context.Context, jobs []sweep.Job, sink sweep.Sink
 		opt: opt, ctx: rctx, cancel: cancel,
 		byName: map[string]*backendState{},
 		ord:    sweep.NewOrderer(len(jobs), sink),
-		rng:    rand.New(rand.NewSource(opt.VerifySeed)),
+		rng:    rand.New(rand.NewSource(verifySeed)),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	for _, b := range c.Remotes {
@@ -259,7 +255,7 @@ func (c *Coordinator) Run(ctx context.Context, jobs []sweep.Job, sink sweep.Sink
 		}
 		n := opt.Window
 		if bs.local {
-			n = opt.LocalWindow
+			n = localWindow
 		}
 		for i := 0; i < n; i++ {
 			wg.Add(1)

@@ -34,8 +34,7 @@ type Packet struct {
 	Began    sim.Time // service start in the real server
 	Departed sim.Time // service completion in the real server
 
-	seq int
-	idx int
+	q sim.Tagged[*Packet] // queue position: (tag, arrival order)
 }
 
 // Algorithm is a work-conserving packet scheduler over a fixed set of
@@ -54,76 +53,30 @@ type Algorithm interface {
 	Backlogged() int
 }
 
-// packetHeap is an intrusive min-heap of packets ordered by a tag then
-// FIFO. The tag is selected by byFinish (start tags for SFQ/FQS, finish
-// tags for SCFQ/WFQ) so push and pop stay direct calls with no interface
-// boxing or per-comparison indirection.
-type packetHeap struct {
-	pkts     []*Packet
-	byFinish bool // order by Finish tag instead of Start
+// queue holds an algorithm's backlog in (tag, arrival) order on the
+// sim.TagHeap the CPU schedulers use: the tag is the start tag for
+// SFQ/FQS and the finish tag for SCFQ/WFQ, and packets with equal tags
+// leave in arrival order.
+type queue struct {
+	heap sim.TagHeap[*Packet]
+	seq  uint64
 }
 
-func (h *packetHeap) less(a, b *Packet) bool {
-	ka, kb := a.Start, b.Start
-	if h.byFinish {
-		ka, kb = a.Finish, b.Finish
+func (q *queue) push(p *Packet, tag float64) {
+	p.q = sim.Tagged[*Packet]{Tag: tag, Seq: q.seq, Item: p}
+	q.seq++
+	q.heap.Push(&p.q)
+}
+
+// pop removes and returns the packet with the smallest (tag, arrival), or
+// nil when the queue is empty.
+func (q *queue) pop() *Packet {
+	if q.heap.Len() == 0 {
+		return nil
 	}
-	if ka != kb {
-		return ka < kb
-	}
-	return a.seq < b.seq
-}
-
-func (h *packetHeap) swap(i, j int) {
-	h.pkts[i], h.pkts[j] = h.pkts[j], h.pkts[i]
-	h.pkts[i].idx = i
-	h.pkts[j].idx = j
-}
-
-func (h *packetHeap) push(p *Packet) {
-	p.idx = len(h.pkts)
-	h.pkts = append(h.pkts, p)
-	h.up(p.idx)
-}
-
-func (h *packetHeap) pop() *Packet {
-	n := len(h.pkts) - 1
-	h.swap(0, n)
-	h.down(0, n)
-	p := h.pkts[n]
-	h.pkts[n] = nil
-	p.idx = -1
-	h.pkts = h.pkts[:n]
-	return p
-}
-
-func (h *packetHeap) up(j int) {
-	for j > 0 {
-		i := (j - 1) / 2
-		if !h.less(h.pkts[j], h.pkts[i]) {
-			break
-		}
-		h.swap(i, j)
-		j = i
-	}
-}
-
-func (h *packetHeap) down(i, n int) {
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			return
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h.less(h.pkts[j2], h.pkts[j1]) {
-			j = j2
-		}
-		if !h.less(h.pkts[j], h.pkts[i]) {
-			return
-		}
-		h.swap(i, j)
-		i = j
-	}
+	x := q.heap.Min()
+	q.heap.Remove(x)
+	return x.Item
 }
 
 func checkFlow(weights []float64, flow int) {
@@ -139,11 +92,9 @@ func checkFlow(weights []float64, flow int) {
 type SFQ struct {
 	weights   []float64
 	flowF     []float64
-	heap      packetHeap
-	vtime     float64
+	queue     queue
 	maxFinish float64
 	inService *Packet
-	seq       int
 }
 
 // NewSFQ returns a packet SFQ over flows with the given weights.
@@ -159,8 +110,8 @@ func (s *SFQ) VirtualTime() float64 {
 	if s.inService != nil {
 		return s.inService.Start
 	}
-	if len(s.heap.pkts) > 0 {
-		return s.heap.pkts[0].Start
+	if s.queue.heap.Len() > 0 {
+		return s.queue.heap.Min().Tag
 	}
 	return s.maxFinish
 }
@@ -175,18 +126,15 @@ func (s *SFQ) Arrive(p *Packet, now sim.Time) {
 	}
 	p.Finish = p.Start + float64(p.Size)/s.weights[p.Flow]
 	s.flowF[p.Flow] = p.Finish
-	p.seq = s.seq
-	s.seq++
-	s.heap.push(p)
+	s.queue.push(p, p.Start)
 }
 
 // Dequeue implements Algorithm.
 func (s *SFQ) Dequeue(now sim.Time) *Packet {
-	if len(s.heap.pkts) == 0 {
-		return nil
+	p := s.queue.pop()
+	if p != nil {
+		s.inService = p
 	}
-	p := s.heap.pop()
-	s.inService = p
 	return p
 }
 
@@ -201,7 +149,7 @@ func (s *SFQ) Complete(p *Packet, now sim.Time) {
 }
 
 // Backlogged implements Algorithm.
-func (s *SFQ) Backlogged() int { return len(s.heap.pkts) }
+func (s *SFQ) Backlogged() int { return s.queue.heap.Len() }
 
 // SCFQ is Self-Clocked Fair Queuing [2,4]: tags as in WFQ but v(t)
 // approximated by the finish tag of the packet in service; serve in
@@ -209,19 +157,14 @@ func (s *SFQ) Backlogged() int { return len(s.heap.pkts) }
 type SCFQ struct {
 	weights   []float64
 	flowF     []float64
-	heap      packetHeap
+	queue     queue
 	vtime     float64
 	inService *Packet
-	seq       int
 }
 
 // NewSCFQ returns a packet SCFQ over flows with the given weights.
 func NewSCFQ(weights []float64) *SCFQ {
-	return &SCFQ{
-		weights: weights,
-		flowF:   make([]float64, len(weights)),
-		heap:    packetHeap{byFinish: true},
-	}
+	return &SCFQ{weights: weights, flowF: make([]float64, len(weights))}
 }
 
 // Name implements Algorithm.
@@ -240,18 +183,15 @@ func (s *SCFQ) Arrive(p *Packet, now sim.Time) {
 	}
 	p.Finish = p.Start + float64(p.Size)/s.weights[p.Flow]
 	s.flowF[p.Flow] = p.Finish
-	p.seq = s.seq
-	s.seq++
-	s.heap.push(p)
+	s.queue.push(p, p.Finish)
 }
 
 // Dequeue implements Algorithm.
 func (s *SCFQ) Dequeue(now sim.Time) *Packet {
-	if len(s.heap.pkts) == 0 {
-		return nil
+	p := s.queue.pop()
+	if p != nil {
+		s.inService = p
 	}
-	p := s.heap.pop()
-	s.inService = p
 	return p
 }
 
@@ -264,4 +204,4 @@ func (s *SCFQ) Complete(p *Packet, now sim.Time) {
 }
 
 // Backlogged implements Algorithm.
-func (s *SCFQ) Backlogged() int { return len(s.heap.pkts) }
+func (s *SCFQ) Backlogged() int { return s.queue.heap.Len() }

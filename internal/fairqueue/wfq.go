@@ -85,18 +85,13 @@ func (g *gps) arrive(flow int, size float64, t sim.Time) (start, finish float64)
 type WFQ struct {
 	weights []float64
 	ref     *gps
-	heap    packetHeap
-	seq     int
+	queue   queue
 }
 
 // NewWFQ returns a packet WFQ over flows with the given weights, assuming
 // server capacity is the constant capacity (work/second).
 func NewWFQ(capacity float64, weights []float64) *WFQ {
-	return &WFQ{
-		weights: weights,
-		ref:     newGPS(capacity, weights),
-		heap:    packetHeap{byFinish: true},
-	}
+	return &WFQ{weights: weights, ref: newGPS(capacity, weights)}
 }
 
 // Name implements Algorithm.
@@ -106,24 +101,17 @@ func (w *WFQ) Name() string { return "wfq" }
 func (w *WFQ) Arrive(p *Packet, now sim.Time) {
 	checkFlow(w.weights, p.Flow)
 	p.Start, p.Finish = w.ref.arrive(p.Flow, float64(p.Size), now)
-	p.seq = w.seq
-	w.seq++
-	w.heap.push(p)
+	w.queue.push(p, p.Finish)
 }
 
 // Dequeue implements Algorithm.
-func (w *WFQ) Dequeue(now sim.Time) *Packet {
-	if len(w.heap.pkts) == 0 {
-		return nil
-	}
-	return w.heap.pop()
-}
+func (w *WFQ) Dequeue(now sim.Time) *Packet { return w.queue.pop() }
 
 // Complete implements Algorithm.
 func (w *WFQ) Complete(p *Packet, now sim.Time) {}
 
 // Backlogged implements Algorithm.
-func (w *WFQ) Backlogged() int { return len(w.heap.pkts) }
+func (w *WFQ) Backlogged() int { return w.queue.heap.Len() }
 
 // FQS is Fair Queuing based on Start-time [7]: WFQ's tags, but service in
 // start-tag order, which removes the need to know packet sizes at
@@ -133,8 +121,7 @@ func (w *WFQ) Backlogged() int { return len(w.heap.pkts) }
 type FQS struct {
 	weights []float64
 	ref     *gps
-	heap    packetHeap
-	seq     int
+	queue   queue
 }
 
 // NewFQS returns a packet FQS over flows with the given weights.
@@ -149,21 +136,14 @@ func (f *FQS) Name() string { return "fqs" }
 func (f *FQS) Arrive(p *Packet, now sim.Time) {
 	checkFlow(f.weights, p.Flow)
 	p.Start, p.Finish = f.ref.arrive(p.Flow, float64(p.Size), now)
-	p.seq = f.seq
-	f.seq++
-	f.heap.push(p)
+	f.queue.push(p, p.Start)
 }
 
 // Dequeue implements Algorithm.
-func (f *FQS) Dequeue(now sim.Time) *Packet {
-	if len(f.heap.pkts) == 0 {
-		return nil
-	}
-	return f.heap.pop()
-}
+func (f *FQS) Dequeue(now sim.Time) *Packet { return f.queue.pop() }
 
 // Complete implements Algorithm.
 func (f *FQS) Complete(p *Packet, now sim.Time) {}
 
 // Backlogged implements Algorithm.
-func (f *FQS) Backlogged() int { return len(f.heap.pkts) }
+func (f *FQS) Backlogged() int { return f.queue.heap.Len() }

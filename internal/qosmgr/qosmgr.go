@@ -97,7 +97,6 @@ type Manager struct {
 	softID    core.NodeID
 	beID      core.NodeID
 	hardLeaf  sched.Scheduler
-	softLeaf  *sched.SFQ
 	users     map[string]core.NodeID
 	hardRes   map[*sched.Thread]reservation
 	softRes   map[*sched.Thread]reservation
@@ -123,12 +122,11 @@ func New(structure *core.Structure, cfg Config) (*Manager, error) {
 	default:
 		return nil, fmt.Errorf("qosmgr: unknown hard policy %q", cfg.HardPolicy)
 	}
-	softLeaf := sched.NewSFQ(cfg.Quantum)
 	hardID, err := structure.Mknod("hard-real-time", core.RootID, cfg.HardWeight, hardLeaf)
 	if err != nil {
 		return nil, err
 	}
-	softID, err := structure.Mknod("soft-real-time", core.RootID, cfg.SoftWeight, softLeaf)
+	softID, err := structure.Mknod("soft-real-time", core.RootID, cfg.SoftWeight, sched.NewSFQ(cfg.Quantum))
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +141,6 @@ func New(structure *core.Structure, cfg Config) (*Manager, error) {
 		softID:    softID,
 		beID:      beID,
 		hardLeaf:  hardLeaf,
-		softLeaf:  softLeaf,
 		users:     make(map[string]core.NodeID),
 		hardRes:   make(map[*sched.Thread]reservation),
 		softRes:   make(map[*sched.Thread]reservation),
@@ -393,9 +390,6 @@ func (m *Manager) TryAdmitSoftGrowing(t *sched.Thread, meanCost sched.Work, peri
 
 // HardLeaf returns the hard class's scheduler (EDF or RM per HardPolicy).
 func (m *Manager) HardLeaf() sched.Scheduler { return m.hardLeaf }
-
-// SoftLeaf returns the soft class's SFQ scheduler.
-func (m *Manager) SoftLeaf() *sched.SFQ { return m.softLeaf }
 
 // UserLeaf returns the node id of a best-effort user's leaf, if present.
 func (m *Manager) UserLeaf(user string) (core.NodeID, bool) {

@@ -158,9 +158,6 @@ func (s *MLFQ) Name() string { return "mlfq" }
 // NumLevels returns the number of priority levels, for tests.
 func (s *MLFQ) NumLevels() int { return len(s.levels) }
 
-// AgingBound returns the starvation-boost wait bound, for tests.
-func (s *MLFQ) AgingBound() sim.Time { return s.aging }
-
 // LevelQuantum returns the quantum of the given level, for tests.
 func (s *MLFQ) LevelQuantum(level int) sim.Time { return s.base << level }
 

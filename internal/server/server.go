@@ -131,9 +131,15 @@ type Server struct {
 	pool  *pool
 	cache *Cache
 	mux   *http.ServeMux
-	ready atomic.Bool
 	pol   atomic.Pointer[tenantsched.Policy]
 	watch *watchHub
+
+	// drain is closed while the server is not ready: SSE streams end on
+	// it with a final "draining" status, new streams are refused, and
+	// executions that start meanwhile run unlistened. SetReady closes
+	// and replaces it under drainMu.
+	drainMu sync.Mutex
+	drain   chan struct{}
 
 	simulateStats *endpointStats
 	sweepStats    *endpointStats
@@ -174,10 +180,10 @@ type Server struct {
 	// traced executions contribute their final states through it too.
 	store *sweep.Store
 
-	// Seams for tests: the default paths run real simulations.
-	execute         func(cfg simconfig.Config, seed uint64) (string, map[string]float64, error)
-	runSweep        func(spec sweep.Spec, opt sweep.Options) (*sweep.Report, error)
-	executeListened func(cfg simconfig.Config, seed uint64, attach func(*simconfig.Simulation)) (string, map[string]float64, error)
+	// Seams for tests: the default paths run real simulations. execute
+	// is sweep.Execute over the store; attach is nil for an untraced run.
+	execute  func(cfg simconfig.Config, seed uint64, attach func(*simconfig.Simulation)) (string, map[string]float64, error)
+	runSweep func(spec sweep.Spec, opt sweep.Options) (*sweep.Report, error)
 }
 
 // flight is one in-progress computation. Followers wait on done, then read
@@ -207,6 +213,7 @@ func New(cfg Config) *Server {
 		pool:          newPool(cfg.Workers, cfg.QueueDepth, pol),
 		cache:         newCache(cfg.CacheEntries, cfg.CacheBytes, cfg.CacheDir),
 		watch:         newWatchHub(),
+		drain:         make(chan struct{}),
 		simulateStats: newEndpointStats(),
 		sweepStats:    newEndpointStats(),
 		jobsStats:     newEndpointStats(),
@@ -218,7 +225,6 @@ func New(cfg Config) *Server {
 		verifyRng:     rand.New(rand.NewSource(1)),
 		verifySem:     make(chan struct{}, 1),
 		flights:       map[string]*flight{},
-		execute:       sweep.ExecuteConfig,
 		runSweep:      sweep.Run,
 	}
 	s.pol.Store(pol)
@@ -227,20 +233,11 @@ func New(cfg Config) *Server {
 			log.Printf("server: checkpoint dir %s: %v (checkpoint reuse disabled)", cfg.CheckpointDir, err)
 		} else {
 			s.store = store
-			s.execute = func(c simconfig.Config, seed uint64) (string, map[string]float64, error) {
-				digest, m, _, err := sweep.ExecuteConfigCheckpointed(c, seed, store)
-				return digest, m, err
-			}
-			s.runSweep = func(spec sweep.Spec, opt sweep.Options) (*sweep.Report, error) {
-				opt.CheckpointDir = cfg.CheckpointDir
-				return sweep.Run(spec, opt)
-			}
 		}
 	}
-	// The listened path never resumes (a trace must cover the run from
-	// tick zero) but still contributes checkpoints through the store.
-	s.executeListened = func(c simconfig.Config, seed uint64, attach func(*simconfig.Simulation)) (string, map[string]float64, error) {
-		return sweep.ExecuteConfigListened(c, seed, s.store, attach)
+	s.execute = func(c simconfig.Config, seed uint64, attach func(*simconfig.Simulation)) (string, map[string]float64, error) {
+		digest, m, _, err := sweep.Execute(c, seed, s.store, attach)
+		return digest, m, err
 	}
 	if cfg.TraceBytes > 0 {
 		s.traces = newTraceHub(cfg.TraceCacheBytes)
@@ -256,7 +253,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /readyz", s.serveReadyz)
 	mux.HandleFunc("GET /metrics", s.serveMetrics)
 	s.mux = mux
-	s.ready.Store(true)
 	return s
 }
 
@@ -265,20 +261,36 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // SetReady flips the /readyz signal; shutdown flips it false first so
 // load balancers stop routing before the listener closes. Going not-ready
-// also ends every SSE watch stream (with a final "draining" status), so
-// the HTTP server's Shutdown is not held open by long-lived streams.
+// closes the drain signal, which ends every SSE stream (with a final
+// "draining" status), so the HTTP server's Shutdown is not held open by
+// long-lived streams; going ready again replaces it.
 func (s *Server) SetReady(ok bool) {
-	s.ready.Store(ok)
-	if ok {
-		s.watch.reopen()
-		if s.traces != nil {
-			s.traces.reopen()
-		}
-	} else {
-		s.watch.shutdown()
-		if s.traces != nil {
-			s.traces.shutdown()
-		}
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	if draining := isClosed(s.drain); ok && draining {
+		s.drain = make(chan struct{})
+	} else if !ok && !draining {
+		close(s.drain)
+	}
+}
+
+// draining returns the current drain signal: closed while the server is
+// not ready.
+func (s *Server) draining() <-chan struct{} {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	return s.drain
+}
+
+// ready reports whether the server is accepting work (not draining).
+func (s *Server) ready() bool { return !isClosed(s.draining()) }
+
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -294,16 +306,12 @@ func (s *Server) SetPolicy(p *tenantsched.Policy) {
 	s.pool.SetPolicy(p)
 }
 
-// Drain marks the server not ready, closes watch streams, stops pool
+// Drain marks the server not ready, which ends SSE streams, stops pool
 // admission, and waits for every queued and in-flight job, including
 // background cache verifications. Call after the HTTP listener has
 // stopped accepting requests; submissions racing the drain get 503.
 func (s *Server) Drain() {
-	s.ready.Store(false)
-	s.watch.shutdown()
-	if s.traces != nil {
-		s.traces.shutdown()
-	}
+	s.SetReady(false)
 	s.pool.Close()
 	s.verifyWG.Wait()
 }
@@ -411,7 +419,11 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, tenant strin
 	}
 	key := sweep.SweepKey(spec)
 	recompute := func() ([]byte, bool, error) {
-		rep, err := s.runSweep(spec, sweep.Options{Workers: s.cfg.SweepWorkers})
+		opt := sweep.Options{Workers: s.cfg.SweepWorkers}
+		if s.store != nil {
+			opt.CheckpointDir = s.store.Dir
+		}
+		rep, err := s.runSweep(spec, opt)
 		if rep == nil {
 			// The spec already expanded cleanly, so a reportless failure
 			// is a server fault, not a request problem.
@@ -492,26 +504,7 @@ func (s *Server) serveJobsBatch(w http.ResponseWriter, r *http.Request, tenant s
 	}
 	compute := func() ([]byte, bool, error) {
 		out := make([]batchOutcome, len(req.Jobs))
-		workers := s.cfg.SweepWorkers
-		if workers > len(req.Jobs) {
-			workers = len(req.Jobs)
-		}
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for n := 0; n < workers; n++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					out[i] = s.runBatchJob(req.Jobs[i])
-				}
-			}()
-		}
-		for i := range req.Jobs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+		sweep.ForEach(len(req.Jobs), s.cfg.SweepWorkers, func(i int) { out[i] = s.runBatchJob(req.Jobs[i]) })
 		b, err := json.Marshal(jobsResponse{Results: out})
 		if err != nil {
 			return nil, false, &internalError{err}
@@ -758,7 +751,7 @@ func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveReadyz(w http.ResponseWriter, r *http.Request) {
-	if !s.ready.Load() {
+	if !s.ready() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		w.Write([]byte("draining\n"))
 		return
@@ -862,7 +855,7 @@ func (s *Server) Snapshot() Metrics {
 		TasksDone:         s.pool.Done(),
 		Shed:              s.shed.Load(),
 		Coalesced:         s.coalesced.Load(),
-		Ready:             s.ready.Load(),
+		Ready:             s.ready(),
 		VerifyRuns:        s.verifyRuns.Load(),
 		VerifyFailures:    s.verifyFailures.Load(),
 		VerifySkipped:     s.verifySkipped.Load(),

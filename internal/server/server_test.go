@@ -225,7 +225,7 @@ func TestAdmissionControl(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 1})
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	srv.execute = func(cfg simconfig.Config, seed uint64) (string, map[string]float64, error) {
+	srv.execute = func(cfg simconfig.Config, seed uint64, _ func(*simconfig.Simulation)) (string, map[string]float64, error) {
 		started <- struct{}{}
 		<-release
 		return fmt.Sprintf("digest-%d", seed), map[string]float64{"x": 1}, nil
@@ -282,7 +282,7 @@ func TestRetryAfterPerTenant(t *testing.T) {
 	release := make(chan struct{})
 	var first atomic.Bool
 	first.Store(true)
-	srv.execute = func(cfg simconfig.Config, seed uint64) (string, map[string]float64, error) {
+	srv.execute = func(cfg simconfig.Config, seed uint64, _ func(*simconfig.Simulation)) (string, map[string]float64, error) {
 		if first.CompareAndSwap(true, false) {
 			// The first request completes in ~half a second, seeding the
 			// queue's mean-service estimate the Retry-After math uses.
@@ -366,7 +366,7 @@ func waitFor(t *testing.T, cond func() bool) {
 func TestRequestDeadline(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 2, RequestTimeout: 20 * time.Millisecond})
 	release := make(chan struct{})
-	srv.execute = func(cfg simconfig.Config, seed uint64) (string, map[string]float64, error) {
+	srv.execute = func(cfg simconfig.Config, seed uint64, _ func(*simconfig.Simulation)) (string, map[string]float64, error) {
 		<-release
 		return "d", nil, nil
 	}
@@ -392,7 +392,7 @@ func TestVerifyCacheDetectsDivergence(t *testing.T) {
 	defer srv.Drain()
 	calls := 0
 	var mu sync.Mutex
-	srv.execute = func(cfg simconfig.Config, seed uint64) (string, map[string]float64, error) {
+	srv.execute = func(cfg simconfig.Config, seed uint64, _ func(*simconfig.Simulation)) (string, map[string]float64, error) {
 		mu.Lock()
 		calls++
 		n := calls
@@ -449,7 +449,7 @@ func TestCoalescedMisses(t *testing.T) {
 	var executions atomic.Int64
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	srv.execute = func(cfg simconfig.Config, seed uint64) (string, map[string]float64, error) {
+	srv.execute = func(cfg simconfig.Config, seed uint64, _ func(*simconfig.Simulation)) (string, map[string]float64, error) {
 		executions.Add(1)
 		started <- struct{}{}
 		<-release
@@ -530,7 +530,7 @@ func TestVerifyBounded(t *testing.T) {
 	var verifying atomic.Bool
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	srv.execute = func(cfg simconfig.Config, seed uint64) (string, map[string]float64, error) {
+	srv.execute = func(cfg simconfig.Config, seed uint64, _ func(*simconfig.Simulation)) (string, map[string]float64, error) {
 		if verifying.Load() {
 			entered <- struct{}{}
 			<-release

@@ -54,7 +54,7 @@ func TestTenantIdentity(t *testing.T) {
 	}
 	srv := New(Config{Workers: 1, QueueDepth: 4, Policy: pol})
 	defer srv.Drain()
-	srv.execute = func(cfg simconfig.Config, seed uint64) (string, map[string]float64, error) {
+	srv.execute = func(cfg simconfig.Config, seed uint64, _ func(*simconfig.Simulation)) (string, map[string]float64, error) {
 		return fmt.Sprintf("digest-%d", seed), map[string]float64{"x": 1}, nil
 	}
 	ts := httptest.NewServer(srv)
@@ -86,7 +86,7 @@ func TestTenantIdentity(t *testing.T) {
 func TestTenantMetrics(t *testing.T) {
 	srv := New(Config{Workers: 2, QueueDepth: 8})
 	defer srv.Drain()
-	srv.execute = func(cfg simconfig.Config, seed uint64) (string, map[string]float64, error) {
+	srv.execute = func(cfg simconfig.Config, seed uint64, _ func(*simconfig.Simulation)) (string, map[string]float64, error) {
 		return fmt.Sprintf("digest-%d", seed), map[string]float64{"x": 1}, nil
 	}
 	ts := httptest.NewServer(srv)
@@ -146,7 +146,7 @@ func TestTenantMetrics(t *testing.T) {
 func TestPolicyHotSwap(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 4})
 	defer srv.Drain()
-	srv.execute = func(cfg simconfig.Config, seed uint64) (string, map[string]float64, error) {
+	srv.execute = func(cfg simconfig.Config, seed uint64, _ func(*simconfig.Simulation)) (string, map[string]float64, error) {
 		return fmt.Sprintf("digest-%d", seed), map[string]float64{"x": 1}, nil
 	}
 	ts := httptest.NewServer(srv)

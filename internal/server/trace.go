@@ -80,8 +80,6 @@ func (e *traceEntry) info() (state string, horizonNs int64, numCores int) {
 // bytes.
 type traceHub struct {
 	mu       sync.Mutex
-	closed   bool
-	drain    chan struct{} // closed while draining; follow streams select on it
 	live     map[string]*traceEntry
 	done     map[string]*traceEntry
 	order    []string // finished keys, oldest first
@@ -96,7 +94,6 @@ func newTraceHub(maxBytes int64) *traceHub {
 		maxBytes = 32 << 20
 	}
 	return &traceHub{
-		drain:    make(chan struct{}),
 		live:     map[string]*traceEntry{},
 		done:     map[string]*traceEntry{},
 		maxBytes: maxBytes,
@@ -105,13 +102,10 @@ func newTraceHub(maxBytes int64) *traceHub {
 
 // begin opens a live trace for key, or returns nil when the key is
 // already being traced (a concurrent execution of the same job — only
-// one stream per key can be canonical), or the hub is draining.
+// one stream per key can be canonical).
 func (h *traceHub) begin(key string, recBytes int) *traceEntry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return nil
-	}
 	if _, busy := h.live[key]; busy {
 		return nil
 	}
@@ -190,55 +184,19 @@ func (h *traceHub) counts() (live, done int, doneBytes int64) {
 	return len(h.live), len(h.done), h.doneSize
 }
 
-// shutdown refuses new follows and wakes every active follow stream to
-// emit a final "draining" status and end, mirroring the watch hub.
-// Idempotent.
-func (h *traceHub) shutdown() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.closed = true
-	close(h.drain)
-}
-
-// reopen accepts follow streams again after a shutdown.
-func (h *traceHub) reopen() {
-	h.mu.Lock()
-	if h.closed {
-		h.closed = false
-		h.drain = make(chan struct{})
-	}
-	h.mu.Unlock()
-}
-
-func (h *traceHub) isClosed() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.closed
-}
-
-// drainChan returns the current drain channel; it is closed when the hub
-// shuts down.
-func (h *traceHub) drainChan() <-chan struct{} {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.drain
-}
-
-// executeJob is the execution path for simulate and batch jobs: the
-// plain seam when tracing is off (or the key is already being traced),
-// or a listened run wired to a broadcaster registered under the job key.
+// executeJob is the execution path for simulate and batch jobs: a run
+// wired to a broadcaster registered under the job key, or an unlistened
+// one when tracing is off, the key is already being traced, or the
+// server is draining.
 func (s *Server) executeJob(key string, cfg simconfig.Config, seed uint64) (string, map[string]float64, error) {
-	if s.traces == nil {
-		return s.execute(cfg, seed)
+	var entry *traceEntry
+	if s.traces != nil && s.ready() {
+		entry = s.traces.begin(key, s.cfg.TraceBytes)
 	}
-	entry := s.traces.begin(key, s.cfg.TraceBytes)
 	if entry == nil {
-		return s.execute(cfg, seed)
+		return s.execute(cfg, seed, nil)
 	}
-	digest, m, err := s.executeListened(cfg, seed, func(sm *simconfig.Simulation) {
+	digest, m, err := s.execute(cfg, seed, func(sm *simconfig.Simulation) {
 		entry.setRunning(int64(sm.Config.Horizon.Time()), sm.Machine.NumCores())
 		sm.Machine.Listen(entry.bc)
 		entry.bc.Begin(sm.ThreadMetas())
@@ -368,15 +326,16 @@ func (s *Server) serveTraceTimeline(w http.ResponseWriter, key string, entry *tr
 // serveTraceFollow streams a trace over SSE: wire frames decoded into
 // text events (`header`, `threads`, `row`, `dropped`, `end`), one `row`
 // per canonical event row — hashing the rows reproduces the trace
-// digest. Draining mirrors the watch=1 protocol: new follows are refused
+// digest. Draining follows the watch=1 protocol: new follows are refused
 // with 503 while not ready, and active streams get a final "draining"
-// status.
+// status when the drain signal closes.
 func (s *Server) serveTraceFollow(w http.ResponseWriter, r *http.Request, tenant string, entry *traceEntry) int {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		return writeError(w, http.StatusInternalServerError, errors.New("server: streaming unsupported"))
 	}
-	if s.traces.isClosed() {
+	drain := s.draining()
+	if isClosed(drain) {
 		return writeError(w, http.StatusServiceUnavailable, ErrDraining)
 	}
 	if !s.acquireStream(tenant) {
@@ -407,7 +366,6 @@ func (s *Server) serveTraceFollow(w http.ResponseWriter, r *http.Request, tenant
 	// the subscriber buffer.
 	sse := newSSEWriter(w, fl, 64<<10)
 	dec := tracestream.NewDecoder()
-	drain := s.traces.drainChan()
 	keepalive := time.NewTicker(15 * time.Second)
 	defer keepalive.Stop()
 	for {
@@ -432,7 +390,6 @@ func (s *Server) serveTraceFollow(w http.ResponseWriter, r *http.Request, tenant
 		case <-r.Context().Done():
 			return http.StatusOK
 		case <-drain:
-			// Server shutdown mid-stream: match the watch=1 protocol.
 			sse.event(statusEvent("draining"))
 			sse.flush()
 			return http.StatusOK

@@ -14,8 +14,9 @@ import (
 // This file implements GET /v1/jobs/{key}?watch=1: job status streamed
 // over Server-Sent Events (queued → running → done with the cached body),
 // so long sweeps are observable without polling. The hub fans lifecycle
-// transitions out to watchers; drain shuts every stream down cleanly with
-// a final "draining" status before the listener stops.
+// transitions out to watchers; the server's drain signal ends every
+// stream cleanly with a final "draining" status before the listener
+// stops.
 
 // watchEvent is one SSE frame: an event name plus a single-line JSON
 // payload.
@@ -33,24 +34,19 @@ func statusEvent(state string) watchEvent {
 
 // watchHub fans job lifecycle events out to the job's SSE watchers.
 type watchHub struct {
-	mu     sync.Mutex
-	subs   map[string]map[chan watchEvent]struct{}
-	closed bool
+	mu   sync.Mutex
+	subs map[string]map[chan watchEvent]struct{}
 }
 
 func newWatchHub() *watchHub {
 	return &watchHub{subs: make(map[string]map[chan watchEvent]struct{})}
 }
 
-// subscribe registers a watcher for key; ch is nil when the hub has shut
-// down (the server is draining). cancel is idempotent and safe to call
-// after the hub closed the channel.
+// subscribe registers a watcher for key. cancel is idempotent and safe
+// to call after the hub closed the channel.
 func (h *watchHub) subscribe(key string) (ch chan watchEvent, cancel func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return nil, nil
-	}
 	ch = make(chan watchEvent, 8)
 	set := h.subs[key]
 	if set == nil {
@@ -110,37 +106,6 @@ func (h *watchHub) fail(key, msg string) {
 	h.broadcast(key, watchEvent{"error", b}, true)
 }
 
-// shutdown sends every open stream a final "draining" status and closes
-// it, then refuses new subscriptions; part of graceful drain, so the HTTP
-// server's Shutdown is not held hostage by long-lived streams. Idempotent.
-func (h *watchHub) shutdown() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.closed = true
-	ev := statusEvent("draining")
-	for key, set := range h.subs {
-		for ch := range set {
-			select {
-			case ch <- ev:
-			default:
-			}
-			close(ch)
-		}
-		delete(h.subs, key)
-	}
-}
-
-// reopen accepts subscriptions again after a shutdown (readiness toggled
-// back on).
-func (h *watchHub) reopen() {
-	h.mu.Lock()
-	h.closed = false
-	h.mu.Unlock()
-}
-
 // sseWriter is the server's one Server-Sent Events encoder, shared by
 // job watch and trace follow streams. Events collect in a buffered writer
 // and reach the client at flush: once per batch of trace rows, after
@@ -195,10 +160,11 @@ func (s *Server) serveJobWatch(w http.ResponseWriter, r *http.Request, key strin
 	if !ok {
 		return writeError(w, http.StatusInternalServerError, errors.New("server: streaming unsupported"))
 	}
-	ch, cancel := s.watch.subscribe(key)
-	if ch == nil {
+	drain := s.draining()
+	if isClosed(drain) {
 		return writeError(w, http.StatusServiceUnavailable, ErrDraining)
 	}
+	ch, cancel := s.watch.subscribe(key)
 	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -232,6 +198,10 @@ func (s *Server) serveJobWatch(w http.ResponseWriter, r *http.Request, key strin
 		case <-keepalive.C:
 			sse.keepalive()
 		case <-r.Context().Done():
+			return http.StatusOK
+		case <-drain:
+			sse.event(statusEvent("draining"))
+			sse.flush()
 			return http.StatusOK
 		}
 		if sse.flush() != nil {

@@ -64,7 +64,7 @@ func TestJobWatchSSE(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 4})
 	defer srv.Drain()
 	release := make(chan struct{})
-	srv.execute = func(cfg simconfig.Config, seed uint64) (string, map[string]float64, error) {
+	srv.execute = func(cfg simconfig.Config, seed uint64, _ func(*simconfig.Simulation)) (string, map[string]float64, error) {
 		<-release
 		return fmt.Sprintf("digest-%d", seed), map[string]float64{"x": 1}, nil
 	}

@@ -386,6 +386,14 @@ func (c Config) NumCores() int {
 	return c.Cores
 }
 
+// RunHorizon returns how long the run lasts: Horizon, with 0 meaning 30 s.
+func (c Config) RunHorizon() sim.Time {
+	if c.Horizon == 0 {
+		return 30 * sim.Second
+	}
+	return c.Horizon.Time()
+}
+
 // StructureOf returns the structure t is attached to, or nil for a thread
 // the build does not know.
 func (s *Simulation) StructureOf(t *sched.Thread) *core.Structure {
@@ -445,9 +453,7 @@ func Build(c Config, opt BuildOptions) (*Simulation, error) {
 	if c.RateMIPS == 0 {
 		c.RateMIPS = 100
 	}
-	if c.Horizon == 0 {
-		c.Horizon = Duration(30 * sim.Second)
-	}
+	c.Horizon = Duration(c.RunHorizon())
 	rate := cpu.MIPS(c.RateMIPS)
 	eng := sim.NewEngine()
 	rng := sim.NewRand(c.Seed)

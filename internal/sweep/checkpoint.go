@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"hsfq/internal/checkpoint"
 	"hsfq/internal/sim"
 	"hsfq/internal/simconfig"
 )
@@ -107,62 +106,4 @@ func (st *Store) Put(prefix string, at sim.Time, data []byte) error {
 		return err
 	}
 	return nil
-}
-
-// ExecuteConfigCheckpointed is ExecuteConfig with a checkpoint store: it
-// resumes from the best stored prefix of the run when one exists, and
-// stores the run's own final pre-settlement state for future horizon
-// extensions. Results are byte-identical to ExecuteConfig — that is the
-// resume-equivalence invariant, and the sweep Verify mode re-checks it
-// per job by comparing the resumed digest against a from-scratch rerun.
-// The returned flag reports whether a checkpoint was actually reused.
-func ExecuteConfigCheckpointed(c simconfig.Config, seed uint64, store *Store) (string, map[string]float64, bool, error) {
-	if store == nil {
-		digest, m, err := ExecuteConfig(c, seed)
-		return digest, m, false, err
-	}
-	prefix := PrefixKey(c, seed)
-
-	var s *simconfig.Simulation
-	resumed := false
-	if data, _, ok := store.Best(prefix, effectiveHorizon(c)); ok {
-		if restored, err := checkpoint.Restore(data, checkpoint.Options{}); err == nil {
-			s = restored
-			resumed = true
-		}
-		// A corrupt or version-skewed checkpoint falls through to a full
-		// build: the store is a cache, never an authority.
-	}
-	if s == nil {
-		var err error
-		s, err = simconfig.Build(c, simconfig.BuildOptions{Seed: seed})
-		if err != nil {
-			return "", nil, false, err
-		}
-	}
-
-	// The restored simulation carries the horizon it was checkpointed
-	// under; the caller's horizon governs this run. The override is sound
-	// because nothing the build constructs depends on the horizon — only
-	// Run and the end-of-run metrics read it.
-	horizon := effectiveHorizon(c)
-	s.Config.Horizon = simconfig.Duration(horizon)
-	s.Machine.Run(horizon)
-
-	// Snapshot before Flush: Flush charges the in-flight segment, which
-	// only settles accounting for reporting. A resumed run must continue
-	// from the un-settled state, exactly as the event loop left it.
-	if data, err := checkpoint.Save(s, checkpoint.Options{}); err == nil {
-		store.Put(prefix, horizon, data) // best-effort: see Put
-	}
-	s.Machine.Flush()
-	return Digest(s), Metrics(s), resumed, nil
-}
-
-// effectiveHorizon mirrors simconfig.Build's defaulting.
-func effectiveHorizon(c simconfig.Config) sim.Time {
-	if c.Horizon == 0 {
-		return 30 * sim.Second
-	}
-	return c.Horizon.Time()
 }

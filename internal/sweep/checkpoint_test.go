@@ -101,7 +101,10 @@ func checkHorizonExtension(t *testing.T, spec Spec) {
 	}
 }
 
-func TestExecuteConfigCheckpointedMatchesFull(t *testing.T) {
+// TestExecuteResumeMatchesFull primes a store at a short horizon and
+// checks a longer run of the same job resumes from it with the digest and
+// metrics of a from-scratch run.
+func TestExecuteResumeMatchesFull(t *testing.T) {
 	spec := parseTestSpec(t, extensionSpec)
 	c := spec.Base
 	store, err := NewStore(t.TempDir())
@@ -112,7 +115,7 @@ func TestExecuteConfigCheckpointedMatchesFull(t *testing.T) {
 	// Prime at a short horizon.
 	short := c
 	short.Horizon = simconfig.Duration(100 * sim.Millisecond)
-	if _, _, resumed, err := ExecuteConfigCheckpointed(short, 7, store); err != nil || resumed {
+	if _, _, resumed, err := Execute(short, 7, store, nil); err != nil || resumed {
 		t.Fatalf("prime: resumed=%v err=%v", resumed, err)
 	}
 
@@ -122,7 +125,7 @@ func TestExecuteConfigCheckpointedMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest, m, resumed, err := ExecuteConfigCheckpointed(long, 7, store)
+	digest, m, resumed, err := Execute(long, 7, store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +145,7 @@ func TestExecuteConfigCheckpointedMatchesFull(t *testing.T) {
 	}
 
 	// A different seed must not share the prefix.
-	if _, _, resumed, err := ExecuteConfigCheckpointed(long, 8, store); err != nil || resumed {
+	if _, _, resumed, err := Execute(long, 8, store, nil); err != nil || resumed {
 		t.Fatalf("other seed: resumed=%v err=%v", resumed, err)
 	}
 }
@@ -167,7 +170,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest, _, resumed, err := ExecuteConfigCheckpointed(c, 7, store)
+	digest, _, resumed, err := Execute(c, 7, store, nil)
 	if err != nil {
 		t.Fatalf("corrupt store broke execution: %v", err)
 	}
@@ -198,7 +201,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 			os.Remove(m)
 		}
 	}
-	digest, _, resumed, err = ExecuteConfigCheckpointed(c, 7, store)
+	digest, _, resumed, err = Execute(c, 7, store, nil)
 	if err != nil || resumed || digest != wantDigest {
 		t.Fatalf("truncated-checkpoint fallback: digest=%s resumed=%v err=%v", digest, resumed, err)
 	}

@@ -344,28 +344,33 @@ func TestMulticoreGrid(t *testing.T) {
 	}
 }
 
-// TestRunVerifyMismatch injects a flaky execution through the executeJob
+// TestRunVerifyMismatch injects a flaky execution through the execute
 // seam and checks a digest change between the two Verify runs surfaces as
 // a Mismatch-flagged result and a Report.Mismatched count — the signal
 // hsfqsweep turns into its distinct exit code.
 func TestRunVerifyMismatch(t *testing.T) {
-	orig := executeJob
-	defer func() { executeJob = orig }()
-	var mu sync.Mutex
-	calls := map[int]int{}
-	executeJob = func(job Job) (string, map[string]float64, error) {
-		mu.Lock()
-		calls[job.ID]++
-		n := calls[job.ID]
-		mu.Unlock()
-		if job.ID == 0 {
-			return fmt.Sprintf("digest-%d", n), map[string]float64{"x": 1}, nil
-		}
-		return "stable", map[string]float64{"x": 1}, nil
-	}
-
 	spec := parseTestSpec(t, testSpec)
 	spec.Seeds = 1
+	jobs, err := Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky := JobKey(jobs[0].Config, jobs[0].Seed)
+	orig := execute
+	defer func() { execute = orig }()
+	var mu sync.Mutex
+	calls := 0
+	execute = func(c simconfig.Config, seed uint64, _ *Store, _ func(*simconfig.Simulation)) (string, map[string]float64, bool, error) {
+		if JobKey(c, seed) != flaky {
+			return "stable", map[string]float64{"x": 1}, false, nil
+		}
+		mu.Lock()
+		calls++
+		n := calls
+		mu.Unlock()
+		return fmt.Sprintf("digest-%d", n), map[string]float64{"x": 1}, false, nil
+	}
+
 	rep, err := Run(spec, Options{Workers: 2, Verify: true})
 	if err == nil {
 		t.Fatal("mismatch did not fail the run")

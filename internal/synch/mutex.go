@@ -191,14 +191,3 @@ func (c *CriticalLoop) Next(now sim.Time) cpu.Action {
 		}
 	}
 }
-
-// MaxAcquireDelay returns the largest recorded lock wait.
-func (c *CriticalLoop) MaxAcquireDelay() sim.Time {
-	var max sim.Time
-	for _, d := range c.AcquireDelays {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}

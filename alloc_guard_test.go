@@ -342,6 +342,56 @@ func TestTraceRecordingDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestTraceFollowDoesNotAllocate guards the path of a live follow stream:
+// on a warm recording Broadcaster with one subscriber, each dispatch/charge
+// pair goes through Add, the subscriber's Take, the decoder's Feed and
+// Next and the canonical row encoder into a reused buffer without a heap
+// allocation. A decoder that allocates a frame per row fails it.
+func TestTraceFollowDoesNotAllocate(t *testing.T) {
+	b := tracestream.New()
+	b.EnableRecording(0)
+	sub := b.Subscribe(64 << 20)
+	b.Begin([]trace.ThreadMeta{{TID: 1, Name: "decoder", Depth: 1, Path: "/soft"}})
+	dec := tracestream.NewDecoder()
+	var row []byte
+	rows := 0
+	drain := func() {
+		dec.Feed(sub.Take())
+		for {
+			f, err := dec.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f == nil {
+				return
+			}
+			if f.Type == tracestream.FrameEvent {
+				row = trace.AppendRow(row[:0], f.Event, dec.NumCores())
+				rows++
+			}
+		}
+	}
+	now := sim.Time(0)
+	pair := func() {
+		now += sim.Millisecond
+		b.Add(trace.Event{At: now, Kind: trace.Dispatch, Thread: "decoder", ThreadID: 1})
+		b.Add(trace.Event{At: now, Kind: trace.Charge, Thread: "decoder", ThreadID: 1, Used: 1_000_000, Runnable: true})
+		drain()
+	}
+	for i := 0; i < 1000; i++ {
+		pair() // warm: grows the recording and the subscriber's and decoder's buffers
+	}
+	allocs := testing.AllocsPerRun(1000, pair)
+	if allocs != 0 {
+		t.Fatalf("follow path allocates %v times per dispatch/charge pair, want 0", allocs)
+	}
+	b.Finish()
+	drain()
+	if rows != 2*2001 {
+		t.Fatalf("the subscriber decoded %d rows, want %d", rows, 2*2001)
+	}
+}
+
 // TestMachineListenDoesNotAllocate guards the machine's emit path: on warm
 // 1- and 2-core partitioned SFQ machines, a Hasher and a recording
 // Broadcaster attached through Machine.Listen see every event of 1 ms of

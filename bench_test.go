@@ -2,6 +2,7 @@ package hsfq_test
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -307,14 +308,9 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceRecord measures the trace recording hsfqd attaches to
-// every job it executes, per event row: a recording Broadcaster folds
-// each event into its digest and encodes its frame onto the recording,
-// once with no subscriber and once with one subscriber that takes its
-// frames after every run. The rows are the events of one video-server
-// run, replayed from memory, so ns/op and allocs/op are per row and
-// include the recording's amortized growth.
-func BenchmarkTraceRecord(b *testing.B) {
+// videoServerEvents returns the events of one video-server run, with its
+// thread metadata and core count, for the trace benchmarks to replay.
+func videoServerEvents(b *testing.B) ([]trace.Event, []trace.ThreadMeta, int) {
 	f, err := os.Open(filepath.Join("examples", "configs", "video-server.json"))
 	if err != nil {
 		b.Fatal(err)
@@ -331,7 +327,18 @@ func BenchmarkTraceRecord(b *testing.B) {
 	rec := trace.NewRecorder()
 	s.Machine.Listen(rec)
 	s.Run()
-	events, metas := rec.Events(), s.ThreadMetas()
+	return rec.Events(), s.ThreadMetas(), s.Machine.NumCores()
+}
+
+// BenchmarkTraceRecord measures the trace recording hsfqd attaches to
+// every job it executes, per event row: a recording Broadcaster folds
+// each event into its digest and encodes its frame onto the recording,
+// once with no subscriber and once with one subscriber that takes its
+// frames after every run. The rows are the events of one video-server
+// run, replayed from memory, so ns/op and allocs/op are per row and
+// include the recording's amortized growth.
+func BenchmarkTraceRecord(b *testing.B) {
+	events, metas, cores := videoServerEvents(b)
 	for _, subs := range []int{0, 1} {
 		b.Run(fmt.Sprintf("subs-%d", subs), func(b *testing.B) {
 			b.ReportAllocs()
@@ -339,7 +346,7 @@ func BenchmarkTraceRecord(b *testing.B) {
 			for left := b.N; left > 0; left -= len(events) {
 				bc := tracestream.New()
 				bc.EnableRecording(0)
-				bc.SetNumCores(s.Machine.NumCores())
+				bc.SetNumCores(cores)
 				var sub *tracestream.Subscriber
 				if subs > 0 {
 					sub = bc.Subscribe(64 << 20)
@@ -354,6 +361,65 @@ func BenchmarkTraceRecord(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkTraceFollow measures a live follow stream per event row, the
+// path of hsfqd's ?follow=1: the video-server run's events go through a
+// recording Broadcaster with one subscriber, while a goroutine drains the
+// subscriber, decodes its frames and renders each event row to
+// io.Discard. ns/op and allocs/op are per row.
+func BenchmarkTraceFollow(b *testing.B) {
+	events, metas, cores := videoServerEvents(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; left -= len(events) {
+		bc := tracestream.New()
+		bc.EnableRecording(0)
+		bc.SetNumCores(cores)
+		sub := bc.Subscribe(64 << 20)
+		done := make(chan error, 1)
+		go func() { done <- followRows(sub) }()
+		bc.Begin(metas)
+		for _, e := range events[:min(left, len(events))] {
+			bc.Add(e)
+		}
+		bc.Finish()
+		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
+		bc.Unsubscribe(sub)
+	}
+}
+
+// followRows drains sub up to its end frame, decoding the frames and
+// rendering each event row to io.Discard.
+func followRows(sub *tracestream.Subscriber) error {
+	dec := tracestream.NewDecoder()
+	var row []byte
+	for {
+		chunk := sub.Take()
+		if chunk == nil {
+			<-sub.Notify()
+			continue
+		}
+		dec.Feed(chunk)
+		for {
+			f, err := dec.Next()
+			if err != nil {
+				return err
+			}
+			if f == nil {
+				break
+			}
+			switch f.Type {
+			case tracestream.FrameEvent:
+				row = trace.AppendRow(row[:0], f.Event, dec.NumCores())
+				io.Discard.Write(row)
+			case tracestream.FrameEnd:
+				return nil
+			}
+		}
 	}
 }
 

@@ -107,7 +107,8 @@ func main() {
 // headers, and a keep-alive connection idle for idleTimeout is closed, so
 // slow or silent clients cannot pin connections. There is deliberately
 // no WriteTimeout: it would cut the long-lived SSE streams (watch=1,
-// follow=1), which end on their own.
+// follow=1), which end on their own and bound each of their writes with
+// a deadline instead, so a client that stops reading loses its stream.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute

@@ -330,8 +330,7 @@ func (s *Server) serveTraceTimeline(w http.ResponseWriter, key string, entry *tr
 // with 503 while not ready, and active streams get a final "draining"
 // status when the drain signal closes.
 func (s *Server) serveTraceFollow(w http.ResponseWriter, r *http.Request, tenant string, entry *traceEntry) int {
-	fl, ok := w.(http.Flusher)
-	if !ok {
+	if _, ok := w.(http.Flusher); !ok {
 		return writeError(w, http.StatusInternalServerError, errors.New("server: streaming unsupported"))
 	}
 	drain := s.draining()
@@ -364,7 +363,7 @@ func (s *Server) serveTraceFollow(w http.ResponseWriter, r *http.Request, tenant
 	// batch through a large buffer: per-row writes straight to the
 	// ResponseWriter would make SSE delivery the bottleneck that overflows
 	// the subscriber buffer.
-	sse := newSSEWriter(w, fl, 64<<10)
+	sse := newSSEWriter(w, 64<<10)
 	dec := tracestream.NewDecoder()
 	keepalive := time.NewTicker(15 * time.Second)
 	defer keepalive.Stop()

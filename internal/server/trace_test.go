@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"hsfq/internal/simconfig"
 	"hsfq/internal/sweep"
@@ -420,5 +423,67 @@ func TestTraceFollowQuotaAndDraining(t *testing.T) {
 	m := srv.Snapshot()
 	if m.Trace == nil || m.Trace.Live != 1 {
 		t.Fatalf("trace metrics: %+v", m.Trace)
+	}
+}
+
+// TestTraceFollowStalledClientFreesSlot follows a long trace from a raw
+// TCP client that reads the headers and the first row, then stops reading
+// without closing its connection. Once the socket buffers are full, the
+// handler's next write must fail at its write deadline, so the handler
+// returns and frees the tenant's stream slot.
+func TestTraceFollowStalledClientFreesSlot(t *testing.T) {
+	defer func(d time.Duration) { sseWriteTimeout = d }(sseWriteTimeout)
+	sseWriteTimeout = 100 * time.Millisecond
+	srv := New(Config{Workers: 1, QueueDepth: 4, TraceBytes: 16 << 20, TraceCacheBytes: 64 << 20})
+	defer srv.Drain()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// Two loop threads taking turns in 100 us quanta for 20 s: 400,000
+	// rows, about 21 MB of SSE, far more than the socket buffers hold.
+	resp, body := post(t, ts, "/v1/simulate", `{
+	  "horizon": "20s",
+	  "nodes": [{"path": "/a", "weight": 1, "leaf": "sfq", "quantum": "100us"}],
+	  "threads": [
+	    {"name": "x", "leaf": "/a", "program": {"kind": "loop"}},
+	    {"name": "y", "leaf": "/a", "program": {"kind": "loop"}}
+	  ]
+	}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("simulate: %d %s", resp.StatusCode, body)
+	}
+	var r simulateResponse
+	if err := json.Unmarshal(body, &r); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "GET /v1/trace/%s?follow=1 HTTP/1.1\r\nHost: hsfqd\r\n\r\n", r.Key)
+	fresp, err := http.ReadResponse(bufio.NewReaderSize(conn, 4<<10), nil)
+	if err != nil || fresp.StatusCode != 200 {
+		t.Fatalf("follow: %v %v", fresp, err)
+	}
+	events := bufio.NewReaderSize(fresp.Body, 4<<10)
+	for name := ""; name != "row"; {
+		name, _ = readEvent(t, events)
+	}
+
+	// The client reads no more and keeps the connection open.
+	open := func() int {
+		srv.streamMu.Lock()
+		defer srv.streamMu.Unlock()
+		return srv.streams[tenantsched.DefaultTenant]
+	}
+	for limit := time.Now().Add(10 * time.Second); open() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(limit) {
+			t.Fatal("the stalled follow stream still holds its slot after 10 s")
+		}
 	}
 }

@@ -106,18 +106,42 @@ func (h *watchHub) fail(key, msg string) {
 	h.broadcast(key, watchEvent{"error", b}, true)
 }
 
+// sseWriteTimeout bounds every write of an SSE stream to its client. A
+// client that stops reading fails the write once the deadline passes,
+// which ends the stream and frees its handler and stream slot. The
+// server sets no WriteTimeout, which would cut long streams. A variable
+// only so tests can shorten it.
+var sseWriteTimeout = 30 * time.Second
+
+// deadlineWriter passes each write on to the response with a fresh write
+// deadline. Response writers that have no deadlines, such as
+// httptest.ResponseRecorder, take the write without one.
+type deadlineWriter struct {
+	w  http.ResponseWriter
+	rc *http.ResponseController
+}
+
+func (d deadlineWriter) Write(p []byte) (int, error) {
+	err := d.rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout))
+	if err != nil && !errors.Is(err, http.ErrNotSupported) {
+		return 0, err
+	}
+	return d.w.Write(p)
+}
+
 // sseWriter is the server's one Server-Sent Events encoder, shared by
 // job watch and trace follow streams. Events collect in a buffered writer
 // and reach the client at flush: once per batch of trace rows, after
-// every lifecycle event of a watched job.
+// every lifecycle event of a watched job. Each write from the buffer to
+// the response, a full buffer or a flush, gets its own write deadline.
 type sseWriter struct {
-	bw      *bufio.Writer
-	fl      http.Flusher
-	scratch []byte // reused by row
+	bw *bufio.Writer
+	rc *http.ResponseController
 }
 
-func newSSEWriter(w http.ResponseWriter, fl http.Flusher, size int) *sseWriter {
-	return &sseWriter{bw: bufio.NewWriterSize(w, size), fl: fl}
+func newSSEWriter(w http.ResponseWriter, size int) *sseWriter {
+	rc := http.NewResponseController(w)
+	return &sseWriter{bw: bufio.NewWriterSize(deadlineWriter{w, rc}, size), rc: rc}
 }
 
 // event writes one SSE event; ev.data must be a single line.
@@ -130,25 +154,25 @@ func (s *sseWriter) event(ev watchEvent) {
 }
 
 // row writes a trace event as a "row" event whose data is the canonical
-// row; the row's own trailing newline ends the data line.
+// row; the row's own trailing newline ends the data line. The event is
+// rendered straight into the buffered writer's free space.
 func (s *sseWriter) row(e trace.Event, numCores int) {
-	s.scratch = append(s.scratch[:0], "event: row\ndata: "...)
-	s.scratch = trace.AppendRow(s.scratch, e, numCores)
-	s.scratch = append(s.scratch, '\n')
-	s.bw.Write(s.scratch)
+	buf := append(s.bw.AvailableBuffer(), "event: row\ndata: "...)
+	buf = trace.AppendRow(buf, e, numCores)
+	s.bw.Write(append(buf, '\n'))
 }
 
 // keepalive writes an SSE comment that keeps idle connections open.
 func (s *sseWriter) keepalive() { s.bw.WriteString(": keepalive\n\n") }
 
 // flush sends everything buffered to the client. Write errors stick in
-// the buffered writer, so an error here means the client has gone.
+// the buffered writer, so an error here means the client has gone or
+// stopped reading.
 func (s *sseWriter) flush() error {
 	if err := s.bw.Flush(); err != nil {
 		return err
 	}
-	s.fl.Flush()
-	return nil
+	return s.rc.Flush()
 }
 
 // serveJobWatch streams a job's status over SSE. Subscribe-then-check
@@ -156,8 +180,7 @@ func (s *sseWriter) flush() error {
 // subscription either already populated the cache (served as an immediate
 // "done") or will be broadcast to the subscription channel.
 func (s *Server) serveJobWatch(w http.ResponseWriter, r *http.Request, key string) int {
-	fl, ok := w.(http.Flusher)
-	if !ok {
+	if _, ok := w.(http.Flusher); !ok {
 		return writeError(w, http.StatusInternalServerError, errors.New("server: streaming unsupported"))
 	}
 	drain := s.draining()
@@ -169,7 +192,7 @@ func (s *Server) serveJobWatch(w http.ResponseWriter, r *http.Request, key strin
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	sse := newSSEWriter(w, fl, 4<<10) // a few small events per job
+	sse := newSSEWriter(w, 4<<10) // a few small events per job
 	if body, ok := s.cache.Get(key); ok {
 		sse.event(watchEvent{"done", body})
 		sse.flush()

@@ -1,6 +1,7 @@
 package tracestream
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -28,11 +29,22 @@ type Recording struct {
 	Lost uint64
 }
 
+// runBytes is how many bytes of event frames Add gathers before it
+// pushes them to the subscribers: one lock, one append and at most one
+// wake-up per subscriber per run of a few hundred frames, not per frame.
+const runBytes = 4 << 10
+
 // Broadcaster is a cpu.Listener: Add encodes every scheduling event into
 // the wire format and fans it out to any number of subscribers through
 // bounded per-subscriber buffers. With no subscriber attached and
 // recording disabled, the hot path is a single atomic load — 0 allocs/op,
 // enforced by an alloc-guard test.
+//
+// Event frames reach the subscribers in runs: Add appends each frame to
+// one pending run, which goes to every subscriber once it holds runBytes,
+// before every control frame (Begin, Finish), and at Subscribe and
+// Unsubscribe. So a subscriber's Take and Dropped see an event only once
+// its run has gone out.
 //
 // Lifecycle: New → [EnableRecording] → Machine.Listen (sets the core
 // count) → Begin(meta) → run → Finish(). Subscribe works at any point;
@@ -47,8 +59,8 @@ type Broadcaster struct {
 	numCores int
 	began    bool
 	finished bool
-	subs     map[*Subscriber]struct{}
-	scratch  []byte // event frames for subscribers that the recording does not hold
+	subs     []*Subscriber // in subscription order
+	run      []byte        // event frames not yet pushed to subs; empty when subs is
 
 	// Recording state (nil digest before Finish = recording disabled).
 	// recFrames always holds the control frames; once an event frame does
@@ -67,7 +79,7 @@ type Broadcaster struct {
 
 // New returns a Broadcaster with no subscribers and recording disabled.
 func New() *Broadcaster {
-	return &Broadcaster{numCores: 1, subs: make(map[*Subscriber]struct{})}
+	return &Broadcaster{numCores: 1}
 }
 
 // EnableRecording makes the broadcaster keep the encoded stream, up to
@@ -109,9 +121,7 @@ func (b *Broadcaster) Begin(meta []trace.ThreadMeta) {
 	start := len(b.recFrames)
 	b.recFrames = AppendHeaderFrame(b.recFrames, b.numCores)
 	b.recFrames = AppendThreadsFrame(b.recFrames, meta)
-	for s := range b.subs {
-		s.push(b.recFrames[start:], false)
-	}
+	b.pushControl(b.recFrames[start:])
 }
 
 // Finish closes the stream: it appends the end frame (row count + full
@@ -132,9 +142,28 @@ func (b *Broadcaster) Finish() {
 	}
 	start := len(b.recFrames)
 	b.recFrames = AppendEndFrame(b.recFrames, b.recRows, b.recSum)
-	for s := range b.subs {
-		s.push(b.recFrames[start:], false)
+	b.pushControl(b.recFrames[start:])
+}
+
+// pushControl sends the pending run, then the control frames, to every
+// subscriber. Caller holds b.mu.
+func (b *Broadcaster) pushControl(frames []byte) {
+	b.flushRun()
+	for _, s := range b.subs {
+		s.push(frames)
 	}
+}
+
+// flushRun sends the pending run of event frames to every subscriber.
+// Caller holds b.mu.
+func (b *Broadcaster) flushRun() {
+	if len(b.run) == 0 {
+		return
+	}
+	for _, s := range b.subs {
+		s.pushRun(b.run)
+	}
+	b.run = b.run[:0]
 }
 
 // digest returns the row count and hex digest of the events recorded so
@@ -180,6 +209,10 @@ func (b *Broadcaster) Subscribe(bufBytes int) *Subscriber {
 	s := &Subscriber{max: bufBytes, notify: make(chan struct{}, 1)}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	// Events so far reach the new subscriber only through its seed, so
+	// the pending run goes to the subscribers attached so far first: no
+	// subscriber sees an event twice or misses one.
+	b.flushRun()
 	if len(b.recFrames) > 0 {
 		// Seed beyond the cap if needed: catch-up happens once, and a
 		// subscriber that asked for a tiny buffer still needs a coherent
@@ -193,15 +226,19 @@ func (b *Broadcaster) Subscribe(bufBytes int) *Subscriber {
 		}
 		s.signal()
 	}
-	b.subs[s] = struct{}{}
+	b.subs = append(b.subs, s)
 	b.active.Store(true)
 	return s
 }
 
-// Unsubscribe detaches and closes a subscriber.
+// Unsubscribe sends the pending run, then detaches and closes a
+// subscriber.
 func (b *Broadcaster) Unsubscribe(s *Subscriber) {
 	b.mu.Lock()
-	delete(b.subs, s)
+	b.flushRun()
+	if i := slices.Index(b.subs, s); i >= 0 {
+		b.subs = slices.Delete(b.subs, i, i+1)
+	}
 	b.active.Store(b.recDigest != nil || len(b.subs) > 0)
 	b.mu.Unlock()
 	s.Close()
@@ -240,8 +277,11 @@ func (b *Broadcaster) record(e *trace.Event) []byte {
 	return nil
 }
 
-// Add is the hot path: encode once, record, fan out. With no subscriber
-// the frame goes straight onto the recording and nowhere else.
+// Add is the hot path: encode once, record, and append to the pending
+// run. With no subscriber the frame goes straight onto the recording and
+// nowhere else. With subscribers the run gets a copy of the frame on the
+// recording, or a fresh encoding once a capped recording keeps no more
+// frames, and goes out when it holds runBytes.
 func (b *Broadcaster) Add(e trace.Event) {
 	if !b.active.Load() {
 		return
@@ -250,12 +290,13 @@ func (b *Broadcaster) Add(e trace.Event) {
 	if b.began && !b.finished {
 		frame := b.record(&e)
 		if len(b.subs) > 0 {
-			if frame == nil {
-				b.scratch = appendEventFrame(b.scratch[:0], &e)
-				frame = b.scratch
+			if frame != nil {
+				b.run = append(b.run, frame...)
+			} else {
+				b.run = appendEventFrame(b.run, &e)
 			}
-			for s := range b.subs {
-				s.push(frame, true)
+			if len(b.run) >= runBytes {
+				b.flushRun()
 			}
 		}
 	}
@@ -281,6 +322,7 @@ func (b *Broadcaster) OnCharge(t *sched.Thread, used sched.Work, now sim.Time, r
 type Subscriber struct {
 	mu      sync.Mutex
 	buf     []byte
+	spare   []byte // what the last Take handed out; the next Take reuses it
 	max     int
 	dropped uint64 // total events dropped, including not-yet-materialized
 	pending uint64 // dropped events awaiting a drop frame
@@ -288,15 +330,39 @@ type Subscriber struct {
 	notify  chan struct{}
 }
 
-// push appends one encoded frame. droppable marks event frames — the
-// only kind that may be discarded under pressure; control frames always
-// go through, even past the cap, so the protocol stays coherent.
-func (s *Subscriber) push(frame []byte, droppable bool) {
+// push appends control frames, which always go through, even past the
+// cap, so the protocol stays coherent.
+func (s *Subscriber) push(frames []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.add(frames, false)
+	}
+}
+
+// pushRun appends a run of event frames: in one piece when it all fits
+// and no drop is pending, else frame by frame, each frame's first byte
+// being its body length, exactly as if the frames came one at a time.
+func (s *Subscriber) pushRun(run []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
+	if s.pending == 0 && len(s.buf)+len(run) <= s.max {
+		s.appendBuf(run)
+		return
+	}
+	for len(run) > 0 {
+		n := 1 + int(run[0])
+		s.add(run[:n], true)
+		run = run[n:]
+	}
+}
+
+// add appends one encoded frame. droppable marks event frames — the only
+// kind that may be discarded under pressure. Caller holds s.mu.
+func (s *Subscriber) add(frame []byte, droppable bool) {
 	if s.pending > 0 {
 		var scratch [16]byte
 		drop := AppendDropFrame(scratch[:0], s.pending)
@@ -305,15 +371,24 @@ func (s *Subscriber) push(frame []byte, droppable bool) {
 			s.dropped++
 			return
 		}
-		s.buf = append(s.buf, drop...)
+		s.appendBuf(drop)
 		s.pending = 0
 	} else if droppable && len(s.buf)+len(frame) > s.max {
 		s.pending = 1
 		s.dropped++
 		return
 	}
-	s.buf = append(s.buf, frame...)
-	s.signal()
+	s.appendBuf(frame)
+}
+
+// appendBuf appends p to the pending bytes and wakes the consumer when
+// they were empty: a consumer that waits only after Take returned nil
+// misses no wake-up. Caller holds s.mu.
+func (s *Subscriber) appendBuf(p []byte) {
+	if len(s.buf) == 0 {
+		s.signal()
+	}
+	s.buf = append(s.buf, p...)
 }
 
 func (s *Subscriber) signal() {
@@ -324,11 +399,12 @@ func (s *Subscriber) signal() {
 }
 
 // Notify returns a channel that receives (at least) one token whenever
-// pending bytes arrive or the subscriber closes.
+// pending bytes arrive in an empty buffer or the subscriber closes.
 func (s *Subscriber) Notify() <-chan struct{} { return s.notify }
 
 // Take drains and returns all pending bytes (nil if none). The returned
-// slice is owned by the caller.
+// slice is valid until the next Take, which reuses its array for the
+// bytes that arrive after that Take: copy it to keep it longer.
 func (s *Subscriber) Take() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -336,7 +412,8 @@ func (s *Subscriber) Take() []byte {
 		return nil
 	}
 	out := s.buf
-	s.buf = nil
+	s.buf = s.spare[:0]
+	s.spare = out
 	return out
 }
 

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"hsfq/internal/sched"
+	"hsfq/internal/sim"
 	"hsfq/internal/simconfig"
 	"hsfq/internal/trace"
 )
@@ -48,7 +50,8 @@ func runTraced(t *testing.T, b *Broadcaster) *trace.Hasher {
 	return h
 }
 
-// drainDecode decodes everything the subscriber has pending.
+// drainDecode decodes everything the subscriber has pending, copying
+// out each frame the decoder reuses.
 func drainDecode(t *testing.T, sub *Subscriber, dec *Decoder) []*Frame {
 	t.Helper()
 	var out []*Frame
@@ -66,7 +69,8 @@ func drainDecode(t *testing.T, sub *Subscriber, dec *Decoder) []*Frame {
 			if f == nil {
 				break
 			}
-			out = append(out, f)
+			kept := *f
+			out = append(out, &kept)
 		}
 	}
 }
@@ -255,6 +259,68 @@ func TestTruncatedRecordingIsExactPrefix(t *testing.T) {
 			t.Errorf("%s subscriber dropped %d of\n got  %x\n want %x", name, sub.Dropped(), got, want)
 		}
 	}
+}
+
+// TestConcurrentFollowersLossless runs the producer and two consumers on
+// their own goroutines, as hsfqd's job and SSE goroutines do. Each
+// consumer waits on Notify only after Take returned nil, so a lost
+// wake-up hangs it. A consumer attached before Begin and one attached
+// mid-run must both receive exactly the recording.
+func TestConcurrentFollowersLossless(t *testing.T) {
+	b := New()
+	b.EnableRecording(0)
+	follow := func(sub *Subscriber, got *[]byte, done chan<- error) {
+		dec := NewDecoder()
+		for {
+			chunk := sub.Take()
+			if chunk == nil {
+				<-sub.Notify()
+				continue
+			}
+			*got = append(*got, chunk...)
+			dec.Feed(chunk)
+			for {
+				f, err := dec.Next()
+				if err != nil || (f != nil && f.Type == frameEnd) {
+					done <- err
+					return
+				}
+				if f == nil {
+					break
+				}
+			}
+		}
+	}
+	var early, late []byte
+	done := make(chan error, 2)
+	subEarly := b.Subscribe(0)
+	go follow(subEarly, &early, done)
+	b.Begin([]trace.ThreadMeta{{TID: 1, Name: "x", Depth: 1, Path: "/x"}})
+	var subLate *Subscriber
+	for i := 0; i < 20_000; i++ {
+		if i == 7_000 {
+			subLate = b.Subscribe(0)
+			go follow(subLate, &late, done)
+		}
+		b.Add(trace.Event{At: sim.Time(i), Kind: trace.Charge, Thread: "x", ThreadID: 1, Used: sched.Work(i), Runnable: true})
+	}
+	b.Finish()
+	for range 2 {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a follower never saw the end frame")
+		}
+	}
+	want := b.Snapshot().Frames
+	if !bytes.Equal(early, want) || !bytes.Equal(late, want) {
+		t.Fatalf("followers hold %d and %d bytes, the recording %d", len(early), len(late), len(want))
+	}
+	b.Unsubscribe(subEarly)
+	b.Unsubscribe(subLate)
 }
 
 func TestUnsubscribeClosesAndDeactivates(t *testing.T) {

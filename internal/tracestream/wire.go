@@ -205,6 +205,7 @@ type Decoder struct {
 	names    map[int]string
 	sawHdr   bool
 	err      error
+	frame    Frame // what Next returns, reset for every frame
 }
 
 // NewDecoder returns an empty decoder.
@@ -229,7 +230,9 @@ func (d *Decoder) NumCores() int { return d.numCores }
 
 // Next returns the next complete frame, nil if more input is needed, or
 // an error for a malformed stream. After an error the decoder is stuck:
-// every subsequent call returns the same error.
+// every subsequent call returns the same error. The frame is the
+// decoder's own, valid until the next call to Next, like
+// bufio.Scanner.Bytes: copy it to keep it.
 func (d *Decoder) Next() (*Frame, error) {
 	if d.err != nil {
 		return nil, d.err
@@ -258,7 +261,8 @@ func (d *Decoder) next() (*Frame, error) {
 	if len(body) == 0 {
 		return nil, fmt.Errorf("tracestream: empty frame")
 	}
-	f := &Frame{Type: body[0]}
+	f := &d.frame
+	*f = Frame{Type: body[0]}
 	body = body[1:]
 	switch f.Type {
 	case frameHeader:

@@ -3,7 +3,9 @@ package tracestream
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"hsfq/internal/sched"
@@ -45,7 +47,8 @@ func TestWireRoundTrip(t *testing.T) {
 			if f == nil {
 				break
 			}
-			frames = append(frames, f)
+			kept := *f // the decoder reuses f
+			frames = append(frames, &kept)
 		}
 	}
 	if len(frames) != 2+len(events)+2 {
@@ -269,6 +272,12 @@ func FuzzAppendEventFrame(f *testing.F) {
 	})
 }
 
+// FuzzTraceFrameDecode feeds the decoder arbitrary bytes. It must never
+// panic, loop forever or retain unbounded state. Every frame it returns
+// must leave each field its type does not set at the zero value, so a
+// reused frame carries nothing over from the one before. And the input
+// fed in two chunks must decode to the same frames and the same error as
+// the input fed at once.
 func FuzzTraceFrameDecode(f *testing.F) {
 	var seed []byte
 	seed = AppendHeaderFrame(seed, 2)
@@ -282,30 +291,58 @@ func FuzzTraceFrameDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add(AppendHeaderFrame(nil, 4096))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The decoder must never panic, loop forever, or retain unbounded
-		// state, whatever the input. Feed in two chunks to cover the
-		// incremental path.
-		dec := NewDecoder()
 		half := len(data) / 2
-		dec.Feed(data[:half])
-		for i := 0; i < len(data)+2; i++ {
+		two, twoErr := decodeChunks(t, data[:half], data[half:])
+		one, oneErr := decodeChunks(t, data)
+		if fmt.Sprint(oneErr) != fmt.Sprint(twoErr) || !reflect.DeepEqual(one, two) {
+			t.Fatalf("one chunk: %d frames, error %v; two chunks: %d frames, error %v", len(one), oneErr, len(two), twoErr)
+		}
+	})
+}
+
+// decodeChunks feeds the chunks to one decoder in turn and returns a copy
+// of every frame it decodes, up to the first error. Each chunk gets a
+// bounded number of Next calls, so a decoder that stops consuming input
+// fails instead of hanging.
+func decodeChunks(t *testing.T, chunks ...[]byte) ([]Frame, error) {
+	dec := NewDecoder()
+	var frames []Frame
+	for _, chunk := range chunks {
+		dec.Feed(chunk)
+		for i := 0; ; i++ {
+			if i > len(chunk)+2 {
+				t.Fatalf("decoder returned more frames than a %d-byte chunk holds", len(chunk))
+			}
 			f, err := dec.Next()
 			if err != nil {
-				return
+				return frames, err
 			}
 			if f == nil {
 				break
 			}
-		}
-		dec.Feed(data[half:])
-		for i := 0; i < len(data)+2; i++ {
-			f, err := dec.Next()
-			if err != nil {
-				return
+			if want := setFields(*f); !reflect.DeepEqual(*f, want) {
+				t.Fatalf("frame of type %d carries fields its type does not set:\n got  %+v\n want %+v", f.Type, *f, want)
 			}
-			if f == nil {
-				return
-			}
+			frames = append(frames, *f)
 		}
-	})
+	}
+	return frames, nil
+}
+
+// setFields returns f with every field its type does not set zeroed.
+func setFields(f Frame) Frame {
+	out := Frame{Type: f.Type}
+	switch f.Type {
+	case frameHeader:
+		out.Version, out.NumCores = f.Version, f.NumCores
+	case frameThreads:
+		out.Threads = f.Threads
+	case frameEvent:
+		out.Event = f.Event
+	case frameDrop:
+		out.Dropped = f.Dropped
+	case frameEnd:
+		out.Rows, out.Digest = f.Rows, f.Digest
+	}
+	return out
 }

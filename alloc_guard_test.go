@@ -100,9 +100,10 @@ func TestBlockWakeCycleDoesNotAllocate(t *testing.T) {
 }
 
 // TestLeafSchedulersDoNotAllocate guards the flat hot path of every
-// heap-based leaf algorithm (the randomized and queue-rotating ones — rr,
-// lottery, svr4 — are excluded: their hot paths involve slice rotation or
-// RNG state by design).
+// heap-based leaf algorithm, a decision that keeps its thread runnable
+// and one that blocks and wakes it (the randomized and queue-rotating
+// ones — rr, lottery, svr4 — are excluded: their hot paths involve slice
+// rotation or RNG state by design).
 func TestLeafSchedulersDoNotAllocate(t *testing.T) {
 	algos := map[string]sched.Scheduler{
 		"sfq":      sched.NewSFQ(10 * sim.Millisecond),
@@ -132,9 +133,13 @@ func TestLeafSchedulersDoNotAllocate(t *testing.T) {
 				th := s.Pick(now)
 				s.Charge(th, 1_000_000, now, true)
 				now += sim.Millisecond
+				th = s.Pick(now)
+				s.Charge(th, 1_000_000, now, false)
+				s.Enqueue(th, now)
+				now += sim.Millisecond
 			})
 			if allocs != 0 {
-				t.Fatalf("%s Pick/Charge allocates %v times per decision, want 0", name, allocs)
+				t.Fatalf("%s Pick/Charge/Enqueue allocates %v times per cycle, want 0", name, allocs)
 			}
 		})
 	}

@@ -33,6 +33,8 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
@@ -113,6 +115,28 @@ func Save(s *simconfig.Simulation, opt Options) ([]byte, error) {
 	out = append(out, sum[:]...)
 	out = append(out, payload...)
 	return out, nil
+}
+
+// WriteFile atomically replaces path with data: it writes a temporary
+// file in path's directory and renames it over path, so a reader, or a
+// run killed mid-write, finds the previous file or the whole new one,
+// never a torn snapshot.
+func WriteFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name()) // best effort: err is the failure to report
+	}
+	return err
 }
 
 // sections is a parsed checkpoint frame.

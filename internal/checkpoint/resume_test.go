@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"hsfq/internal/checkpoint"
@@ -378,4 +380,34 @@ func leafNames(cfg simconfig.Config) string {
 		}
 	}
 	return b.String()
+}
+
+// TestWriteFileReplacesAtomically checks the atomic write every
+// checkpoint file goes through: a second write replaces the first whole,
+// and a write that cannot land (its path is a directory) fails without
+// leaving its temporary file behind.
+func TestWriteFileReplacesAtomically(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	for _, data := range []string{"first snapshot", "second"} {
+		if err := checkpoint.WriteFile(path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != data {
+			t.Fatalf("read back %q, %v; want %q", got, err, data)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "taken"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.WriteFile(filepath.Join(dir, "taken"), []byte("x")); err == nil {
+		t.Fatal("write over a directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("directory holds %d entries after the writes, want run.ckpt and taken: %v", len(entries), entries)
+	}
 }

@@ -78,12 +78,12 @@ type Node struct {
 	// the increasing order of the start tags; ties are broken
 	// arbitrarily", and we break them FIFO for determinism. run is queued
 	// on the parent's runq exactly while the node is runnable.
-	run    sim.Tagged[*Node]
+	run    sim.Tagged[float64, *Node]
 	finish float64
 
 	// Virtual-time state for this node's own domain.
-	runq      sim.TagHeap[*Node] // runnable children ordered by start tag
-	maxFinish float64            // max finish tag ever assigned to a child
+	runq      sim.TagHeap[float64, *Node] // runnable children ordered by start tag
+	maxFinish float64                     // max finish tag ever assigned to a child
 
 	// Leaf state.
 	leaf sched.Scheduler

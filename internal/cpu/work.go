@@ -12,7 +12,6 @@ package cpu
 
 import (
 	"fmt"
-	"math/bits"
 
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
@@ -37,7 +36,7 @@ func (r Rate) TimeFor(w sched.Work) sim.Time {
 	if w < 0 {
 		panic(fmt.Sprintf("cpu: TimeFor of negative work %d", w))
 	}
-	return sim.Time(mulDivCeil(uint64(w), uint64(sim.Second), uint64(r)))
+	return sim.Time(sim.MulDivCeil(uint64(w), uint64(sim.Second), uint64(r)))
 }
 
 // WorkFor returns the instructions executed in duration d at rate r,
@@ -46,28 +45,5 @@ func (r Rate) WorkFor(d sim.Time) sched.Work {
 	if d < 0 {
 		panic(fmt.Sprintf("cpu: WorkFor of negative duration %d", d))
 	}
-	return sched.Work(mulDivFloor(uint64(d), uint64(r), uint64(sim.Second)))
-}
-
-// mulDivFloor computes floor(a*b/c) without intermediate overflow.
-func mulDivFloor(a, b, c uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	if hi >= c {
-		panic("cpu: mulDiv overflow")
-	}
-	q, _ := bits.Div64(hi, lo, c)
-	return q
-}
-
-// mulDivCeil computes ceil(a*b/c) without intermediate overflow.
-func mulDivCeil(a, b, c uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	if hi >= c {
-		panic("cpu: mulDiv overflow")
-	}
-	q, r := bits.Div64(hi, lo, c)
-	if r > 0 {
-		q++
-	}
-	return q
+	return sched.Work(sim.MulDivFloor(uint64(d), uint64(r), uint64(sim.Second)))
 }

@@ -34,7 +34,7 @@ type Packet struct {
 	Began    sim.Time // service start in the real server
 	Departed sim.Time // service completion in the real server
 
-	q sim.Tagged[*Packet] // queue position: (tag, arrival order)
+	q sim.Tagged[float64, *Packet] // queue position: (tag, arrival order)
 }
 
 // Algorithm is a work-conserving packet scheduler over a fixed set of
@@ -58,12 +58,12 @@ type Algorithm interface {
 // SFQ/FQS and the finish tag for SCFQ/WFQ, and packets with equal tags
 // leave in arrival order.
 type queue struct {
-	heap sim.TagHeap[*Packet]
+	heap sim.TagHeap[float64, *Packet]
 	seq  uint64
 }
 
 func (q *queue) push(p *Packet, tag float64) {
-	p.q = sim.Tagged[*Packet]{Tag: tag, Seq: q.seq, Item: p}
+	p.q = sim.Tagged[float64, *Packet]{Tag: tag, Seq: q.seq, Item: p}
 	q.seq++
 	q.heap.Push(&p.q)
 }

@@ -19,28 +19,17 @@ import (
 type EDF struct {
 	quantum sim.Time
 	entries Table[*edfEntry]
-	heap    sim.Heap[*edfEntry]
+	heap    sim.TagHeap[sim.Time, *edfEntry]
 	seq     uint64
 }
 
+// edfEntry is one thread's current job. Tag is its absolute deadline; Seq
+// breaks ties FIFO among equal deadlines; the entry is queued while the
+// thread is runnable.
 type edfEntry struct {
-	t        *Thread
-	deadline sim.Time
-	seq      uint64
-	idx      int
+	sim.Tagged[sim.Time, *edfEntry]
+	t *Thread
 }
-
-// HeapLess implements sim.HeapItem: earliest deadline first, FIFO among
-// equal deadlines.
-func (e *edfEntry) HeapLess(o *edfEntry) bool {
-	if e.deadline != o.deadline {
-		return e.deadline < o.deadline
-	}
-	return e.seq < o.seq
-}
-
-// HeapIndex implements sim.HeapItem.
-func (e *edfEntry) HeapIndex() *int { return &e.idx }
 
 // NewEDF returns an EDF scheduler. quantum bounds how long a job may run
 // before the scheduler re-examines the queue; <= 0 means jobs run until
@@ -56,7 +45,8 @@ func NewEDF(quantum sim.Time) *EDF {
 func (s *EDF) entryFor(t *Thread) *edfEntry {
 	e := s.entries.Get(t)
 	if e == nil {
-		e = &edfEntry{t: t, idx: -1}
+		e = &edfEntry{t: t}
+		e.Item = e
 		s.entries.Put(t, e)
 	}
 	return e
@@ -68,8 +58,8 @@ func (s *EDF) Name() string { return "edf" }
 // Deadline returns the absolute deadline of t's current job, or the maximum
 // time if t is background or not runnable.
 func (s *EDF) Deadline(t *Thread) sim.Time {
-	if e := s.entries.Get(t); e != nil && e.idx != -1 {
-		return e.deadline
+	if e := s.entries.Get(t); e != nil && e.Queued() {
+		return e.Tag
 	}
 	return sim.Time(math.MaxInt64)
 }
@@ -77,26 +67,26 @@ func (s *EDF) Deadline(t *Thread) sim.Time {
 // Enqueue implements Scheduler.
 func (s *EDF) Enqueue(t *Thread, now sim.Time) {
 	e := s.entryFor(t)
-	if e.idx != -1 {
+	if e.Queued() {
 		panic(fmt.Sprintf("edf: Enqueue of runnable thread %v", t))
 	}
 	if d := t.Deadline(); d > 0 {
-		e.deadline = now + d
+		e.Tag = now + d
 	} else {
-		e.deadline = sim.Time(math.MaxInt64)
+		e.Tag = sim.Time(math.MaxInt64)
 	}
-	e.seq = s.seq
+	e.Seq = s.seq
 	s.seq++
-	s.heap.Push(e)
+	s.heap.Push(&e.Tagged)
 }
 
 // Remove implements Scheduler.
 func (s *EDF) Remove(t *Thread, now sim.Time) {
 	e := s.entries.Get(t)
-	if e == nil || e.idx == -1 {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("edf: Remove of non-runnable thread %v", t))
 	}
-	s.heap.Remove(e.idx)
+	s.heap.Remove(&e.Tagged)
 }
 
 // Pick implements Scheduler: earliest absolute deadline first.
@@ -104,7 +94,7 @@ func (s *EDF) Pick(now sim.Time) *Thread {
 	if s.heap.Len() == 0 {
 		return nil
 	}
-	return s.heap.Min().t
+	return s.heap.Min().Item.t
 }
 
 // Quantum implements Scheduler.
@@ -114,11 +104,11 @@ func (s *EDF) Quantum(t *Thread, now sim.Time) sim.Time { return s.quantum }
 // preemptions; a blocked job gets a fresh deadline at its next release.
 func (s *EDF) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 	e := s.entries.Get(t)
-	if e == nil || e.idx == -1 {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("edf: Charge of non-runnable thread %v", t))
 	}
 	if !runnable {
-		s.heap.Remove(e.idx)
+		s.heap.Remove(&e.Tagged)
 	}
 }
 
@@ -127,10 +117,10 @@ func (s *EDF) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 func (s *EDF) Preempts(running, woken *Thread, now sim.Time) bool {
 	re := s.entries.Get(running)
 	we := s.entries.Get(woken)
-	if re == nil || we == nil || re.idx == -1 || we.idx == -1 {
+	if re == nil || we == nil || !re.Queued() || !we.Queued() {
 		return false
 	}
-	return we.deadline < re.deadline
+	return we.Tag < re.Tag
 }
 
 // Len implements Scheduler.

@@ -17,7 +17,7 @@ type EEVDF struct {
 	quantum sim.Time
 	reqWork Work
 	entries Table[*eevdfEntry]
-	heap    sim.TagHeap[*eevdfEntry] // ordered by (vd, seq); eligibility filtered at Pick
+	heap    sim.TagHeap[float64, *eevdfEntry] // ordered by (vd, seq); eligibility filtered at Pick
 	vtime   float64
 	total   float64
 	seq     uint64
@@ -28,7 +28,7 @@ type EEVDF struct {
 // Seq breaks ties FIFO among equal deadlines; the entry is queued while
 // the thread is runnable.
 type eevdfEntry struct {
-	sim.Tagged[*eevdfEntry]
+	sim.Tagged[float64, *eevdfEntry]
 	t      *Thread
 	ve     float64 // virtual eligible time
 	served Work    // progress within the current request

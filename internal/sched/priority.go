@@ -16,28 +16,19 @@ import (
 type Priority struct {
 	quantum sim.Time
 	entries Table[*prioEntry]
-	heap    sim.Heap[*prioEntry]
+	heap    sim.TagHeap[int, *prioEntry]
 	seq     uint64
 }
 
+// prioEntry is one thread's queue position. Tag is the complement of the
+// priority read at enqueue: ^p orders exactly in reverse of p for every
+// int (where -p overflows at math.MinInt), so higher priorities pop
+// first. Seq round-robins equal priorities FIFO. The entry is queued
+// while the thread is runnable.
 type prioEntry struct {
-	t    *Thread
-	prio int
-	seq  uint64
-	idx  int
+	sim.Tagged[int, *prioEntry]
+	t *Thread
 }
-
-// HeapLess implements sim.HeapItem: higher priority first, FIFO within a
-// level.
-func (e *prioEntry) HeapLess(o *prioEntry) bool {
-	if e.prio != o.prio {
-		return e.prio > o.prio
-	}
-	return e.seq < o.seq
-}
-
-// HeapIndex implements sim.HeapItem.
-func (e *prioEntry) HeapIndex() *int { return &e.idx }
 
 // NewPriority returns a static-priority scheduler; quantum <= 0 selects
 // DefaultQuantum (the quantum only round-robins equal priorities).
@@ -52,7 +43,8 @@ func NewPriority(quantum sim.Time) *Priority {
 func (s *Priority) entryFor(t *Thread) *prioEntry {
 	e := s.entries.Get(t)
 	if e == nil {
-		e = &prioEntry{t: t, idx: -1}
+		e = &prioEntry{t: t}
+		e.Item = e
 		s.entries.Put(t, e)
 	}
 	return e
@@ -65,22 +57,22 @@ func (s *Priority) Name() string { return "priority" }
 // enqueue time.
 func (s *Priority) Enqueue(t *Thread, now sim.Time) {
 	e := s.entryFor(t)
-	if e.idx != -1 {
+	if e.Queued() {
 		panic(fmt.Sprintf("priority: Enqueue of runnable thread %v", t))
 	}
-	e.prio = t.Priority
-	e.seq = s.seq
+	e.Tag = ^t.Priority
+	e.Seq = s.seq
 	s.seq++
-	s.heap.Push(e)
+	s.heap.Push(&e.Tagged)
 }
 
 // Remove implements Scheduler.
 func (s *Priority) Remove(t *Thread, now sim.Time) {
 	e := s.entries.Get(t)
-	if e == nil || e.idx == -1 {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("priority: Remove of non-runnable thread %v", t))
 	}
-	s.heap.Remove(e.idx)
+	s.heap.Remove(&e.Tagged)
 }
 
 // Pick implements Scheduler.
@@ -88,7 +80,7 @@ func (s *Priority) Pick(now sim.Time) *Thread {
 	if s.heap.Len() == 0 {
 		return nil
 	}
-	return s.heap.Min().t
+	return s.heap.Min().Item.t
 }
 
 // Quantum implements Scheduler.
@@ -98,16 +90,16 @@ func (s *Priority) Quantum(t *Thread, now sim.Time) sim.Time { return s.quantum 
 // refreshed sequence number; higher priorities simply keep running.
 func (s *Priority) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 	e := s.entries.Get(t)
-	if e == nil || e.idx == -1 {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("priority: Charge of non-runnable thread %v", t))
 	}
 	if !runnable {
-		s.heap.Remove(e.idx)
+		s.heap.Remove(&e.Tagged)
 		return
 	}
-	e.seq = s.seq
+	e.Seq = s.seq
 	s.seq++
-	s.heap.Fix(e.idx)
+	s.heap.Fix(&e.Tagged)
 }
 
 // Preempts implements Scheduler: a strictly higher-priority wakeup
@@ -115,10 +107,10 @@ func (s *Priority) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 func (s *Priority) Preempts(running, woken *Thread, now sim.Time) bool {
 	re := s.entries.Get(running)
 	we := s.entries.Get(woken)
-	if re == nil || we == nil || re.idx == -1 || we.idx == -1 {
+	if re == nil || we == nil || !re.Queued() || !we.Queued() {
 		return false
 	}
-	return we.prio > re.prio
+	return we.Tag < re.Tag
 }
 
 // Len implements Scheduler.
@@ -127,7 +119,7 @@ func (s *Priority) Len() int { return s.heap.Len() }
 // Forget drops state for an exited thread.
 func (s *Priority) Forget(t *Thread) {
 	if e := s.entries.Get(t); e != nil {
-		if e.idx != -1 {
+		if e.Queued() {
 			panic(fmt.Sprintf("priority: Forget of runnable thread %v", t))
 		}
 		s.entries.Delete(t)

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"hsfq/internal/sim"
@@ -128,15 +127,9 @@ func Names() []string {
 }
 
 // workFor returns the instructions executed in duration d at ips
-// instructions per second, rounded down — the same arithmetic as
-// cpu.Rate.WorkFor, reimplemented here because cpu imports sched.
+// instructions per second, rounded down, as cpu.Rate.WorkFor does.
 func workFor(ips int64, d sim.Time) Work {
-	hi, lo := bits.Mul64(uint64(d), uint64(ips))
-	if hi >= uint64(sim.Second) {
-		panic("sched: workFor overflow")
-	}
-	q, _ := bits.Div64(hi, lo, uint64(sim.Second))
-	return Work(q)
+	return Work(sim.MulDivFloor(uint64(d), uint64(ips), uint64(sim.Second)))
 }
 
 // timeFor is the inverse of workFor: the duration w instructions take at
@@ -148,12 +141,7 @@ func timeFor(ips int64, w Work) sim.Time {
 	if w <= 0 {
 		return 0
 	}
-	hi, lo := bits.Mul64(uint64(w), uint64(sim.Second))
-	if hi >= uint64(ips) {
-		panic("sched: timeFor overflow")
-	}
-	q, _ := bits.Div64(hi, lo, uint64(ips))
-	return sim.Time(q)
+	return sim.Time(sim.MulDivFloor(uint64(w), uint64(sim.Second), uint64(ips)))
 }
 
 func init() {

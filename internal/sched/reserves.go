@@ -28,35 +28,26 @@ import (
 type Reserves struct {
 	quantum sim.Time
 	entries Table[*resEntry]
-	heap    sim.Heap[*resEntry] // runnable, with budget, by next replenishment
+	heap    sim.TagHeap[sim.Time, *resEntry] // runnable, with budget, by next replenishment
 	bg      []*resEntry
 	count   int
 	picked  *resEntry
 }
 
+// resEntry is one thread's reserve. Tag is the next replenishment
+// instant, -1 until the first enqueue anchors it. Seq is the thread ID
+// with its sign bit flipped, so equal instants go to the lower ID for
+// every int. The entry is queued while it is in the reserved band.
 type resEntry struct {
+	sim.Tagged[sim.Time, *resEntry]
 	t *Thread
 
 	capacity Work     // C: budget per period, in work units
 	period   sim.Time // T
 
-	budget   Work     // remaining budget this period
-	refillAt sim.Time // next replenishment instant
+	budget   Work // remaining budget this period
 	runnable bool
-	idx      int // heap index; -1 when not in the reserved band
 }
-
-// HeapLess implements sim.HeapItem: earliest replenishment first, ties by
-// thread ID.
-func (e *resEntry) HeapLess(o *resEntry) bool {
-	if e.refillAt != o.refillAt {
-		return e.refillAt < o.refillAt
-	}
-	return e.t.ID < o.t.ID
-}
-
-// HeapIndex implements sim.HeapItem.
-func (e *resEntry) HeapIndex() *int { return &e.idx }
 
 // NewReserves returns a reserve-based scheduler; quantum <= 0 selects
 // DefaultQuantum. Threads without a reserve run in the background band.
@@ -84,7 +75,7 @@ func (s *Reserves) SetReserve(t *Thread, capacity Work, period sim.Time) {
 	e.capacity = capacity
 	e.period = period
 	e.budget = capacity
-	e.refillAt = -1 // anchored at first enqueue
+	e.Tag = -1 // anchored at first enqueue
 }
 
 // Budget returns t's remaining budget this period, for tests.
@@ -94,7 +85,8 @@ func (s *Reserves) Budget(t *Thread) Work { return s.entry(t).budget }
 func (s *Reserves) entry(t *Thread) *resEntry {
 	e := s.entries.Get(t)
 	if e == nil {
-		e = &resEntry{t: t, idx: -1}
+		e = &resEntry{t: t}
+		e.Item, e.Seq = e, uint64(t.ID)^1<<63
 		s.entries.Put(t, e)
 	}
 	return e
@@ -105,13 +97,13 @@ func (e *resEntry) refresh(now sim.Time) {
 	if e.capacity == 0 {
 		return
 	}
-	if e.refillAt < 0 {
-		e.refillAt = now + e.period
+	if e.Tag < 0 {
+		e.Tag = now + e.period
 		return
 	}
-	for now >= e.refillAt {
+	for now >= e.Tag {
 		e.budget = e.capacity
-		e.refillAt += e.period
+		e.Tag += e.period
 	}
 }
 
@@ -131,17 +123,16 @@ func (s *Reserves) Enqueue(t *Thread, now sim.Time) {
 // according to its budget.
 func (s *Reserves) place(e *resEntry) {
 	if e.capacity > 0 && e.budget > 0 {
-		s.heap.Push(e)
+		s.heap.Push(&e.Tagged)
 	} else {
-		e.idx = -1
 		s.bg = append(s.bg, e)
 	}
 }
 
 // unlink removes a runnable entry from whichever band holds it.
 func (s *Reserves) unlink(e *resEntry) {
-	if e.idx != -1 {
-		s.heap.Remove(e.idx)
+	if e.Queued() {
+		s.heap.Remove(&e.Tagged)
 		return
 	}
 	for i, x := range s.bg {
@@ -174,14 +165,14 @@ func (s *Reserves) Pick(now sim.Time) *Thread {
 	for _, e := range s.bg {
 		e.refresh(now)
 		if e.capacity > 0 && e.budget > 0 {
-			s.heap.Push(e)
+			s.heap.Push(&e.Tagged)
 		} else {
 			kept = append(kept, e)
 		}
 	}
 	s.bg = kept
 	if s.heap.Len() > 0 {
-		s.picked = s.heap.Min()
+		s.picked = s.heap.Min().Item
 		return s.picked.t
 	}
 	if len(s.bg) > 0 {

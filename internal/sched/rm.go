@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -15,42 +16,38 @@ import (
 type RM struct {
 	quantum sim.Time
 	entries Table[*rmEntry]
-	heap    sim.Heap[*rmEntry]
+	heap    sim.TagHeap[string, *rmEntry]
 	seq     uint64
 }
 
+// rmEntry is one thread's queue position. period and prio are its key,
+// read at enqueue: periodic threads rank by period (ascending) ahead of
+// aperiodic ones, whose period is math.MaxInt64, and equal periods rank
+// by priority (descending). Tag encodes that key as an order-preserving
+// string (see setKey); Seq breaks ties FIFO. The entry is queued while
+// the thread is runnable.
 type rmEntry struct {
-	t   *Thread
-	key rmKey
-	seq uint64
-	idx int
-}
-
-// rmKey orders periodic threads by period (ascending) ahead of aperiodic
-// threads by priority (descending).
-type rmKey struct {
-	period sim.Time // MaxInt64 for aperiodic
+	sim.Tagged[string, *rmEntry]
+	t      *Thread
+	period sim.Time
 	prio   int
 }
 
-func (a rmKey) less(b rmKey) bool {
-	if a.period != b.period {
-		return a.period < b.period
+// setKey sets e's key. Tag is 16 bytes, the big-endian period and then
+// the big-endian complement of the priority, each with its sign bit
+// flipped, so comparing two tags as strings compares the keys exactly.
+// The tag is rebuilt only when the key changes, so re-enqueueing a
+// thread allocates nothing.
+func (e *rmEntry) setKey(period sim.Time, prio int) {
+	if e.Tag != "" && period == e.period && prio == e.prio {
+		return
 	}
-	return a.prio > b.prio
+	e.period, e.prio = period, prio
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], uint64(period)^1<<63)
+	binary.BigEndian.PutUint64(b[8:], uint64(^prio)^1<<63)
+	e.Tag = string(b[:])
 }
-
-// HeapLess implements sim.HeapItem: highest rate-monotonic priority first,
-// FIFO among equal keys.
-func (e *rmEntry) HeapLess(o *rmEntry) bool {
-	if e.key != o.key {
-		return e.key.less(o.key)
-	}
-	return e.seq < o.seq
-}
-
-// HeapIndex implements sim.HeapItem.
-func (e *rmEntry) HeapIndex() *int { return &e.idx }
 
 // NewRM returns a Rate Monotonic scheduler. quantum <= 0 means
 // run-until-block (preemption still occurs on higher-priority wakeups);
@@ -66,7 +63,8 @@ func NewRM(quantum sim.Time) *RM {
 func (s *RM) entryFor(t *Thread) *rmEntry {
 	e := s.entries.Get(t)
 	if e == nil {
-		e = &rmEntry{t: t, idx: -1}
+		e = &rmEntry{t: t}
+		e.Item = e
 		s.entries.Put(t, e)
 	}
 	return e
@@ -75,32 +73,29 @@ func (s *RM) entryFor(t *Thread) *rmEntry {
 // Name implements Scheduler.
 func (s *RM) Name() string { return "rm" }
 
-func rmKeyFor(t *Thread) rmKey {
-	if t.Period > 0 {
-		return rmKey{period: t.Period, prio: t.Priority}
-	}
-	return rmKey{period: sim.Time(math.MaxInt64), prio: t.Priority}
-}
-
 // Enqueue implements Scheduler.
 func (s *RM) Enqueue(t *Thread, now sim.Time) {
 	e := s.entryFor(t)
-	if e.idx != -1 {
+	if e.Queued() {
 		panic(fmt.Sprintf("rm: Enqueue of runnable thread %v", t))
 	}
-	e.key = rmKeyFor(t)
-	e.seq = s.seq
+	period := t.Period
+	if period <= 0 {
+		period = sim.Time(math.MaxInt64)
+	}
+	e.setKey(period, t.Priority)
+	e.Seq = s.seq
 	s.seq++
-	s.heap.Push(e)
+	s.heap.Push(&e.Tagged)
 }
 
 // Remove implements Scheduler.
 func (s *RM) Remove(t *Thread, now sim.Time) {
 	e := s.entries.Get(t)
-	if e == nil || e.idx == -1 {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("rm: Remove of non-runnable thread %v", t))
 	}
-	s.heap.Remove(e.idx)
+	s.heap.Remove(&e.Tagged)
 }
 
 // Pick implements Scheduler: highest rate-monotonic priority first.
@@ -108,7 +103,7 @@ func (s *RM) Pick(now sim.Time) *Thread {
 	if s.heap.Len() == 0 {
 		return nil
 	}
-	return s.heap.Min().t
+	return s.heap.Min().Item.t
 }
 
 // Quantum implements Scheduler.
@@ -117,11 +112,11 @@ func (s *RM) Quantum(t *Thread, now sim.Time) sim.Time { return s.quantum }
 // Charge implements Scheduler.
 func (s *RM) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 	e := s.entries.Get(t)
-	if e == nil || e.idx == -1 {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("rm: Charge of non-runnable thread %v", t))
 	}
 	if !runnable {
-		s.heap.Remove(e.idx)
+		s.heap.Remove(&e.Tagged)
 	}
 }
 
@@ -129,10 +124,10 @@ func (s *RM) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 func (s *RM) Preempts(running, woken *Thread, now sim.Time) bool {
 	re := s.entries.Get(running)
 	we := s.entries.Get(woken)
-	if re == nil || we == nil || re.idx == -1 || we.idx == -1 {
+	if re == nil || we == nil || !re.Queued() || !we.Queued() {
 		return false
 	}
-	return we.key.less(re.key)
+	return we.Tag < re.Tag
 }
 
 // Len implements Scheduler.

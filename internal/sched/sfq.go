@@ -23,7 +23,7 @@ import (
 type SFQ struct {
 	quantum   sim.Time
 	entries   Table[*sfqEntry]
-	heap      sim.TagHeap[*sfqEntry]
+	heap      sim.TagHeap[float64, *sfqEntry]
 	inService *sfqEntry
 	maxFinish float64
 	seq       uint64
@@ -35,7 +35,7 @@ type SFQ struct {
 // FIFO among equal start tags; the entry is queued while the thread is
 // runnable.
 type sfqEntry struct {
-	sim.Tagged[*sfqEntry]
+	sim.Tagged[float64, *sfqEntry]
 	t       *Thread
 	finish  float64
 	quantum sim.Time // per-thread override; 0 selects the scheduler default

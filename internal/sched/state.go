@@ -24,10 +24,10 @@ import (
 // checkpoints fail with an error rather than corrupting the scheduler.
 //
 // Heaps are rebuilt by pushing runnable entries in thread-ID order. That
-// is sound because every heap in this package tie-breaks on a monotone
-// sequence number: the ordering is a strict total order, so the sequence
-// of minima — the only thing the scheduling trace observes — does not
-// depend on the heap's internal array layout.
+// is sound because every heap in this package tie-breaks on a sequence
+// number no two queued entries share: the ordering is a strict total
+// order, so the sequence of minima — the only thing the scheduling trace
+// observes — does not depend on the heap's internal array layout.
 type Stater interface {
 	SaveState(e *sim.Enc) error
 	LoadState(d *sim.Dec, resolve func(id int) *Thread) error
@@ -258,9 +258,9 @@ func (f *FIFO) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 func (s *Priority) SaveState(e *sim.Enc) error {
 	e.U64(s.seq)
 	s.entries.SaveRows(e, func(en *prioEntry) {
-		e.Int(en.prio)
-		e.U64(en.seq)
-		e.Bool(en.idx != -1)
+		e.Int(^en.Tag)
+		e.U64(en.Seq)
+		e.Bool(en.Queued())
 	})
 	return nil
 }
@@ -273,10 +273,10 @@ func (s *Priority) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	s.seq = d.U64()
 	return LoadRows(d, "priority", 25, resolve, func(t *Thread) error {
 		en := s.entryFor(t)
-		en.prio = d.Int()
-		en.seq = d.U64()
+		en.Tag = ^d.Int()
+		en.Seq = d.U64()
 		if d.Bool() && d.Err() == nil {
-			s.heap.Push(en)
+			s.heap.Push(&en.Tagged)
 		}
 		return nil
 	})
@@ -289,9 +289,9 @@ func (s *Priority) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 func (s *EDF) SaveState(e *sim.Enc) error {
 	e.U64(s.seq)
 	s.entries.SaveRows(e, func(en *edfEntry) {
-		e.Time(en.deadline)
-		e.U64(en.seq)
-		e.Bool(en.idx != -1)
+		e.Time(en.Tag)
+		e.U64(en.Seq)
+		e.Bool(en.Queued())
 	})
 	return nil
 }
@@ -304,10 +304,10 @@ func (s *EDF) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	s.seq = d.U64()
 	return LoadRows(d, "edf", 25, resolve, func(t *Thread) error {
 		en := s.entryFor(t)
-		en.deadline = d.Time()
-		en.seq = d.U64()
+		en.Tag = d.Time()
+		en.Seq = d.U64()
 		if d.Bool() && d.Err() == nil {
-			s.heap.Push(en)
+			s.heap.Push(&en.Tagged)
 		}
 		return nil
 	})
@@ -320,10 +320,10 @@ func (s *EDF) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 func (s *RM) SaveState(e *sim.Enc) error {
 	e.U64(s.seq)
 	s.entries.SaveRows(e, func(en *rmEntry) {
-		e.Time(en.key.period)
-		e.Int(en.key.prio)
-		e.U64(en.seq)
-		e.Bool(en.idx != -1)
+		e.Time(en.period)
+		e.Int(en.prio)
+		e.U64(en.Seq)
+		e.Bool(en.Queued())
 	})
 	return nil
 }
@@ -336,11 +336,11 @@ func (s *RM) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	s.seq = d.U64()
 	return LoadRows(d, "rm", 33, resolve, func(t *Thread) error {
 		en := s.entryFor(t)
-		en.key.period = d.Time()
-		en.key.prio = d.Int()
-		en.seq = d.U64()
+		period, prio := d.Time(), d.Int()
+		en.setKey(period, prio)
+		en.Seq = d.U64()
 		if d.Bool() && d.Err() == nil {
-			s.heap.Push(en)
+			s.heap.Push(&en.Tagged)
 		}
 		return nil
 	})
@@ -737,9 +737,9 @@ func (s *Reserves) SaveState(e *sim.Enc) error {
 		e.I64(int64(en.capacity))
 		e.Time(en.period)
 		e.I64(int64(en.budget))
-		e.Time(en.refillAt)
+		e.Time(en.Tag)
 		e.Bool(en.runnable)
-		e.Bool(en.idx != -1)
+		e.Bool(en.Queued())
 	})
 	e.Int(len(s.bg))
 	for _, en := range s.bg {
@@ -762,7 +762,7 @@ func (s *Reserves) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		en.capacity = Work(d.I64())
 		en.period = d.Time()
 		en.budget = Work(d.I64())
-		en.refillAt = d.Time()
+		en.Tag = d.Time()
 		en.runnable = d.Bool()
 		reserved := d.Bool()
 		if err := d.Err(); err != nil {
@@ -771,17 +771,16 @@ func (s *Reserves) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		if en.capacity != 0 && (en.capacity < 0 || en.period <= 0) {
 			return fmt.Errorf("reserves: thread %d with invalid reserve C=%d T=%v", t.ID, en.capacity, en.period)
 		}
-		if en.refillAt < -1 {
-			return fmt.Errorf("reserves: thread %d with invalid replenishment time %v", t.ID, en.refillAt)
+		if en.Tag < -1 {
+			return fmt.Errorf("reserves: thread %d with invalid replenishment time %v", t.ID, en.Tag)
 		}
 		if reserved && !en.runnable {
 			return fmt.Errorf("reserves: thread %d reserved but not runnable", t.ID)
 		}
-		en.idx = -1
 		if reserved {
 			// Pushing in thread-ID order is sound: the heap order
-			// (refillAt, thread ID) is a strict total order.
-			s.heap.Push(en)
+			// (replenishment instant, thread ID) is a strict total order.
+			s.heap.Push(&en.Tagged)
 		}
 		if en.runnable {
 			runnable++
@@ -796,7 +795,7 @@ func (s *Reserves) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	}
 	err = loadQueue(d, "reserves background band", resolve, func(t *Thread) error {
 		en := s.entries.Get(t)
-		if en == nil || !en.runnable || en.idx != -1 {
+		if en == nil || !en.runnable || en.Queued() {
 			return fmt.Errorf("reserves: background thread %d not runnable or already reserved", t.ID)
 		}
 		if slices.Contains(s.bg, en) {

@@ -15,7 +15,7 @@ import (
 type Stride struct {
 	quantum sim.Time
 	entries Table[*strideEntry]
-	heap    sim.TagHeap[*strideEntry]
+	heap    sim.TagHeap[float64, *strideEntry]
 	global  float64 // pass of the most recently dispatched thread
 	seq     uint64
 	total   float64
@@ -24,7 +24,7 @@ type Stride struct {
 // strideEntry is one thread's pass. Tag is the pass; Seq breaks ties FIFO
 // among equal passes; the entry is queued while the thread is runnable.
 type strideEntry struct {
-	sim.Tagged[*strideEntry]
+	sim.Tagged[float64, *strideEntry]
 	t *Thread
 }
 

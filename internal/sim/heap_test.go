@@ -7,78 +7,22 @@ import (
 )
 
 // hItem is a test heap element with the (key, seq) strict total order
-// every scheduler in this repository uses. It can sit in a Heap, through
-// idx, or in a TagHeap, through the embedded Tagged; either way Tag is its
-// key.
+// every scheduler in this repository uses; Tag is its key.
 type hItem struct {
-	Tagged[*hItem]
-	idx int
+	Tagged[float64, *hItem]
 }
 
 func newHItem(key float64, seq uint64) *hItem {
-	it := &hItem{idx: -1}
+	it := &hItem{}
 	it.Tag, it.Seq, it.Item = key, seq, it
 	return it
 }
 
-func (a *hItem) HeapLess(b *hItem) bool {
-	if a.Tag != b.Tag {
-		return a.Tag < b.Tag
-	}
-	return a.Seq < b.Seq
-}
-
-func (a *hItem) HeapIndex() *int { return &a.idx }
-
-// heapUnderTest is the surface the heap tests drive, so one script checks
-// both Heap and TagHeap. TagHeap has no Pop; its Pop is Remove(Min()).
-type heapUnderTest interface {
-	Len() int
-	Min() *hItem
-	At(i int) *hItem   // the item in slot i
-	Slot(x *hItem) int // x's slot, or -1 when not queued
-	Push(x *hItem)
-	Pop() *hItem
-	Fix(x *hItem)
-	Remove(x *hItem) *hItem
-}
-
-type genericHeap struct{ h Heap[*hItem] }
-
-func (g *genericHeap) Len() int               { return g.h.Len() }
-func (g *genericHeap) Min() *hItem            { return g.h.Min() }
-func (g *genericHeap) At(i int) *hItem        { return g.h.Items()[i] }
-func (g *genericHeap) Slot(x *hItem) int      { return x.idx }
-func (g *genericHeap) Push(x *hItem)          { g.h.Push(x) }
-func (g *genericHeap) Pop() *hItem            { return g.h.Pop() }
-func (g *genericHeap) Fix(x *hItem)           { g.h.Fix(x.idx) }
-func (g *genericHeap) Remove(x *hItem) *hItem { return g.h.Remove(x.idx) }
-
-type tagHeap struct{ h TagHeap[*hItem] }
-
-func (t *tagHeap) Len() int          { return t.h.Len() }
-func (t *tagHeap) Min() *hItem       { return t.h.Min().Item }
-func (t *tagHeap) At(i int) *hItem   { return t.h.Items()[i].Item }
-func (t *tagHeap) Slot(x *hItem) int { return x.Slot() }
-func (t *tagHeap) Push(x *hItem)     { t.h.Push(&x.Tagged) }
-func (t *tagHeap) Pop() *hItem {
-	m := t.h.Min()
-	t.h.Remove(m)
+// pop removes and returns h's minimum, as container/heap's Pop does.
+func pop(h *TagHeap[float64, *hItem]) *hItem {
+	m := h.Min()
+	h.Remove(m)
 	return m.Item
-}
-func (t *tagHeap) Fix(x *hItem) { t.h.Fix(&x.Tagged) }
-func (t *tagHeap) Remove(x *hItem) *hItem {
-	t.h.Remove(&x.Tagged)
-	return x
-}
-
-// heapsUnderTest lists the heaps every heap test runs against.
-var heapsUnderTest = []struct {
-	name string
-	mk   func() heapUnderTest
-}{
-	{"Heap", func() heapUnderTest { return &genericHeap{} }},
-	{"TagHeap", func() heapUnderTest { return &tagHeap{} }},
 }
 
 // refHeap drives the same elements through container/heap as the oracle.
@@ -117,22 +61,21 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// TestHeapMatchesContainerHeap drives Heap and TagHeap, each in turn,
-// and container/heap through the same random operation sequences — push,
-// pop, fix (with key mutation), remove at a random index — and requires
-// identical minima, lengths, and pop order throughout. Keys are drawn from
-// a small set so seq tie-breaks are exercised constantly.
+// TestHeapMatchesContainerHeap drives TagHeap and container/heap through
+// the same random operation sequences — push, pop, fix (with key
+// mutation), remove at a random index — and requires identical minima,
+// lengths, and pop order throughout. Keys are drawn from a small set so
+// seq tie-breaks are exercised constantly.
 func TestHeapMatchesContainerHeap(t *testing.T) {
-	for _, hc := range heapsUnderTest {
-		t.Run(hc.name, func(t *testing.T) {
-			for trial := 0; trial < 200; trial++ {
-				matchContainerHeap(t, trial, hc.mk())
-			}
-		})
-	}
+	t.Run("TagHeap", func(t *testing.T) {
+		for trial := 0; trial < 200; trial++ {
+			matchContainerHeap(t, trial)
+		}
+	})
 }
 
-func matchContainerHeap(t *testing.T, trial int, h heapUnderTest) {
+func matchContainerHeap(t *testing.T, trial int) {
+	var h TagHeap[float64, *hItem]
 	rng := rand.New(rand.NewSource(int64(trial)))
 	var ref refHeap
 	var hs []*hItem
@@ -145,7 +88,7 @@ func matchContainerHeap(t *testing.T, trial int, h heapUnderTest) {
 			t.Fatalf("trial %d after %s: Len %d, oracle %d", trial, op, h.Len(), ref.Len())
 		}
 		if h.Len() > 0 {
-			m, o := h.Min(), ref[0]
+			m, o := h.Min().Item, ref[0]
 			if m.Tag != o.key || m.Seq != o.seq {
 				t.Fatalf("trial %d after %s: Min (%v,%d), oracle (%v,%d)",
 					trial, op, m.Tag, m.Seq, o.key, o.seq)
@@ -160,18 +103,18 @@ func matchContainerHeap(t *testing.T, trial int, h heapUnderTest) {
 			a := newHItem(key, seq)
 			b := &refItem{key: key, seq: seq, idx: -1}
 			seq++
-			h.Push(a)
+			h.Push(&a.Tagged)
 			heap.Push(&ref, b)
 			hs = append(hs, a)
 			rs = append(rs, b)
 			check("push")
 		case r < 6: // pop
-			a := h.Pop()
+			a := pop(&h)
 			b := heap.Pop(&ref).(*refItem)
 			if a.Tag != b.key || a.Seq != b.seq {
 				t.Fatalf("trial %d: Pop (%v,%d), oracle (%v,%d)", trial, a.Tag, a.Seq, b.key, b.seq)
 			}
-			if i := h.Slot(a); i != -1 {
+			if i := a.Slot(); i != -1 {
 				t.Fatalf("trial %d: popped item keeps index %d", trial, i)
 			}
 			hs = drop(hs, a)
@@ -185,17 +128,14 @@ func matchContainerHeap(t *testing.T, trial int, h heapUnderTest) {
 			seq++
 			a.Tag, a.Seq = key, newSeq
 			b.key, b.seq = key, newSeq
-			h.Fix(a)
+			h.Fix(&a.Tagged)
 			heap.Fix(&ref, b.idx)
 			check("fix")
 		default: // remove a random live element
 			i := rng.Intn(len(hs))
 			a, b := hs[i], rs[i]
-			got := h.Remove(a)
-			if got != a {
-				t.Fatalf("trial %d: Remove returned wrong item", trial)
-			}
-			if i := h.Slot(a); i != -1 {
+			h.Remove(&a.Tagged)
+			if i := a.Slot(); i != -1 {
 				t.Fatalf("trial %d: removed item keeps index %d", trial, i)
 			}
 			heap.Remove(&ref, b.idx)
@@ -204,8 +144,8 @@ func matchContainerHeap(t *testing.T, trial int, h heapUnderTest) {
 			check("remove")
 		}
 		// Index integrity on every step.
-		for i := 0; i < h.Len(); i++ {
-			if j := h.Slot(h.At(i)); j != i {
+		for i, x := range h.Items() {
+			if j := x.Slot(); j != i {
 				t.Fatalf("trial %d: item at %d has index %d", trial, i, j)
 			}
 		}
@@ -213,7 +153,7 @@ func matchContainerHeap(t *testing.T, trial int, h heapUnderTest) {
 
 	// Drain: pop order must match exactly, including all ties.
 	for h.Len() > 0 {
-		a := h.Pop()
+		a := pop(&h)
 		b := heap.Pop(&ref).(*refItem)
 		if a.Tag != b.key || a.Seq != b.seq {
 			t.Fatalf("trial %d drain: Pop (%v,%d), oracle (%v,%d)", trial, a.Tag, a.Seq, b.key, b.seq)
@@ -243,28 +183,26 @@ func dropRef(s []*refItem, x *refItem) []*refItem {
 }
 
 // TestHeapOperationsDoNotAllocate verifies the steady-state heap cycle is
-// allocation-free once the backing array has grown, for both heaps.
+// allocation-free once the backing array has grown.
 func TestHeapOperationsDoNotAllocate(t *testing.T) {
-	for _, hc := range heapsUnderTest {
-		t.Run(hc.name, func(t *testing.T) {
-			h := hc.mk()
-			for i := 0; i < 64; i++ {
-				h.Push(newHItem(float64(i%7), uint64(i)))
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				it := h.Pop()
-				it.Tag++
-				h.Push(it)
-				h.Fix(it)
-				min := h.Min()
-				h.Remove(min)
-				h.Push(min)
-			})
-			if allocs != 0 {
-				t.Fatalf("heap cycle allocates %v times per run, want 0", allocs)
-			}
+	t.Run("TagHeap", func(t *testing.T) {
+		var h TagHeap[float64, *hItem]
+		for i := 0; i < 64; i++ {
+			h.Push(&newHItem(float64(i%7), uint64(i)).Tagged)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			it := pop(&h)
+			it.Tag++
+			h.Push(&it.Tagged)
+			h.Fix(&it.Tagged)
+			min := h.Min()
+			h.Remove(min)
+			h.Push(min)
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("heap cycle allocates %v times per run, want 0", allocs)
+		}
+	})
 }
 
 // TestEventPoolRecycles verifies fired and cancelled events are reused

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -64,4 +65,30 @@ func MaxTime(a, b Time) Time {
 		return a
 	}
 	return b
+}
+
+// MulDivFloor returns floor(a*b/c) without intermediate overflow: the
+// work-to-time conversions of cpu and sched scale by a rate and a second.
+// It panics if the quotient does not fit in 64 bits.
+func MulDivFloor(a, b, c uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	if hi >= c {
+		panic("sim: mulDiv overflow")
+	}
+	q, _ := bits.Div64(hi, lo, c)
+	return q
+}
+
+// MulDivCeil returns ceil(a*b/c) without intermediate overflow. It panics
+// if the quotient does not fit in 64 bits.
+func MulDivCeil(a, b, c uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	if hi >= c {
+		panic("sim: mulDiv overflow")
+	}
+	q, r := bits.Div64(hi, lo, c)
+	if r > 0 {
+		q++
+	}
+	return q
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hsfq/internal/checkpoint"
 	"hsfq/internal/sim"
 	"hsfq/internal/simconfig"
 )
@@ -87,23 +88,5 @@ func (st *Store) Best(prefix string, maxAt sim.Time) (data []byte, at sim.Time, 
 // Put stores a checkpoint atomically. Errors are returned for the caller
 // to log; a failed write never fails the job that produced it.
 func (st *Store) Put(prefix string, at sim.Time, data []byte) error {
-	final := st.path(prefix, at)
-	tmp, err := os.CreateTemp(st.Dir, ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return checkpoint.WriteFile(st.path(prefix, at), data)
 }

@@ -23,6 +23,8 @@ func TestJobKeyPinned(t *testing.T) {
 		seed uint64
 		key  string
 	}{
+		{"configs/every-leaf.json", 1, "89e7fd0cf32b1ac2c9818793e37be6d08027ca34dc7cbf029305ad428b8b9e40"},
+		{"configs/every-leaf.json", 7, "7fa196276d4f4e02c2f06df536d8e1a33f77f88ee1e85bf74327002eb727a98d"},
 		{"configs/interrupt-storm.json", 1, "1d6c4ec608a5b5b2ada3d160f9ab67acf1a2a0dcda7a4f4094a8981bcc3f9f3f"},
 		{"configs/interrupt-storm.json", 7, "e0ec77aec9701a4173ccf9c1a26225a74a978d3385a8de2f13f6d3111eb1e8f6"},
 		{"configs/paper-fig2.json", 1, "50f339e9fdfa58b263b963db54986fe8eeb496f38a5731dd413e2b4e0b17e59a"},
@@ -95,6 +97,8 @@ func TestTraceDigestPinned(t *testing.T) {
 		rows   int
 		digest string
 	}{
+		{"every-leaf.json", 1, "", 2694, "741ecab3173b375e6033729df45b333a1416f964ebff7474a0e32c227ceb45f7"},
+		{"every-leaf.json", 3, "partitioned", 6743, "83d8a1a2e0ecfe68ebb01fe23f244724c740faf898defd3615e5f26d9731b144"},
 		{"interrupt-storm.json", 1, "", 7325, "81eb68b2c6acbbc042b61096b8880ab1fad2beb8689cfba734aaf4e5dd3cb8eb"},
 		{"interrupt-storm.json", 3, "partitioned", 13611, "5e007d3bffa63ae86887b3e6e30a3dfb9fd12d72d0e8f878f30f67d0ad84d62e"},
 		{"interrupt-storm.json", 3, "global", 11834, "35e3ef7f79de5e01c5dc1528591a9b5804cee3ed72950e9ca3f61cdfaca954c1"},

@@ -77,10 +77,11 @@ var codeKinds = [...]trace.Kind{
 const badKind = 0xff
 
 // kindCode returns the wire code of k: its index in codeKinds, whose
-// first entries are the most frequent kinds.
+// first entries are the most frequent kinds. The loop indexes the array
+// in place; ranging over its elements would copy it on every call.
 func kindCode(k trace.Kind) byte {
-	for code, known := range codeKinds {
-		if known == k {
+	for code := range codeKinds {
+		if codeKinds[code] == k {
 			return byte(code)
 		}
 	}

@@ -58,7 +58,10 @@ bench-test:
 # its (At, Seq) firing contract under any op script, no byte stream may
 # panic the trace-frame decoder or make it allocate unboundedly, the
 # in-place event frame encoder must match its two-step reference and
-# decode back on any event, the canonical row encoder must match its
+# decode back on any event, a recording's digest, deferred to its first
+# read or folded live once a read, a dropped frame or an event that would
+# not decode back switches it, must equal a trace.Hasher's under any
+# script of events and reads, the canonical row encoder must match its
 # reference format on any event, and
 # a hierarchy over every leaf kind must keep its invariants, and resume
 # exactly from a checkpoint, under any script of structure operations.
@@ -70,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTraceFrameDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/tracestream
 	$(GO) test -run '^$$' -fuzz FuzzAppendEventFrame -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/tracestream
+	$(GO) test -run '^$$' -fuzz FuzzDeferredDigest -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/tracestream
 	$(GO) test -run '^$$' -fuzz FuzzAppendRow -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzStructureOps -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/core
 

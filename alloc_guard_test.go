@@ -314,9 +314,12 @@ func TestEngineCancelDoesNotAllocate(t *testing.T) {
 
 // TestTraceRecordingDoesNotAllocate guards the observation plane that
 // hsfqd attaches to every executed job: folding an event into a
-// trace.Hasher, and a recording Broadcaster encoding, digesting and
-// storing it, allocate nothing per event once their buffers are warm
-// (the recording's amortized growth stays far below one per event).
+// trace.Hasher, and a recording Broadcaster encoding and storing it,
+// allocate nothing per event once their buffers are warm (the
+// recording's chunks stay far below one per event). The recording is
+// measured twice: with its digest deferred, nothing reading it until
+// after the measured loop, and folding live after a Snapshot before the
+// loop. Each must then give the digest of a hasher fed the same events.
 func TestTraceRecordingDoesNotAllocate(t *testing.T) {
 	now := sim.Time(0)
 
@@ -331,19 +334,31 @@ func TestTraceRecordingDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Hasher.Add allocates %v times per event, want 0", allocs)
 	}
 
-	b := tracestream.New()
-	b.EnableRecording(0)
-	b.Begin([]trace.ThreadMeta{{TID: 1, Name: "decoder", Depth: 1, Path: "/soft"}})
-	allocs = testing.AllocsPerRun(1000, func() {
-		now += sim.Millisecond
-		b.Add(trace.Event{At: now, Kind: trace.Dispatch, Thread: "decoder", ThreadID: 1})
-		b.Add(trace.Event{At: now, Kind: trace.Charge, Thread: "decoder", ThreadID: 1, Used: 1_000_000, Runnable: true})
-	})
-	if allocs != 0 {
-		t.Fatalf("recording Broadcaster allocates %v times per dispatch/charge pair, want 0", allocs)
-	}
-	if rows := b.Snapshot().Rows; rows != 2*1001 {
-		t.Fatalf("recording holds %d rows, want %d", rows, 2*1001)
+	for _, mode := range []string{"deferred", "live"} {
+		b := tracestream.New()
+		b.EnableRecording(0)
+		b.Begin([]trace.ThreadMeta{{TID: 1, Name: "decoder", Depth: 1, Path: "/soft"}})
+		if mode == "live" {
+			b.Snapshot() // a read before Finish: every later event is folded as it comes
+		}
+		ref := trace.NewHasher()
+		allocs = testing.AllocsPerRun(1000, func() {
+			now += sim.Millisecond
+			for _, e := range []trace.Event{
+				{At: now, Kind: trace.Dispatch, Thread: "decoder", ThreadID: 1},
+				{At: now, Kind: trace.Charge, Thread: "decoder", ThreadID: 1, Used: 1_000_000, Runnable: true},
+			} {
+				b.Add(e)
+				ref.Add(e)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s recording Broadcaster allocates %v times per dispatch/charge pair, want 0", mode, allocs)
+		}
+		b.Finish()
+		if rec := b.Snapshot(); rec.Rows != 2*1001 || rec.Rows != ref.Rows() || rec.Digest != ref.Sum() {
+			t.Fatalf("%s recording holds %d rows digest %s, want %d rows %s", mode, rec.Rows, rec.Digest, 2*1001, ref.Sum())
+		}
 	}
 }
 

@@ -331,30 +331,37 @@ func videoServerEvents(b *testing.B) ([]trace.Event, []trace.ThreadMeta, int) {
 }
 
 // BenchmarkTraceRecord measures the trace recording hsfqd attaches to
-// every job it executes, per event row: a recording Broadcaster folds
-// each event into its digest and encodes its frame onto the recording,
-// once with no subscriber and once with one subscriber that takes its
-// frames after every run. The rows are the events of one video-server
-// run, replayed from memory, so ns/op and allocs/op are per row and
-// include the recording's amortized growth.
+// every job it executes, per event row. subs-0 records with nothing
+// reading: each event's frame is encoded onto the recording and its row
+// counted, and the digest waits for the first read. subs-0-read times
+// only what that read costs, Finish plus the first Snapshot, which
+// decodes the frames once and folds them into the digest. subs-1 has one
+// subscriber from the start, so each event is also folded into the
+// digest as it comes and its frames are taken after every run. The rows
+// are the events of one video-server run, replayed from memory, so ns/op
+// and allocs/op are per row and include the recording's amortized
+// growth.
 func BenchmarkTraceRecord(b *testing.B) {
 	events, metas, cores := videoServerEvents(b)
+	record := func(events []trace.Event, subs int) (*tracestream.Broadcaster, *tracestream.Subscriber) {
+		bc := tracestream.New()
+		bc.EnableRecording(0)
+		bc.SetNumCores(cores)
+		var sub *tracestream.Subscriber
+		if subs > 0 {
+			sub = bc.Subscribe(64 << 20)
+		}
+		bc.Begin(metas)
+		for _, e := range events {
+			bc.Add(e)
+		}
+		return bc, sub
+	}
 	for _, subs := range []int{0, 1} {
 		b.Run(fmt.Sprintf("subs-%d", subs), func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for left := b.N; left > 0; left -= len(events) {
-				bc := tracestream.New()
-				bc.EnableRecording(0)
-				bc.SetNumCores(cores)
-				var sub *tracestream.Subscriber
-				if subs > 0 {
-					sub = bc.Subscribe(64 << 20)
-				}
-				bc.Begin(metas)
-				for _, e := range events[:min(left, len(events))] {
-					bc.Add(e)
-				}
+				bc, sub := record(events[:min(left, len(events))], subs)
 				bc.Finish()
 				if sub != nil {
 					sub.Take()
@@ -362,6 +369,16 @@ func BenchmarkTraceRecord(b *testing.B) {
 			}
 		})
 	}
+	b.Run("subs-0-read", func(b *testing.B) {
+		b.ReportAllocs()
+		for left := b.N; left > 0; left -= len(events) {
+			b.StopTimer()
+			bc, _ := record(events[:min(left, len(events))], 0)
+			b.StartTimer()
+			bc.Finish()
+			bc.Snapshot()
+		}
+	})
 }
 
 // BenchmarkTraceFollow measures a live follow stream per event row, the

@@ -32,9 +32,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
@@ -120,9 +124,10 @@ func Save(s *simconfig.Simulation, opt Options) ([]byte, error) {
 // WriteFile atomically replaces path with data: it writes a temporary
 // file in path's directory and renames it over path, so a reader, or a
 // run killed mid-write, finds the previous file or the whole new one,
-// never a torn snapshot.
+// never a torn snapshot. The file gets the mode os.Create gives, 0666
+// less the umask, like a trace written beside it.
 func WriteFile(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
+	tmp, err := createTemp(filepath.Dir(path))
 	if err != nil {
 		return err
 	}
@@ -137,6 +142,19 @@ func WriteFile(path string, data []byte) error {
 		_ = os.Remove(tmp.Name()) // best effort: err is the failure to report
 	}
 	return err
+}
+
+// createTemp creates a new file named .ckpt-<random> in dir. Unlike
+// os.CreateTemp, whose files are mode 0600, it asks for mode 0666 and
+// lets the umask narrow it.
+func createTemp(dir string) (*os.File, error) {
+	for try := 0; ; try++ {
+		name := filepath.Join(dir, ".ckpt-"+strconv.FormatUint(rand.Uint64(), 36))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) || try == 100 {
+			return f, err
+		}
+	}
 }
 
 // sections is a parsed checkpoint frame.

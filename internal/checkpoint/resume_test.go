@@ -397,6 +397,28 @@ func TestWriteFileReplacesAtomically(t *testing.T) {
 			t.Fatalf("read back %q, %v; want %q", got, err, data)
 		}
 	}
+	// The umask narrows the mode as it does os.Create's, so a checkpoint
+	// is as readable as a trace written beside it.
+	plain := filepath.Join(dir, "plain")
+	if f, err := os.Create(plain); err != nil {
+		t.Fatal(err)
+	} else {
+		f.Close()
+	}
+	got, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.Stat(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode() != want.Mode() {
+		t.Fatalf("checkpoint mode %v, os.Create's %v", got.Mode(), want.Mode())
+	}
+	if err := os.Remove(plain); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.Mkdir(filepath.Join(dir, "taken"), 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,14 @@ type Recording struct {
 // wake-up per subscriber per run of a few hundred frames, not per frame.
 const runBytes = 4 << 10
 
+// The recording grows in chunks that are never copied to grow: the first
+// holds minChunk bytes, each next one twice its predecessor, up to
+// maxChunk.
+const (
+	minChunk = 4 << 10
+	maxChunk = 64 << 10
+)
+
 // Broadcaster is a cpu.Listener: Add encodes every scheduling event into
 // the wire format and fans it out to any number of subscribers through
 // bounded per-subscriber buffers. With no subscriber attached and
@@ -45,6 +53,18 @@ const runBytes = 4 << 10
 // before every control frame (Begin, Finish), and at Subscribe and
 // Unsubscribe. So a subscriber's Take and Dropped see an event only once
 // its run has gone out.
+//
+// A recording's digest is folded only once something reads it. While
+// nothing does, Add encodes each event's frame onto the recording and
+// counts its row, and Finish leaves the end frame pending; the first
+// Snapshot or Subscribe after Finish decodes the recorded frames once,
+// folds them into a trace.Hasher and records the end frame. Three things
+// switch a run to folding each event as it comes, after the frames
+// recorded so far: a Subscribe or Snapshot before Finish, the first event
+// frame dropped at the recording cap (the frames no longer cover the
+// run), and an event whose frame would not decode back to it (see
+// decodesBack). Either way the digest is the one a trace.Hasher attached
+// to the same machine computes.
 //
 // Lifecycle: New → [EnableRecording] → Machine.Listen (sets the core
 // count) → Begin(meta) → run → Finish(). Subscribe works at any point;
@@ -62,14 +82,18 @@ type Broadcaster struct {
 	subs     []*Subscriber // in subscription order
 	run      []byte        // event frames not yet pushed to subs; empty when subs is
 
-	// Recording state (nil digest before Finish = recording disabled).
-	// recFrames always holds the control frames; once an event frame does
-	// not fit under recCap, recTrunc is set and no later event frame is
-	// kept, so the recorded events are an exact prefix of the stream.
-	// Finish keeps only the digest's final rows and sum, so the hasher's
-	// buffer does not live as long as the recording.
+	// Recording state. recChunks always holds the control frames, each
+	// frame whole in one chunk; once an event frame does not fit under
+	// recCap, recTrunc is set and no later event frame is kept, so the
+	// recorded events are an exact prefix of the stream. recDigest folds
+	// events live; it is nil while the digest is deferred and once recSum
+	// holds the final digest, which Finish or the first read after it
+	// sets.
+	recOn     bool
 	recCap    int
-	recFrames []byte
+	recChunks [][]byte
+	recSize   int            // bytes in recChunks
+	recNames  map[int]string // thread names a decoder resolves, by ID
 	recDigest *trace.Hasher
 	recRows   int
 	recSum    string
@@ -88,22 +112,25 @@ func New() *Broadcaster {
 func (b *Broadcaster) EnableRecording(maxBytes int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.recOn = true
 	b.recCap = maxBytes
-	b.recDigest = trace.NewHasher()
-	b.recDigest.SetNumCores(b.numCores)
 	b.active.Store(true)
 }
 
 // SetNumCores tells the broadcaster how many cores feed it;
-// Machine.Listen calls it before any event. It must run before Begin.
+// Machine.Listen calls it before any event. It must run before Begin;
+// once a row is recorded, the digest's core count no longer changes.
 func (b *Broadcaster) SetNumCores(n int) {
 	if n < 1 {
 		n = 1
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.recRows > 0 {
+		return
+	}
 	b.numCores = n
-	if b.recDigest != nil && b.recDigest.Rows() == 0 {
+	if b.recDigest != nil {
 		b.recDigest.SetNumCores(n)
 	}
 }
@@ -118,16 +145,22 @@ func (b *Broadcaster) Begin(meta []trace.ThreadMeta) {
 		return
 	}
 	b.began = true
-	start := len(b.recFrames)
-	b.recFrames = AppendHeaderFrame(b.recFrames, b.numCores)
-	b.recFrames = AppendThreadsFrame(b.recFrames, meta)
-	b.pushControl(b.recFrames[start:])
+	frames := AppendThreadsFrame(AppendHeaderFrame(nil, b.numCores), meta)
+	b.keep(frames)
+	if b.deferred() {
+		var ok bool
+		if b.recNames, ok = threadNames(frames); !ok {
+			b.fold() // a table no decoder reads: fold live from the start
+		}
+	}
+	b.pushControl(frames)
 }
 
 // Finish closes the stream: it appends the end frame (row count + full
 // digest) to the recording and every subscriber. A truncated recording
-// gets a drop frame of every lost event just before its end frame. The
-// broadcaster ignores events after Finish.
+// gets a drop frame of every lost event just before its end frame. A
+// deferred digest leaves the end frame pending until the first read,
+// with room for it kept. The broadcaster ignores events after Finish.
 func (b *Broadcaster) Finish() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -135,14 +168,24 @@ func (b *Broadcaster) Finish() {
 		return
 	}
 	b.finished = true
-	b.recRows, b.recSum = b.digest()
-	b.recDigest = nil
-	if b.recTrunc {
-		b.recFrames = AppendDropFrame(b.recFrames, b.recLost)
+	b.recNames = nil
+	if b.deferred() {
+		b.clip(endFrameLen(b.recRows))
+		return
 	}
-	start := len(b.recFrames)
-	b.recFrames = AppendEndFrame(b.recFrames, b.recRows, b.recSum)
-	b.pushControl(b.recFrames[start:])
+	if b.recDigest != nil {
+		b.recSum = b.recDigest.Sum()
+		b.recDigest = nil
+	}
+	var frames []byte
+	if b.recTrunc { // for late subscribers: live ones count their own drops
+		frames = AppendDropFrame(frames, b.recLost)
+	}
+	end := len(frames)
+	frames = AppendEndFrame(frames, b.recRows, b.recSum)
+	b.clip(len(frames))
+	b.keep(frames)
+	b.pushControl(frames[end:])
 }
 
 // pushControl sends the pending run, then the control frames, to every
@@ -166,13 +209,65 @@ func (b *Broadcaster) flushRun() {
 	b.run = b.run[:0]
 }
 
-// digest returns the row count and hex digest of the events recorded so
-// far. Caller holds b.mu.
-func (b *Broadcaster) digest() (rows int, sum string) {
-	if b.recDigest == nil {
-		return b.recRows, b.recSum
+// deferred reports that the recording's digest is not folded yet.
+// Caller holds b.mu.
+func (b *Broadcaster) deferred() bool {
+	return b.recOn && b.recDigest == nil && b.recSum == ""
+}
+
+// fold ends a deferred digest: it decodes the recorded event frames into
+// a trace.Hasher, which then folds every later event as Add sees it.
+// After Finish it sums the hasher and records the pending end frame.
+// Caller holds b.mu.
+func (b *Broadcaster) fold() {
+	if !b.deferred() {
+		return
 	}
-	return b.recDigest.Rows(), b.recDigest.Sum()
+	h := trace.NewHasher()
+	h.SetNumCores(b.numCores)
+	if b.recRows > 0 { // with none, Begin may fold because no decoder reads the threads frame
+		foldFrames(h, b.recChunks)
+	}
+	b.recDigest = h
+	if b.finished {
+		b.recSum = h.Sum()
+		b.recDigest = nil
+		b.keep(AppendEndFrame(nil, b.recRows, b.recSum))
+	}
+}
+
+// foldFrames folds the event frames of chunks of whole frames into h.
+func foldFrames(h *trace.Hasher, chunks [][]byte) {
+	dec := NewDecoder()
+	for _, c := range chunks {
+		dec.buf, dec.off = c, 0 // whole frames: decode the chunk in place
+		for {
+			f, err := dec.Next()
+			if err != nil {
+				panic(err) // the broadcaster checked that every frame decodes back
+			}
+			if f == nil {
+				break
+			}
+			if f.Type == frameEvent {
+				h.Fold(&f.Event)
+			}
+		}
+	}
+}
+
+// decodesBack reports whether e's frame decodes back to e, as the
+// deferred fold needs: its kind has a wire code, and its thread name is
+// the one the threads frame gives its ID, or none for ID 0. O(1) and 0
+// allocs. Caller holds b.mu.
+func (b *Broadcaster) decodesBack(e *trace.Event) bool {
+	if kindCode(e.Kind) == badKind {
+		return false
+	}
+	if e.ThreadID == 0 {
+		return e.Thread == ""
+	}
+	return e.Thread == b.recNames[e.ThreadID]
 }
 
 // Snapshot returns the recording. Meaningful after Finish; before that
@@ -180,21 +275,40 @@ func (b *Broadcaster) digest() (rows int, sum string) {
 func (b *Broadcaster) Snapshot() Recording {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.fold()
 	rec := Recording{
-		Frames:    append([]byte(nil), b.recFrames...),
+		Frames:    b.appendRecording(nil),
+		Digest:    b.recSum,
+		Rows:      b.recRows,
 		Truncated: b.recTrunc,
 		Lost:      b.recLost,
 	}
-	rec.Rows, rec.Digest = b.digest()
+	if b.recDigest != nil {
+		rec.Digest = b.recDigest.Sum()
+	}
 	return rec
 }
 
 // Size returns the length in bytes of the recorded frames, the
-// len(Snapshot().Frames) of this moment, without copying them.
+// len(Snapshot().Frames) of this moment, without copying them or folding
+// a deferred digest: a pending end frame's length depends only on the
+// row count.
 func (b *Broadcaster) Size() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.recFrames)
+	if b.finished && b.deferred() {
+		return b.recSize + endFrameLen(b.recRows)
+	}
+	return b.recSize
+}
+
+// appendRecording appends the recorded frames to dst. Caller holds b.mu.
+func (b *Broadcaster) appendRecording(dst []byte) []byte {
+	dst = slices.Grow(dst, b.recSize)
+	for _, c := range b.recChunks {
+		dst = append(dst, c...)
+	}
+	return dst
 }
 
 // Subscribe attaches a new subscriber with the given pending-buffer cap
@@ -213,11 +327,12 @@ func (b *Broadcaster) Subscribe(bufBytes int) *Subscriber {
 	// the pending run goes to the subscribers attached so far first: no
 	// subscriber sees an event twice or misses one.
 	b.flushRun()
-	if len(b.recFrames) > 0 {
+	b.fold()
+	if b.recSize > 0 {
 		// Seed beyond the cap if needed: catch-up happens once, and a
 		// subscriber that asked for a tiny buffer still needs a coherent
 		// stream prefix.
-		s.buf = append(s.buf, b.recFrames...)
+		s.buf = b.appendRecording(s.buf)
 		if b.recTrunc {
 			s.dropped += b.recLost
 			if !b.finished { // a finished recording holds its drop frame
@@ -239,7 +354,7 @@ func (b *Broadcaster) Unsubscribe(s *Subscriber) {
 	if i := slices.Index(b.subs, s); i >= 0 {
 		b.subs = slices.Delete(b.subs, i, i+1)
 	}
-	b.active.Store(b.recDigest != nil || len(b.subs) > 0)
+	b.active.Store((b.recOn && !b.finished) || len(b.subs) > 0)
 	b.mu.Unlock()
 	s.Close()
 }
@@ -251,30 +366,77 @@ func (b *Broadcaster) Subscribers() int {
 	return len(b.subs)
 }
 
-// record folds one event into the digest and encodes its frame straight
-// onto the recording, returning the frame there; it returns nil when
-// recording is disabled or truncated. Control frames bypass it: they are
-// always kept — they are tiny and every late subscriber is seeded from
-// recFrames, so the stream prefix must stay coherent even when event
-// recording is disabled or capped. Caller holds b.mu.
+// room returns the recording's last chunk with room for n more bytes,
+// starting a new chunk when it has not. Caller holds b.mu.
+func (b *Broadcaster) room(n int) []byte {
+	size := minChunk
+	if k := len(b.recChunks); k > 0 {
+		last := b.recChunks[k-1]
+		if cap(last)-len(last) >= n {
+			return last
+		}
+		size = min(2*cap(last), maxChunk)
+	}
+	c := make([]byte, 0, max(size, n))
+	b.recChunks = append(b.recChunks, c)
+	return c
+}
+
+// keep appends whole frames to the recording. Caller holds b.mu.
+func (b *Broadcaster) keep(frames []byte) {
+	c := append(b.room(len(frames)), frames...)
+	b.recChunks[len(b.recChunks)-1] = c
+	b.recSize += len(frames)
+}
+
+// clip reallocates the last chunk to its length plus n bytes of room, so
+// a finished recording holds no spare capacity. Caller holds b.mu.
+func (b *Broadcaster) clip(n int) {
+	if k := len(b.recChunks); k > 0 {
+		last := b.recChunks[k-1]
+		b.recChunks[k-1] = append(make([]byte, 0, len(last)+n), last...)
+	}
+}
+
+// record counts one event's row and encodes its frame straight onto the
+// recording, returning the frame there, and folds it into a live digest;
+// it returns nil when recording is disabled or truncated. Control frames
+// bypass it: they are always kept — they are tiny and every late
+// subscriber is seeded from the recording, so the stream prefix must stay
+// coherent even when event recording is disabled or capped. Caller holds
+// b.mu.
 func (b *Broadcaster) record(e *trace.Event) []byte {
-	if b.recDigest == nil {
+	if !b.recOn {
 		return nil
 	}
-	b.recDigest.Fold(e)
-	if !b.recTrunc {
-		start := len(b.recFrames)
-		b.recFrames = appendEventFrame(b.recFrames, e)
-		if b.recCap <= 0 || len(b.recFrames) <= b.recCap {
-			return b.recFrames[start:]
-		}
-		// Over the cap: take the frame back and keep no later one, even
-		// one that would fit, so the recording stays an exact prefix.
-		b.recFrames = b.recFrames[:start]
-		b.recTrunc = true
+	if b.recDigest == nil && !b.decodesBack(e) {
+		b.fold()
 	}
-	b.recLost++
-	return nil
+	var frame []byte
+	if !b.recTrunc {
+		c := b.room(maxEventFrame)
+		start := len(c)
+		c = appendEventFrame(c, e)
+		if n := len(c) - start; b.recCap <= 0 || b.recSize+n <= b.recCap {
+			b.recChunks[len(b.recChunks)-1] = c
+			b.recSize += n
+			frame = c[start:]
+		} else {
+			// Over the cap: keep no later frame, even one that would fit,
+			// so the recording stays an exact prefix, and fold from here
+			// on, since the frames no longer cover the run.
+			b.recTrunc = true
+			b.fold()
+		}
+	}
+	if frame == nil {
+		b.recLost++
+	}
+	b.recRows++
+	if b.recDigest != nil {
+		b.recDigest.Fold(e)
+	}
+	return frame
 }
 
 // Add is the hot path: encode once, record, and append to the pending

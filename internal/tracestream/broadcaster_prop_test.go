@@ -28,9 +28,11 @@ func (p *propSub) take() { p.took = append(p.took, p.sub.Take()...) }
 // TestFanoutProperty runs seeded random scripts against a recording
 // Broadcaster, with and without a byte cap on the recording: events of
 // all seven kinds, Takes on random subscribers, and subscribers attaching
-// before Begin, mid-run and after Finish. A second, uncapped recording is
-// fed the same events as the reference stream. The test starts no
-// goroutine. After Finish, for every subscriber:
+// before Begin, mid-run and after Finish, or never. A second, uncapped
+// recording is fed the same events as the reference stream, and a
+// trace.Hasher too: both recordings' rows and digests must be the
+// hasher's, whether the digest was folded live or deferred to the first
+// read. The test starts no goroutine. After Finish, for every subscriber:
 //   - its bytes decode without error and end with the end frame;
 //   - its event rows are the reference's rows in order, with each drop
 //     frame standing for exactly the rows missing at its place, so rows
@@ -42,19 +44,21 @@ func TestFanoutProperty(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		for _, recCap := range []int{0, 300, 8 << 10} {
 			t.Run(fmt.Sprintf("seed=%d/cap=%d", seed, recCap), func(t *testing.T) {
-				runFanoutScript(t, rand.New(rand.NewSource(seed)), recCap)
+				runFanoutScript(t, rand.New(rand.NewSource(seed)), recCap, true)
+				runFanoutScript(t, rand.New(rand.NewSource(seed)), recCap, false)
 			})
 		}
 	}
 }
 
-func runFanoutScript(t *testing.T, rng *rand.Rand, recCap int) {
-	b, ref := New(), New()
+func runFanoutScript(t *testing.T, rng *rand.Rand, recCap int, attach bool) {
+	b, ref, h := New(), New(), trace.NewHasher()
 	b.EnableRecording(recCap)
 	ref.EnableRecording(0)
 	cores := 1 + rng.Intn(2)
 	b.SetNumCores(cores)
 	ref.SetNumCores(cores)
+	h.SetNumCores(cores)
 	meta := []trace.ThreadMeta{
 		{TID: 1, Name: "dec", Depth: 1, Path: "/soft"},
 		{TID: 2, Name: "hog", Depth: 2, Path: "/be/u1"},
@@ -62,6 +66,9 @@ func runFanoutScript(t *testing.T, rng *rand.Rand, recCap int) {
 	}
 	var subs []*propSub
 	subscribe := func() {
+		if !attach {
+			return
+		}
 		c := propCaps[rng.Intn(len(propCaps))]
 		subs = append(subs, &propSub{sub: b.Subscribe(c), cap: c})
 	}
@@ -83,6 +90,7 @@ func runFanoutScript(t *testing.T, rng *rand.Rand, recCap int) {
 		}
 		b.Add(e)
 		ref.Add(e)
+		h.Add(e)
 	}
 
 	for i := rng.Intn(3); i > 0; i-- {
@@ -104,15 +112,18 @@ func runFanoutScript(t *testing.T, rng *rand.Rand, recCap int) {
 	}
 	b.Finish()
 	ref.Finish()
-	add() // after Finish: ignored by both
+	hashed, sum := h.Rows(), h.Sum()
+	add() // after Finish: ignored by both recordings
 	for i := rng.Intn(3); i > 0; i-- {
 		subscribe() // after Finish
 	}
 
 	want := ref.Snapshot()
 	got := b.Snapshot()
-	if got.Rows != want.Rows || got.Digest != want.Digest {
-		t.Fatalf("recording rows %d digest %s, reference %d %s", got.Rows, got.Digest, want.Rows, want.Digest)
+	for _, rec := range []Recording{got, want} {
+		if rec.Rows != hashed || rec.Digest != sum {
+			t.Fatalf("recording rows %d digest %s, hasher %d %s", rec.Rows, rec.Digest, hashed, sum)
+		}
 	}
 	if !got.Truncated && !bytes.Equal(got.Frames, want.Frames) {
 		t.Fatal("an untruncated recording differs from the reference")

@@ -6,6 +6,7 @@
 package tracestream
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -179,6 +180,31 @@ func AppendEndFrame(buf []byte, rows int, digest string) []byte {
 	body = binary.AppendUvarint(body, uint64(rows))
 	body = appendString(body, digest)
 	return appendFrame(buf, body)
+}
+
+// endFrameLen is the length of AppendEndFrame's frame for rows and a
+// trace.Hasher digest, whose 64 hex digits make it known before the
+// digest is. The body is under 128 bytes, so its length prefix is one.
+func endFrameLen(rows int) int {
+	var n [binary.MaxVarintLen64]byte
+	return 1 + 1 + binary.PutUvarint(n[:], uint64(rows)) + 1 + 2*sha256.Size
+}
+
+// threadNames decodes the header and threads frames that open a stream
+// and returns the thread names by ID that a decoder resolves the event
+// frames after them through; ok is false when the frames do not decode.
+func threadNames(frames []byte) (names map[int]string, ok bool) {
+	dec := NewDecoder()
+	dec.Feed(frames)
+	for {
+		f, err := dec.Next()
+		if err != nil {
+			return nil, false
+		}
+		if f == nil {
+			return dec.names, true
+		}
+	}
 }
 
 // Frame is one decoded wire frame. Type selects which fields are set.

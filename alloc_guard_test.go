@@ -99,69 +99,68 @@ func TestBlockWakeCycleDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestLeafSchedulersDoNotAllocate guards the flat hot path of every
-// heap-based leaf algorithm, a decision that keeps its thread runnable
-// and one that blocks and wakes it (the randomized and queue-rotating
-// ones — rr, lottery, svr4 — are excluded: their hot paths involve slice
-// rotation or RNG state by design).
-func TestLeafSchedulersDoNotAllocate(t *testing.T) {
-	algos := map[string]sched.Scheduler{
-		"sfq":      sched.NewSFQ(10 * sim.Millisecond),
-		"edf":      sched.NewEDF(10 * sim.Millisecond),
-		"rm":       sched.NewRM(10 * sim.Millisecond),
-		"priority": sched.NewPriority(10 * sim.Millisecond),
-		"stride":   sched.NewStride(10 * sim.Millisecond),
-		"eevdf":    sched.NewEEVDF(10*sim.Millisecond, 1_000_000),
-		"reserves": sched.NewReserves(10 * sim.Millisecond),
-		"mlfq":     sched.NewMLFQ(4, 10*sim.Millisecond, sim.Second, 100_000_000),
-		"drr":      sched.NewDRR(10*sim.Millisecond, 100_000_000),
+// newLeaf builds the named registry leaf, as a config file would, and
+// enqueues eight threads of mixed weights and periods at time 0.
+func newLeaf(tb testing.TB, name string) sched.Scheduler {
+	s, err := sched.New(name, sched.LeafConfig{
+		Quantum: 10 * sim.Millisecond,
+		Aging:   100 * sim.Millisecond,
+	})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	for name, s := range algos {
+	for i := 0; i < 8; i++ {
+		th := sched.NewThread(i+1, "t", float64(i%3+1))
+		th.Period = sim.Time(i+1) * 10 * sim.Millisecond
+		s.Enqueue(th, 0)
+	}
+	return s
+}
+
+// leafCycles is the number of decision cycles in each measured run of the
+// leaf guards. AllocsPerRun rounds its average down, so a leaf that
+// allocates once every few cycles (a slice queue creeping forward and
+// regrowing) reads 0 when each run makes a single cycle.
+const leafCycles = 16
+
+// TestLeafSchedulersDoNotAllocate guards the flat hot path of every
+// registered leaf: a decision that keeps its thread runnable and one that
+// blocks and wakes it.
+func TestLeafSchedulersDoNotAllocate(t *testing.T) {
+	for _, name := range sched.Names() {
 		t.Run(name, func(t *testing.T) {
-			for i := 0; i < 8; i++ {
-				th := sched.NewThread(i+1, "t", float64(i%3+1))
-				th.Period = sim.Time(i+1) * 10 * sim.Millisecond
-				s.Enqueue(th, 0)
-			}
+			s := newLeaf(t, name)
 			now := sim.Time(0)
 			for i := 0; i < 16; i++ {
 				th := s.Pick(now)
 				s.Charge(th, 1_000_000, now, true)
 				now += sim.Millisecond
 			}
-			allocs := testing.AllocsPerRun(1000, func() {
-				th := s.Pick(now)
-				s.Charge(th, 1_000_000, now, true)
-				now += sim.Millisecond
-				th = s.Pick(now)
-				s.Charge(th, 1_000_000, now, false)
-				s.Enqueue(th, now)
-				now += sim.Millisecond
+			allocs := testing.AllocsPerRun(100, func() {
+				for i := 0; i < leafCycles; i++ {
+					th := s.Pick(now)
+					s.Charge(th, 1_000_000, now, true)
+					now += sim.Millisecond
+					th = s.Pick(now)
+					s.Charge(th, 1_000_000, now, false)
+					s.Enqueue(th, now)
+					now += sim.Millisecond
+				}
 			})
 			if allocs != 0 {
-				t.Fatalf("%s Pick/Charge/Enqueue allocates %v times per cycle, want 0", name, allocs)
+				t.Fatalf("%s Pick/Charge/Enqueue allocates %v times per %d cycles, want 0", name, allocs, leafCycles)
 			}
 		})
 	}
 }
 
-// TestNewLeafSaveStateDoesNotAllocate guards the warm SaveState path of
-// the PR's two new leaves directly: after one cold save has grown the
-// scratch slices and the encoder buffer, snapshotting a live mlfq or drr
-// runnable set allocates nothing, matching the discipline the other
-// leaves established (they are covered through TestSnapshotDoesNotAllocate
-// and the checkpoint grid).
-func TestNewLeafSaveStateDoesNotAllocate(t *testing.T) {
-	leaves := map[string]sched.Scheduler{
-		"mlfq": sched.NewMLFQ(4, 10*sim.Millisecond, 100*sim.Millisecond, 100_000_000),
-		"drr":  sched.NewDRR(10*sim.Millisecond, 100_000_000),
-	}
-	for name, s := range leaves {
+// TestLeafSaveStateDoesNotAllocate guards every registered leaf's warm
+// SaveState: after one cold save has grown the encoder buffer,
+// snapshotting a live runnable set allocates nothing.
+func TestLeafSaveStateDoesNotAllocate(t *testing.T) {
+	for _, name := range sched.Names() {
 		t.Run(name, func(t *testing.T) {
-			for i := 0; i < 6; i++ {
-				th := sched.NewThread(i+1, "t", 1)
-				s.Enqueue(th, 0)
-			}
+			s := newLeaf(t, name)
 			now := sim.Time(0)
 			for i := 0; i < 32; i++ {
 				th := s.Pick(now)
@@ -173,17 +172,19 @@ func TestNewLeafSaveStateDoesNotAllocate(t *testing.T) {
 			if err := st.SaveState(&enc); err != nil { // cold: grows buffers
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(1000, func() {
-				th := s.Pick(now)
-				s.Charge(th, 1_000_000, now, true)
-				now += sim.Millisecond
-				enc.Reset()
-				if err := st.SaveState(&enc); err != nil {
-					t.Fatal(err)
+			allocs := testing.AllocsPerRun(100, func() {
+				for i := 0; i < leafCycles; i++ {
+					th := s.Pick(now)
+					s.Charge(th, 1_000_000, now, true)
+					now += sim.Millisecond
+					enc.Reset()
+					if err := st.SaveState(&enc); err != nil {
+						t.Fatal(err)
+					}
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("%s warm SaveState allocates %v times per call, want 0", name, allocs)
+				t.Fatalf("%s warm SaveState allocates %v times per %d calls, want 0", name, allocs, leafCycles)
 			}
 		})
 	}

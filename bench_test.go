@@ -126,25 +126,13 @@ func BenchmarkScheduleDepth(b *testing.B) {
 // claim.
 
 func BenchmarkLeafSchedulers(b *testing.B) {
-	// A slice, not a map, so every run prints the rungs in one order.
-	algos := []struct {
-		name string
-		mk   func() sched.Scheduler
-	}{
-		{"sfq", func() sched.Scheduler { return sched.NewSFQ(10 * sim.Millisecond) }},
-		{"rr", func() sched.Scheduler { return sched.NewRoundRobin(10 * sim.Millisecond) }},
-		{"edf", func() sched.Scheduler { return sched.NewEDF(10 * sim.Millisecond) }},
-		{"rm", func() sched.Scheduler { return sched.NewRM(10 * sim.Millisecond) }},
-		{"svr4", func() sched.Scheduler { return sched.NewSVR4(nil, 100_000_000, 25*sim.Millisecond) }},
-		{"lottery", func() sched.Scheduler { return sched.NewLottery(10*sim.Millisecond, sim.NewRand(1)) }},
-		{"stride", func() sched.Scheduler { return sched.NewStride(10 * sim.Millisecond) }},
-		{"eevdf", func() sched.Scheduler { return sched.NewEEVDF(10*sim.Millisecond, 1_000_000) }},
-		{"priority", func() sched.Scheduler { return sched.NewPriority(10 * sim.Millisecond) }},
-		{"reserves", func() sched.Scheduler { return sched.NewReserves(10 * sim.Millisecond) }},
-	}
-	for _, algo := range algos {
-		b.Run(algo.name, func(b *testing.B) {
-			s := algo.mk()
+	// Names is sorted, so every run prints the rungs in one order.
+	for _, name := range sched.Names() {
+		b.Run(name, func(b *testing.B) {
+			s, err := sched.New(name, sched.LeafConfig{Quantum: 10 * sim.Millisecond})
+			if err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < 16; i++ {
 				t := sched.NewThread(i+1, "t", float64(i%5+1))
 				t.Period = sim.Time(i+1) * 10 * sim.Millisecond

@@ -61,12 +61,9 @@ func main() {
 	}
 }
 
-// diff is the text-mode entry point (kept for tests and callers that
-// scrape the human format).
-func diff(w io.Writer, aPath, bPath string, seedA, seedB uint64, grid int) (bool, error) {
-	return run(w, aPath, bPath, seedA, seedB, grid, false)
-}
-
+// run diffs the runs of the configs at aPath and bPath and writes the
+// report to w, as text or, with jsonOut, as JSON. It reports whether the
+// runs diverge.
 func run(w io.Writer, aPath, bPath string, seedA, seedB uint64, grid int, jsonOut bool) (bool, error) {
 	a, err := load("a", aPath, seedA)
 	if err != nil {

@@ -40,7 +40,7 @@ func TestDiffIdentical(t *testing.T) {
 	a := writeConfig(t, "a.json", baseConfig)
 	b := writeConfig(t, "b.json", baseConfig)
 	var out strings.Builder
-	divergent, err := diff(&out, a, b, 0, 0, 8)
+	divergent, err := run(&out, a, b, 0, 0, 8, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ var divergenceRE = regexp.MustCompile(`(?m)^divergence_at_ns=(\d+)$`)
 func divergenceAt(t *testing.T, a, b string, seedA, seedB uint64, grid int) int64 {
 	t.Helper()
 	var out strings.Builder
-	divergent, err := diff(&out, a, b, seedA, seedB, grid)
+	divergent, err := run(&out, a, b, seedA, seedB, grid, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDiffLateThread(t *testing.T) {
 	b := writeConfig(t, "b.json", late)
 
 	var out strings.Builder
-	divergent, err := diff(&out, a, b, 0, 0, 16)
+	divergent, err := run(&out, a, b, 0, 0, 16, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,16 +142,16 @@ func TestDiffErrors(t *testing.T) {
 	bad := writeConfig(t, "bad.json", `{"horizon": "2s"}`)
 
 	var out strings.Builder
-	if _, err := diff(&out, good, short, 0, 0, 8); err == nil || !strings.Contains(err.Error(), "horizon") {
+	if _, err := run(&out, good, short, 0, 0, 8, false); err == nil || !strings.Contains(err.Error(), "horizon") {
 		t.Errorf("horizon mismatch: %v", err)
 	}
-	if _, err := diff(&out, good, bad, 0, 0, 8); err == nil {
+	if _, err := run(&out, good, bad, 0, 0, 8, false); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := diff(&out, good, filepath.Join(t.TempDir(), "nope.json"), 0, 0, 8); err == nil {
+	if _, err := run(&out, good, filepath.Join(t.TempDir(), "nope.json"), 0, 0, 8, false); err == nil {
 		t.Error("missing file accepted")
 	}
-	if _, err := diff(&out, good, good, 0, 0, 0); err == nil {
+	if _, err := run(&out, good, good, 0, 0, 0, false); err == nil {
 		t.Error("zero grid accepted")
 	}
 }

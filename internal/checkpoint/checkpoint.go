@@ -66,9 +66,9 @@ type Options struct {
 
 // Snapshot appends the mutable-state delta — engine clock and counters,
 // machine, and every scheduling structure (one per core on a partitioned
-// or stealing multicore build) — to e. Once e and the schedulers' scratch
-// buffers are warm it allocates nothing, so periodic checkpointing does
-// not disturb the zero-allocation scheduling spine.
+// or stealing multicore build) — to e. Once e's buffer is warm it
+// allocates nothing, so periodic checkpointing does not disturb the
+// zero-allocation scheduling spine.
 func Snapshot(s *simconfig.Simulation, e *sim.Enc) error {
 	e.Time(s.Engine.Now())
 	e.U64(s.Engine.Seq())

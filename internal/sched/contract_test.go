@@ -35,15 +35,12 @@ func testThreads(n int) []*Thread {
 	return out
 }
 
-// TestContractRejectsDuplicateThreadID: leaves that keep per-thread state
-// in a Table key it by thread ID, so a second thread carrying a known
-// thread's ID must be refused rather than handed that thread's entry.
+// TestContractRejectsDuplicateThreadID: every leaf keeps its per-thread
+// state (rr, fifo and lottery only their queue links) in a Table keyed by
+// thread ID, so a second thread carrying a known thread's ID must be
+// refused rather than handed that thread's entry.
 func TestContractRejectsDuplicateThreadID(t *testing.T) {
 	for name, mk := range allSchedulers() {
-		switch name {
-		case "rr", "fifo", "lottery": // plain queues of threads, no table
-			continue
-		}
 		t.Run(name, func(t *testing.T) {
 			s := mk()
 			s.Enqueue(NewThread(1, "a", 1), 0)

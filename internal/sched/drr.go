@@ -19,22 +19,18 @@ import (
 // toward the burst and never past it, a property the seeded trials in
 // drr_prop_test.go pin down.
 //
-// The queue is an intrusive doubly-linked list and Charge re-stamps any
-// enqueued thread (no remembered pick, no head-only accounting), so DRR is
-// safe for the multicore dequeue-on-dispatch protocol and allocation-free
-// in steady state.
+// The queue is one runList and Charge re-stamps any enqueued thread (no
+// remembered pick, no head-only accounting), so DRR is safe for the
+// multicore dequeue-on-dispatch protocol and allocation-free in steady
+// state.
 type DRR struct {
 	base    sim.Time // initial quantum and the center of the clamp band
 	minQ    sim.Time // base / drrAdaptRange, floored at 1
 	maxQ    sim.Time // base * drrAdaptRange
 	ips     int64    // CPU speed, to convert charged Work to time
-	list    drrList  // intrusive round-robin queue
+	list    runList[*drrEntry]
 	entries Table[*drrEntry]
-	count   int
 }
-
-// drrList is the intrusive FIFO of runnable entries.
-type drrList struct{ head, tail *drrEntry }
 
 // drrAdaptRange bounds how far a thread's quantum may drift from the base
 // in either direction.
@@ -51,11 +47,12 @@ func DRRQuantumOverflows(base sim.Time) bool {
 	return base > sim.Time(1<<62)/drrAdaptRange
 }
 
+// drrEntry is one thread's adaptive quantum; it is queued while the
+// thread is runnable.
 type drrEntry struct {
-	t          *Thread
-	quantum    sim.Time
-	next, prev *drrEntry
-	queued     bool
+	link[*drrEntry]
+	t       *Thread
+	quantum sim.Time
 }
 
 // NewDRR returns a dynamic-quantum round-robin scheduler. base is the
@@ -98,6 +95,7 @@ func (s *DRR) entry(t *Thread) *drrEntry {
 	e := s.entries.Get(t)
 	if e == nil {
 		e = &drrEntry{t: t, quantum: s.base}
+		e.Item = e
 		s.entries.Put(t, e)
 	}
 	return e
@@ -106,67 +104,27 @@ func (s *DRR) entry(t *Thread) *drrEntry {
 // Enqueue implements Scheduler: tail of the round-robin queue.
 func (s *DRR) Enqueue(t *Thread, now sim.Time) {
 	e := s.entry(t)
-	if e.queued {
+	if e.Queued() {
 		panic(fmt.Sprintf("drr: Enqueue of runnable thread %v", t))
 	}
-	s.insert(e, tailInsert)
-}
-
-func (s *DRR) insert(e *drrEntry, front bool) {
-	if front {
-		e.next = s.list.head
-		e.prev = nil
-		if s.list.head != nil {
-			s.list.head.prev = e
-		} else {
-			s.list.tail = e
-		}
-		s.list.head = e
-	} else {
-		e.prev = s.list.tail
-		e.next = nil
-		if s.list.tail != nil {
-			s.list.tail.next = e
-		} else {
-			s.list.head = e
-		}
-		s.list.tail = e
-	}
-	e.queued = true
-	s.count++
-}
-
-func (s *DRR) unlink(e *drrEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.list.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.list.tail = e.prev
-	}
-	e.next, e.prev = nil, nil
-	e.queued = false
-	s.count--
+	s.list.PushBack(&e.link)
 }
 
 // Remove implements Scheduler.
 func (s *DRR) Remove(t *Thread, now sim.Time) {
 	e := s.entries.Get(t)
-	if e == nil || !e.queued {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("drr: Remove of non-runnable thread %v", t))
 	}
-	s.unlink(e)
+	s.list.Remove(&e.link)
 }
 
 // Pick implements Scheduler: the head of the queue.
 func (s *DRR) Pick(now sim.Time) *Thread {
-	if s.list.head == nil {
-		return nil
+	if x := s.list.Front(); x != nil {
+		return x.Item.t
 	}
-	return s.list.head.t
+	return nil
 }
 
 // Quantum implements Scheduler: the thread's adaptive quantum.
@@ -179,10 +137,10 @@ func (s *DRR) Quantum(t *Thread, now sim.Time) sim.Time { return s.entry(t).quan
 // the queue position.
 func (s *DRR) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 	e := s.entries.Get(t)
-	if e == nil || !e.queued {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("drr: Charge of non-runnable thread %v", t))
 	}
-	s.unlink(e)
+	s.list.Remove(&e.link)
 	if used > 0 {
 		burst := timeFor(s.ips, used)
 		q := (e.quantum + burst) / 2
@@ -198,9 +156,9 @@ func (s *DRR) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 		return
 	}
 	if used > 0 {
-		s.insert(e, tailInsert)
+		s.list.PushBack(&e.link)
 	} else {
-		s.insert(e, frontInsert)
+		s.list.PushFront(&e.link)
 	}
 }
 
@@ -208,4 +166,4 @@ func (s *DRR) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 func (s *DRR) Preempts(running, woken *Thread, now sim.Time) bool { return false }
 
 // Len implements Scheduler.
-func (s *DRR) Len() int { return s.count }
+func (s *DRR) Len() int { return s.list.Len() }

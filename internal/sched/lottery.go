@@ -14,9 +14,9 @@ import (
 //
 // A thread's ticket count is its Weight; fractional weights are honored.
 type Lottery struct {
+	threadQueue
 	quantum sim.Time
 	rng     *sim.Rand
-	queue   []*Thread
 	total   float64
 	picked  *Thread
 }
@@ -31,7 +31,7 @@ func NewLottery(quantum sim.Time, rng *sim.Rand) *Lottery {
 	if rng == nil {
 		panic("lottery: nil rng")
 	}
-	return &Lottery{quantum: quantum, rng: rng}
+	return &Lottery{threadQueue: threadQueue{who: "lottery"}, quantum: quantum, rng: rng}
 }
 
 // Name implements Scheduler.
@@ -39,39 +39,34 @@ func (l *Lottery) Name() string { return "lottery" }
 
 // Enqueue implements Scheduler.
 func (l *Lottery) Enqueue(t *Thread, now sim.Time) {
-	if l.index(t) != -1 {
-		panic(fmt.Sprintf("lottery: Enqueue of runnable thread %v", t))
-	}
-	l.queue = append(l.queue, t)
+	l.threadQueue.Enqueue(t, now)
 	l.total += t.Weight
 }
 
 // Remove implements Scheduler.
 func (l *Lottery) Remove(t *Thread, now sim.Time) {
-	i := l.index(t)
-	if i == -1 {
-		panic(fmt.Sprintf("lottery: Remove of non-runnable thread %v", t))
-	}
-	l.queue = append(l.queue[:i], l.queue[i+1:]...)
+	l.threadQueue.Remove(t, now)
 	l.total -= t.Weight
 }
 
-// Pick implements Scheduler: hold a lottery over the runnable tickets.
+// Pick implements Scheduler: hold a lottery over the runnable tickets,
+// walking the queue in order to the thread holding the drawn one. A draw
+// that floating-point slack lands past the last ticket goes to the last
+// thread.
 func (l *Lottery) Pick(now sim.Time) *Thread {
-	if len(l.queue) == 0 {
+	x := l.list.Front()
+	if x == nil {
 		return nil
 	}
 	draw := l.rng.Float64() * l.total
 	acc := 0.0
-	for _, t := range l.queue {
-		acc += t.Weight
+	for ; x.Next() != nil; x = x.Next() {
+		acc += x.Item.Weight
 		if draw < acc {
-			l.picked = t
-			return t
+			break
 		}
 	}
-	// Floating-point slack: the draw landed past the last ticket.
-	l.picked = l.queue[len(l.queue)-1]
+	l.picked = x.Item
 	return l.picked
 }
 
@@ -93,17 +88,5 @@ func (l *Lottery) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 // Preempts implements Scheduler.
 func (l *Lottery) Preempts(running, woken *Thread, now sim.Time) bool { return false }
 
-// Len implements Scheduler.
-func (l *Lottery) Len() int { return len(l.queue) }
-
 // TotalWeight implements WeightedLen.
 func (l *Lottery) TotalWeight() float64 { return l.total }
-
-func (l *Lottery) index(t *Thread) int {
-	for i, q := range l.queue {
-		if q == t {
-			return i
-		}
-	}
-	return -1
-}

@@ -22,22 +22,18 @@ import (
 //     the top level within one aging period and is then served after at
 //     most the level-0 round-robin backlog.
 //
-// Unlike SVR4 and the slice-rotating queues, MLFQ keeps each level as an
-// intrusive doubly-linked list and its Charge re-stamps any enqueued
-// thread (no remembered pick, no head-only accounting), so it is safe for
-// the multicore dequeue-on-dispatch protocol and allocation-free in steady
-// state.
+// Each level is a runList, as each SVR4 priority is. Unlike SVR4, MLFQ's
+// Charge re-stamps any enqueued thread (no remembered pick, no head-only
+// accounting), so it is safe for the multicore dequeue-on-dispatch
+// protocol. It is allocation-free in steady state.
 type MLFQ struct {
-	levels []mlfqList
+	levels []runList[*mlfqEntry]
 	base   sim.Time // level-0 quantum; level i gets base << i
 	aging  sim.Time // runnable wait that triggers a boost to level 0
 	ips    int64    // CPU speed, to convert charged Work to time
 
 	entries Table[*mlfqEntry]
 	count   int
-	// ageScratch is reused across Picks so aging sweeps stay
-	// allocation-free.
-	ageScratch []*mlfqEntry
 }
 
 // MLFQMaxLevels bounds the level count; with doubling quanta more levels
@@ -70,53 +66,13 @@ func MLFQQuantumOverflows(levels int, base sim.Time) bool {
 	return base > sim.Time(1<<62)>>(levels-1)
 }
 
+// mlfqEntry is one thread's level; it is queued on its level's list
+// while the thread is runnable.
 type mlfqEntry struct {
-	t          *Thread
-	level      int
-	waitFrom   sim.Time // when enqueued on its run queue
-	next, prev *mlfqEntry
-	queued     bool
-}
-
-// mlfqList is one level's FIFO of runnable entries.
-type mlfqList struct {
-	head, tail *mlfqEntry
-}
-
-func (l *mlfqList) pushTail(e *mlfqEntry) {
-	e.prev = l.tail
-	e.next = nil
-	if l.tail != nil {
-		l.tail.next = e
-	} else {
-		l.head = e
-	}
-	l.tail = e
-}
-
-func (l *mlfqList) pushHead(e *mlfqEntry) {
-	e.next = l.head
-	e.prev = nil
-	if l.head != nil {
-		l.head.prev = e
-	} else {
-		l.tail = e
-	}
-	l.head = e
-}
-
-func (l *mlfqList) unlink(e *mlfqEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		l.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		l.tail = e.prev
-	}
-	e.next, e.prev = nil, nil
+	link[*mlfqEntry]
+	t        *Thread
+	level    int
+	waitFrom sim.Time // when enqueued on its run queue
 }
 
 // NewMLFQ returns a multilevel feedback queue scheduler. levels is the
@@ -145,7 +101,7 @@ func NewMLFQ(levels int, base, aging sim.Time, ips int64) *MLFQ {
 		panic("mlfq: non-positive instruction rate")
 	}
 	return &MLFQ{
-		levels: make([]mlfqList, levels),
+		levels: make([]runList[*mlfqEntry], levels),
 		base:   base,
 		aging:  aging,
 		ips:    ips,
@@ -169,6 +125,7 @@ func (s *MLFQ) entry(t *Thread) *mlfqEntry {
 	e := s.entries.Get(t)
 	if e == nil {
 		e = &mlfqEntry{t: t}
+		e.Item = e
 		s.entries.Put(t, e)
 	}
 	return e
@@ -179,33 +136,32 @@ func (s *MLFQ) entry(t *Thread) *mlfqEntry {
 // the gaming surface the adversary suite attacks).
 func (s *MLFQ) Enqueue(t *Thread, now sim.Time) {
 	e := s.entry(t)
-	if e.queued {
+	if e.Queued() {
 		panic(fmt.Sprintf("mlfq: Enqueue of runnable thread %v", t))
 	}
 	s.insert(e, now, tailInsert)
 }
 
+// insert queues e on its level's list, its wait starting at now.
 func (s *MLFQ) insert(e *mlfqEntry, now sim.Time, front bool) {
 	if front {
-		s.levels[e.level].pushHead(e)
+		s.levels[e.level].PushFront(&e.link)
 	} else {
-		s.levels[e.level].pushTail(e)
+		s.levels[e.level].PushBack(&e.link)
 	}
-	e.queued = true
 	e.waitFrom = now
 	s.count++
 }
 
 func (s *MLFQ) unlink(e *mlfqEntry) {
-	s.levels[e.level].unlink(e)
-	e.queued = false
+	s.levels[e.level].Remove(&e.link)
 	s.count--
 }
 
 // Remove implements Scheduler.
 func (s *MLFQ) Remove(t *Thread, now sim.Time) {
 	e := s.entries.Get(t)
-	if e == nil || !e.queued {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("mlfq: Remove of non-runnable thread %v", t))
 	}
 	s.unlink(e)
@@ -217,32 +173,29 @@ func (s *MLFQ) Remove(t *Thread, now sim.Time) {
 func (s *MLFQ) Pick(now sim.Time) *Thread {
 	s.applyAging(now)
 	for i := range s.levels {
-		if e := s.levels[i].head; e != nil {
-			return e.t
+		if x := s.levels[i].Front(); x != nil {
+			return x.Item.t
 		}
 	}
 	return nil
 }
 
 // applyAging boosts threads whose runnable wait exceeds the aging bound
-// back to level 0. Sweep order is level-major, queue order within a level,
-// so the boost order — and therefore the resulting level-0 FIFO — is
-// deterministic.
+// back to the tail of level 0 as the sweep finds them. Sweep order is
+// level-major, queue order within a level, so the boost order — and
+// therefore the resulting level-0 FIFO — is deterministic.
 func (s *MLFQ) applyAging(now sim.Time) {
-	due := s.ageScratch[:0]
 	for i := 1; i < len(s.levels); i++ {
-		for e := s.levels[i].head; e != nil; e = e.next {
+		for x := s.levels[i].Front(); x != nil; {
+			e := x.Item
+			x = x.Next()
 			if now-e.waitFrom >= s.aging {
-				due = append(due, e)
+				s.unlink(e)
+				e.level = 0
+				s.insert(e, now, tailInsert)
 			}
 		}
 	}
-	for _, e := range due {
-		s.unlink(e)
-		e.level = 0
-		s.insert(e, now, tailInsert)
-	}
-	s.ageScratch = due[:0]
 }
 
 // Quantum implements Scheduler: the level quantum, doubling per level so
@@ -262,7 +215,7 @@ func (s *MLFQ) Quantum(t *Thread, now sim.Time) sim.Time {
 // for the dequeue-on-dispatch protocol.
 func (s *MLFQ) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 	e := s.entries.Get(t)
-	if e == nil || !e.queued {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("mlfq: Charge of non-runnable thread %v", t))
 	}
 	s.unlink(e)
@@ -288,7 +241,7 @@ func (s *MLFQ) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 func (s *MLFQ) Preempts(running, woken *Thread, now sim.Time) bool {
 	re := s.entries.Get(running)
 	we := s.entries.Get(woken)
-	if re == nil || we == nil || !re.queued || !we.queued {
+	if re == nil || we == nil || !re.Queued() || !we.Queued() {
 		return false
 	}
 	return we.level < re.level

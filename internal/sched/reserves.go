@@ -29,7 +29,7 @@ type Reserves struct {
 	quantum sim.Time
 	entries Table[*resEntry]
 	heap    sim.TagHeap[sim.Time, *resEntry] // runnable, with budget, by next replenishment
-	bg      []*resEntry
+	bg      runList[*resEntry]               // runnable, without budget, round robin
 	count   int
 	picked  *resEntry
 }
@@ -37,10 +37,12 @@ type Reserves struct {
 // resEntry is one thread's reserve. Tag is the next replenishment
 // instant, -1 until the first enqueue anchors it. Seq is the thread ID
 // with its sign bit flipped, so equal instants go to the lower ID for
-// every int. The entry is queued while it is in the reserved band.
+// every int. The entry is queued while it is in the reserved band, and
+// bg is queued while it is in the background band.
 type resEntry struct {
 	sim.Tagged[sim.Time, *resEntry]
-	t *Thread
+	bg link[*resEntry]
+	t  *Thread
 
 	capacity Work     // C: budget per period, in work units
 	period   sim.Time // T
@@ -87,6 +89,7 @@ func (s *Reserves) entry(t *Thread) *resEntry {
 	if e == nil {
 		e = &resEntry{t: t}
 		e.Item, e.Seq = e, uint64(t.ID)^1<<63
+		e.bg.Item = e
 		s.entries.Put(t, e)
 	}
 	return e
@@ -125,23 +128,20 @@ func (s *Reserves) place(e *resEntry) {
 	if e.capacity > 0 && e.budget > 0 {
 		s.heap.Push(&e.Tagged)
 	} else {
-		s.bg = append(s.bg, e)
+		s.bg.PushBack(&e.bg)
 	}
 }
 
 // unlink removes a runnable entry from whichever band holds it.
 func (s *Reserves) unlink(e *resEntry) {
-	if e.Queued() {
+	switch {
+	case e.Queued():
 		s.heap.Remove(&e.Tagged)
-		return
+	case e.bg.Queued():
+		s.bg.Remove(&e.bg)
+	default:
+		panic(fmt.Sprintf("reserves: thread %v not queued", e.t))
 	}
-	for i, x := range s.bg {
-		if x == e {
-			s.bg = append(s.bg[:i], s.bg[i+1:]...)
-			return
-		}
-	}
-	panic(fmt.Sprintf("reserves: thread %v not queued", e.t))
 }
 
 // Remove implements Scheduler.
@@ -161,22 +161,21 @@ func (s *Reserves) Remove(t *Thread, now sim.Time) {
 // possibly promoting background threads.
 func (s *Reserves) Pick(now sim.Time) *Thread {
 	// Promote background entries whose reserves refilled.
-	kept := s.bg[:0]
-	for _, e := range s.bg {
+	for x := s.bg.Front(); x != nil; {
+		e := x.Item
+		x = x.Next()
 		e.refresh(now)
 		if e.capacity > 0 && e.budget > 0 {
+			s.bg.Remove(&e.bg)
 			s.heap.Push(&e.Tagged)
-		} else {
-			kept = append(kept, e)
 		}
 	}
-	s.bg = kept
 	if s.heap.Len() > 0 {
 		s.picked = s.heap.Min().Item
 		return s.picked.t
 	}
-	if len(s.bg) > 0 {
-		s.picked = s.bg[0]
+	if x := s.bg.Front(); x != nil {
+		s.picked = x.Item
 		return s.picked.t
 	}
 	return nil

@@ -1,18 +1,14 @@
 package sched
 
-import (
-	"fmt"
-
-	"hsfq/internal/sim"
-)
+import "hsfq/internal/sim"
 
 // RoundRobin is a single-queue round-robin scheduler with a fixed quantum.
 // It stands in for the "unmodified kernel" baseline of the paper's Fig. 7
 // overhead experiment: the cheapest predictable scheduler against which the
 // hierarchical scheduler's cost is compared.
 type RoundRobin struct {
+	threadQueue
 	quantum sim.Time
-	queue   []*Thread
 }
 
 // NewRoundRobin returns a round-robin scheduler; quantum <= 0 selects
@@ -21,36 +17,14 @@ func NewRoundRobin(quantum sim.Time) *RoundRobin {
 	if quantum <= 0 {
 		quantum = DefaultQuantum
 	}
-	return &RoundRobin{quantum: quantum}
+	return &RoundRobin{threadQueue: threadQueue{who: "rr"}, quantum: quantum}
 }
 
 // Name implements Scheduler.
 func (r *RoundRobin) Name() string { return "rr" }
 
-// Enqueue implements Scheduler.
-func (r *RoundRobin) Enqueue(t *Thread, now sim.Time) {
-	if r.index(t) != -1 {
-		panic(fmt.Sprintf("rr: Enqueue of runnable thread %v", t))
-	}
-	r.queue = append(r.queue, t)
-}
-
-// Remove implements Scheduler.
-func (r *RoundRobin) Remove(t *Thread, now sim.Time) {
-	i := r.index(t)
-	if i == -1 {
-		panic(fmt.Sprintf("rr: Remove of non-runnable thread %v", t))
-	}
-	r.queue = append(r.queue[:i], r.queue[i+1:]...)
-}
-
 // Pick implements Scheduler: the head of the queue.
-func (r *RoundRobin) Pick(now sim.Time) *Thread {
-	if len(r.queue) == 0 {
-		return nil
-	}
-	return r.queue[0]
-}
+func (r *RoundRobin) Pick(now sim.Time) *Thread { return r.head() }
 
 // Quantum implements Scheduler.
 func (r *RoundRobin) Quantum(t *Thread, now sim.Time) sim.Time { return r.quantum }
@@ -58,68 +32,32 @@ func (r *RoundRobin) Quantum(t *Thread, now sim.Time) sim.Time { return r.quantu
 // Charge implements Scheduler: the charged thread rotates to the tail if it
 // stays runnable.
 func (r *RoundRobin) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
-	if len(r.queue) == 0 || r.queue[0] != t {
-		panic(fmt.Sprintf("rr: Charge of thread %v that was not picked", t))
-	}
-	r.queue = r.queue[1:]
+	x := r.front(t)
+	r.list.Remove(x)
 	if runnable {
-		r.queue = append(r.queue, t)
+		r.list.PushBack(x)
 	}
 }
 
 // Preempts implements Scheduler: round-robin never preempts mid-quantum.
 func (r *RoundRobin) Preempts(running, woken *Thread, now sim.Time) bool { return false }
 
-// Len implements Scheduler.
-func (r *RoundRobin) Len() int { return len(r.queue) }
-
-func (r *RoundRobin) index(t *Thread) int {
-	for i, q := range r.queue {
-		if q == t {
-			return i
-		}
-	}
-	return -1
-}
-
 // FIFO is a run-to-block scheduler: the thread at the head of the queue
 // runs until it blocks or exits. It models the SVR4 fixed-priority "system"
 // discipline within a single priority and is useful as a degenerate
 // baseline in fairness tests.
 type FIFO struct {
-	queue []*Thread
+	threadQueue
 }
 
 // NewFIFO returns a FIFO scheduler.
-func NewFIFO() *FIFO { return &FIFO{} }
+func NewFIFO() *FIFO { return &FIFO{threadQueue{who: "fifo"}} }
 
 // Name implements Scheduler.
 func (f *FIFO) Name() string { return "fifo" }
 
-// Enqueue implements Scheduler.
-func (f *FIFO) Enqueue(t *Thread, now sim.Time) {
-	if f.index(t) != -1 {
-		panic(fmt.Sprintf("fifo: Enqueue of runnable thread %v", t))
-	}
-	f.queue = append(f.queue, t)
-}
-
-// Remove implements Scheduler.
-func (f *FIFO) Remove(t *Thread, now sim.Time) {
-	i := f.index(t)
-	if i == -1 {
-		panic(fmt.Sprintf("fifo: Remove of non-runnable thread %v", t))
-	}
-	f.queue = append(f.queue[:i], f.queue[i+1:]...)
-}
-
 // Pick implements Scheduler.
-func (f *FIFO) Pick(now sim.Time) *Thread {
-	if len(f.queue) == 0 {
-		return nil
-	}
-	return f.queue[0]
-}
+func (f *FIFO) Pick(now sim.Time) *Thread { return f.head() }
 
 // Quantum implements Scheduler: effectively unbounded; FIFO threads run
 // until they block.
@@ -127,25 +65,11 @@ func (f *FIFO) Quantum(t *Thread, now sim.Time) sim.Time { return sim.Time(1 << 
 
 // Charge implements Scheduler: the head keeps its place unless it blocked.
 func (f *FIFO) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
-	if len(f.queue) == 0 || f.queue[0] != t {
-		panic(fmt.Sprintf("fifo: Charge of thread %v that was not picked", t))
-	}
+	x := f.front(t)
 	if !runnable {
-		f.queue = f.queue[1:]
+		f.list.Remove(x)
 	}
 }
 
 // Preempts implements Scheduler.
 func (f *FIFO) Preempts(running, woken *Thread, now sim.Time) bool { return false }
-
-// Len implements Scheduler.
-func (f *FIFO) Len() int { return len(f.queue) }
-
-func (f *FIFO) index(t *Thread) int {
-	for i, q := range f.queue {
-		if q == t {
-			return i
-		}
-	}
-	return -1
-}

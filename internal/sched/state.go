@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"slices"
 
 	"hsfq/internal/sim"
 )
@@ -125,6 +124,32 @@ func loadQueue(d *sim.Dec, who string, resolve func(id int) *Thread, add func(*T
 	return d.Err()
 }
 
+// saveQueues appends the non-empty queues of a leaf with one FIFO per
+// level, in level order: how many there are, then per queue its key, its
+// length and its thread IDs front to back. key and thread read an
+// entry's level key and thread. LoadState reads the queues back through
+// Dec.Rows, with loadQueue for each.
+func saveQueues[E any](e *sim.Enc, queues []runList[E], key func(E) int, thread func(E) *Thread) {
+	n := 0
+	for i := range queues {
+		if queues[i].Len() > 0 {
+			n++
+		}
+	}
+	e.Int(n)
+	for i := range queues {
+		q := &queues[i]
+		if q.Len() == 0 {
+			continue
+		}
+		e.Int(key(q.Front().Item))
+		e.Int(q.Len())
+		for x := q.Front(); x != nil; x = x.Next() {
+			e.Int(thread(x.Item).ID)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // SFQ
 
@@ -203,50 +228,29 @@ func (s *SFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 }
 
 // ---------------------------------------------------------------------------
-// RoundRobin / FIFO: the queue order IS the state.
+// RoundRobin / FIFO / Lottery: the queue order IS the state.
 
-// SaveState implements Stater.
-func (r *RoundRobin) SaveState(e *sim.Enc) error {
-	e.Int(len(r.queue))
-	for _, t := range r.queue {
-		e.Int(t.ID)
+// SaveState implements Stater: the queue's length, then its thread IDs
+// front to back.
+func (q *threadQueue) SaveState(e *sim.Enc) error {
+	e.Int(q.list.Len())
+	for x := q.list.Front(); x != nil; x = x.Next() {
+		e.Int(x.Item.ID)
 	}
 	return nil
 }
 
 // LoadState implements Stater.
-func (r *RoundRobin) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
-	if len(r.queue) != 0 {
-		return fmt.Errorf("rr: LoadState into a scheduler with runnable threads")
+func (q *threadQueue) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
+	if q.list.Len() != 0 {
+		return fmt.Errorf("%s: LoadState into a scheduler with runnable threads", q.who)
 	}
-	return loadQueue(d, "rr queue", resolve, func(t *Thread) error {
-		if r.index(t) != -1 {
-			return fmt.Errorf("rr: thread %d queued twice", t.ID)
+	return loadQueue(d, q.who+" queue", resolve, func(t *Thread) error {
+		x := q.linkFor(t)
+		if x.Queued() {
+			return fmt.Errorf("%s: thread %d queued twice", q.who, t.ID)
 		}
-		r.queue = append(r.queue, t)
-		return nil
-	})
-}
-
-// SaveState implements Stater.
-func (f *FIFO) SaveState(e *sim.Enc) error {
-	e.Int(len(f.queue))
-	for _, t := range f.queue {
-		e.Int(t.ID)
-	}
-	return nil
-}
-
-// LoadState implements Stater.
-func (f *FIFO) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
-	if len(f.queue) != 0 {
-		return fmt.Errorf("fifo: LoadState into a scheduler with runnable threads")
-	}
-	return loadQueue(d, "fifo queue", resolve, func(t *Thread) error {
-		if f.index(t) != -1 {
-			return fmt.Errorf("fifo: thread %d queued twice", t.ID)
-		}
-		f.queue = append(f.queue, t)
+		q.list.PushBack(x)
 		return nil
 	})
 }
@@ -352,7 +356,7 @@ func (s *RM) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 // SaveState implements Stater. Per-priority FIFO queue order is state:
 // front-inserted preempted threads must come back out ahead of
 // tail-inserted ones, so queues are serialized as ordered ID lists, one
-// per occupied global priority (ascending).
+// per occupied global priority (ascending, the order of s.queues).
 func (s *SVR4) SaveState(e *sim.Enc) error {
 	if s.picked != nil {
 		encTID(e, s.picked.t)
@@ -364,20 +368,7 @@ func (s *SVR4) SaveState(e *sim.Enc) error {
 		e.Int(en.level)
 		e.Time(en.waitFrom)
 	})
-	s.prioScratch = s.prioScratch[:0]
-	for p := range s.queues {
-		s.prioScratch = append(s.prioScratch, p)
-	}
-	slices.Sort(s.prioScratch)
-	e.Int(len(s.prioScratch))
-	for _, p := range s.prioScratch {
-		q := s.queues[p]
-		e.Int(p)
-		e.Int(len(q))
-		for _, en := range q {
-			e.Int(en.t.ID)
-		}
-	}
+	saveQueues(e, s.queues[:], (*svr4Entry).globalPrio, func(en *svr4Entry) *Thread { return en.t })
 	return nil
 }
 
@@ -394,7 +385,6 @@ func (s *SVR4) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		en.class = d.Int()
 		en.level = d.Int()
 		en.waitFrom = d.Time()
-		en.runnable = false
 		if err := d.Err(); err != nil {
 			return err
 		}
@@ -418,26 +408,25 @@ func (s *SVR4) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 
 	s.picked = nil
 	err = d.Rows("svr4 queue", 24, func(p int) error {
+		queued := s.count
 		err := loadQueue(d, "svr4 queue", resolve, func(t *Thread) error {
 			en := s.entries.Get(t)
 			if en == nil {
 				return fmt.Errorf("svr4: queued thread %d has no entry", t.ID)
 			}
-			if en.runnable {
+			if en.Queued() {
 				return fmt.Errorf("svr4: thread %d queued twice", t.ID)
 			}
 			if en.globalPrio() != p {
 				return fmt.Errorf("svr4: thread %d queued at priority %d but carries %d", t.ID, p, en.globalPrio())
 			}
-			en.runnable = true
-			s.queues[p] = append(s.queues[p], en)
-			s.count++
+			s.insert(en, en.waitFrom, tailInsert)
 			if t.ID == pickedID {
 				s.picked = en
 			}
 			return nil
 		})
-		if err == nil && len(s.queues[p]) == 0 {
+		if err == nil && s.count == queued {
 			return fmt.Errorf("svr4: empty queue at priority %d", p)
 		}
 		return err
@@ -460,38 +449,23 @@ func (l *Lottery) SaveState(e *sim.Enc) error {
 	e.U64(l.rng.State())
 	e.F64(l.total)
 	encTID(e, l.picked)
-	e.Int(len(l.queue))
-	for _, t := range l.queue {
-		e.Int(t.ID)
-	}
-	return nil
+	return l.threadQueue.SaveState(e)
 }
 
 // LoadState implements Stater.
 func (l *Lottery) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
-	if len(l.queue) != 0 {
-		return fmt.Errorf("lottery: LoadState into a scheduler with runnable threads")
-	}
-	st := d.U64()
-	l.total = d.F64()
+	st, total := d.U64(), d.F64()
 	picked, err := decTID(d, resolve, "lottery picked thread")
 	if err != nil {
 		return err
 	}
-	err = loadQueue(d, "lottery queue", resolve, func(t *Thread) error {
-		if l.index(t) != -1 {
-			return fmt.Errorf("lottery: thread %d queued twice", t.ID)
-		}
-		l.queue = append(l.queue, t)
-		return nil
-	})
-	if err != nil {
+	if err := l.threadQueue.LoadState(d, resolve); err != nil {
 		return err
 	}
-	if picked != nil && l.index(picked) == -1 {
+	if picked != nil && !l.queued(picked) {
 		return fmt.Errorf("lottery: picked thread %d is not queued", picked.ID)
 	}
-	l.picked = picked
+	l.total, l.picked = total, picked
 	l.rng.SetState(st)
 	return nil
 }
@@ -601,27 +575,7 @@ func (s *MLFQ) SaveState(e *sim.Enc) error {
 		e.Int(en.level)
 		e.Time(en.waitFrom)
 	})
-	occupied := 0
-	for i := range s.levels {
-		if s.levels[i].head != nil {
-			occupied++
-		}
-	}
-	e.Int(occupied)
-	for i := range s.levels {
-		if s.levels[i].head == nil {
-			continue
-		}
-		n := 0
-		for en := s.levels[i].head; en != nil; en = en.next {
-			n++
-		}
-		e.Int(i)
-		e.Int(n)
-		for en := s.levels[i].head; en != nil; en = en.next {
-			e.Int(en.t.ID)
-		}
-	}
+	saveQueues(e, s.levels, func(en *mlfqEntry) int { return en.level }, func(en *mlfqEntry) *Thread { return en.t })
 	return nil
 }
 
@@ -636,7 +590,6 @@ func (s *MLFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		en := s.entry(t)
 		en.level = d.Int()
 		en.waitFrom = d.Time()
-		en.queued = false
 		if err := d.Err(); err != nil {
 			return err
 		}
@@ -657,7 +610,7 @@ func (s *MLFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 			if en == nil {
 				return fmt.Errorf("mlfq: queued thread %d has no entry", t.ID)
 			}
-			if en.queued {
+			if en.Queued() {
 				return fmt.Errorf("mlfq: thread %d queued twice", t.ID)
 			}
 			if en.level != lvl {
@@ -666,7 +619,7 @@ func (s *MLFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 			s.insert(en, en.waitFrom, tailInsert)
 			return nil
 		})
-		if err == nil && s.levels[lvl].head == nil {
+		if err == nil && s.levels[lvl].Len() == 0 {
 			return fmt.Errorf("mlfq: empty queue at level %d", lvl)
 		}
 		return err
@@ -680,22 +633,21 @@ func (s *MLFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 // state; the round-robin queue order is serialized as an ordered ID list.
 func (s *DRR) SaveState(e *sim.Enc) error {
 	s.entries.SaveRows(e, func(en *drrEntry) { e.Time(en.quantum) })
-	e.Int(s.count)
-	for en := s.list.head; en != nil; en = en.next {
-		e.Int(en.t.ID)
+	e.Int(s.list.Len())
+	for x := s.list.Front(); x != nil; x = x.Next() {
+		e.Int(x.Item.t.ID)
 	}
 	return nil
 }
 
 // LoadState implements Stater.
 func (s *DRR) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
-	if s.count != 0 {
+	if s.list.Len() != 0 {
 		return fmt.Errorf("drr: LoadState into a scheduler with runnable threads")
 	}
 	err := LoadRows(d, "drr", 16, resolve, func(t *Thread) error {
 		en := s.entry(t)
 		en.quantum = d.Time()
-		en.queued = false
 		if err := d.Err(); err != nil {
 			return err
 		}
@@ -712,10 +664,10 @@ func (s *DRR) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		if en == nil {
 			return fmt.Errorf("drr: queued thread %d has no entry", t.ID)
 		}
-		if en.queued {
+		if en.Queued() {
 			return fmt.Errorf("drr: thread %d queued twice", t.ID)
 		}
-		s.insert(en, tailInsert)
+		s.list.PushBack(&en.link)
 		return nil
 	})
 }
@@ -741,9 +693,9 @@ func (s *Reserves) SaveState(e *sim.Enc) error {
 		e.Bool(en.runnable)
 		e.Bool(en.Queued())
 	})
-	e.Int(len(s.bg))
-	for _, en := range s.bg {
-		e.Int(en.t.ID)
+	e.Int(s.bg.Len())
+	for x := s.bg.Front(); x != nil; x = x.Next() {
+		e.Int(x.Item.t.ID)
 	}
 	return nil
 }
@@ -798,17 +750,17 @@ func (s *Reserves) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 		if en == nil || !en.runnable || en.Queued() {
 			return fmt.Errorf("reserves: background thread %d not runnable or already reserved", t.ID)
 		}
-		if slices.Contains(s.bg, en) {
+		if en.bg.Queued() {
 			return fmt.Errorf("reserves: thread %d in background band twice", t.ID)
 		}
-		s.bg = append(s.bg, en)
+		s.bg.PushBack(&en.bg)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if len(s.bg) != runnable-s.heap.Len() {
-		return fmt.Errorf("reserves: background band has %d threads, want %d", len(s.bg), runnable-s.heap.Len())
+	if s.bg.Len() != runnable-s.heap.Len() {
+		return fmt.Errorf("reserves: background band has %d threads, want %d", s.bg.Len(), runnable-s.heap.Len())
 	}
 	if runnable != savedCount {
 		return fmt.Errorf("reserves: %d runnable threads but count %d", runnable, savedCount)

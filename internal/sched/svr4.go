@@ -23,19 +23,18 @@ import (
 //     experiment runs two Rate-Monotonic threads in this class.
 //
 // Priorities are compared on a single global scale: TS occupies
-// [0, TSLevels) and RT occupies [rtBase, rtBase+RTLevels).
+// [0, TSLevels) and RT occupies [rtBase, rtBase+RTLevels). Each priority
+// is a FIFO runList, like SVR4's dispq, held in one array in global
+// priority order: the TS levels, then the RT priorities.
 type SVR4 struct {
 	table     []DispatchEntry
 	ips       int64 // CPU instructions per second, to convert Work to time
 	rtQuantum sim.Time
 
 	entries Table[*svr4Entry]
-	queues  map[int][]*svr4Entry // global priority -> FIFO
+	queues  [TSLevels + RTLevels]runList[*svr4Entry]
 	count   int
 	picked  *svr4Entry
-	// prioScratch is reused across SaveState calls so periodic
-	// checkpointing stays allocation-free (see alloc_guard_test.go).
-	prioScratch []int
 }
 
 // DispatchEntry is one row of the TS dispatch table, mirroring the fields
@@ -60,17 +59,27 @@ const (
 	tailInsert  = false
 )
 
+// svr4Entry is one thread's class and level; it is queued on its
+// priority's list while the thread is runnable.
 type svr4Entry struct {
+	link[*svr4Entry]
 	t        *Thread
 	class    int
 	level    int      // TS level or RT priority (within class)
 	waitFrom sim.Time // when enqueued on the run queue
-	runnable bool
 }
 
 func (e *svr4Entry) globalPrio() int {
 	if e.class == classRT {
 		return rtBase + e.level
+	}
+	return e.level
+}
+
+// slot returns the index of e's queue in SVR4.queues.
+func (e *svr4Entry) slot() int {
+	if e.class == classRT {
+		return TSLevels + e.level
 	}
 	return e.level
 }
@@ -116,7 +125,6 @@ func NewSVR4(table []DispatchEntry, ips int64, rtQuantum sim.Time) *SVR4 {
 		table:     table,
 		ips:       ips,
 		rtQuantum: rtQuantum,
-		queues:    make(map[int][]*svr4Entry),
 	}
 }
 
@@ -130,7 +138,7 @@ func (s *SVR4) SetRealTime(t *Thread, prio int) {
 		panic(fmt.Sprintf("svr4: RT priority %d out of range", prio))
 	}
 	e := s.entry(t)
-	if e.runnable {
+	if e.Queued() {
 		panic(fmt.Sprintf("svr4: SetRealTime on runnable thread %v", t))
 	}
 	e.class = classRT
@@ -148,6 +156,7 @@ func (s *SVR4) entry(t *Thread) *svr4Entry {
 	e := s.entries.Get(t)
 	if e == nil {
 		e = &svr4Entry{t: t, class: classTS, level: TSInitial}
+		e.Item = e
 		s.entries.Put(t, e)
 	}
 	return e
@@ -158,7 +167,7 @@ func (s *SVR4) entry(t *Thread) *svr4Entry {
 // leapfrog CPU hogs.
 func (s *SVR4) Enqueue(t *Thread, now sim.Time) {
 	e := s.entry(t)
-	if e.runnable {
+	if e.Queued() {
 		panic(fmt.Sprintf("svr4: Enqueue of runnable thread %v", t))
 	}
 	if e.class == classTS && t.WokeAt == now && t.Segments > 0 {
@@ -167,42 +176,26 @@ func (s *SVR4) Enqueue(t *Thread, now sim.Time) {
 	s.insert(e, now, tailInsert)
 }
 
+// insert queues e on its priority's list, its wait starting at now.
 func (s *SVR4) insert(e *svr4Entry, now sim.Time, front bool) {
-	p := e.globalPrio()
 	if front {
-		q := append(s.queues[p], nil)
-		copy(q[1:], q)
-		q[0] = e
-		s.queues[p] = q
+		s.queues[e.slot()].PushFront(&e.link)
 	} else {
-		s.queues[p] = append(s.queues[p], e)
+		s.queues[e.slot()].PushBack(&e.link)
 	}
-	e.runnable = true
 	e.waitFrom = now
 	s.count++
 }
 
 func (s *SVR4) unlink(e *svr4Entry) {
-	p := e.globalPrio()
-	q := s.queues[p]
-	for i, x := range q {
-		if x == e {
-			s.queues[p] = append(q[:i], q[i+1:]...)
-			if len(s.queues[p]) == 0 {
-				delete(s.queues, p)
-			}
-			e.runnable = false
-			s.count--
-			return
-		}
-	}
-	panic(fmt.Sprintf("svr4: thread %v not on its run queue", e.t))
+	s.queues[e.slot()].Remove(&e.link)
+	s.count--
 }
 
 // Remove implements Scheduler.
 func (s *SVR4) Remove(t *Thread, now sim.Time) {
 	e := s.entries.Get(t)
-	if e == nil || !e.runnable {
+	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("svr4: Remove of non-runnable thread %v", t))
 	}
 	s.unlink(e)
@@ -213,40 +206,31 @@ func (s *SVR4) Remove(t *Thread, now sim.Time) {
 // lazy equivalent of SVR4's once-a-second ts_update scan).
 func (s *SVR4) Pick(now sim.Time) *Thread {
 	s.applyWaitBoosts(now)
-	best := -1
-	for p := range s.queues {
-		if p > best {
-			best = p
+	for i := len(s.queues) - 1; i >= 0; i-- {
+		if x := s.queues[i].Front(); x != nil {
+			s.picked = x.Item
+			return x.Item.t
 		}
 	}
-	if best < 0 {
-		return nil
-	}
-	s.picked = s.queues[best][0]
-	return s.picked.t
+	return nil
 }
 
 // applyWaitBoosts moves TS threads that have waited past their level's
-// maxwait to the lwait level, in thread-ID order so the requeue order is
-// deterministic.
+// maxwait to the tail of the lwait level as it finds them, in thread-ID
+// order, so the requeue order is deterministic. The boost does not reset
+// the wait clock origin.
 func (s *SVR4) applyWaitBoosts(now sim.Time) {
-	var due []*svr4Entry
 	for _, r := range s.entries.Rows() {
 		e := r.E
-		if !e.runnable || e.class != classTS {
+		if !e.Queued() || e.class != classTS {
 			continue
 		}
 		row := s.table[e.level]
 		if row.LWait > e.level && now-e.waitFrom >= row.MaxWait {
-			due = append(due, e)
+			s.unlink(e)
+			e.level = row.LWait
+			s.insert(e, e.waitFrom, tailInsert)
 		}
-	}
-	for _, e := range due {
-		wf := e.waitFrom
-		s.unlink(e)
-		e.level = s.table[e.level].LWait
-		s.insert(e, now, tailInsert)
-		e.waitFrom = wf // boost does not reset the wait clock origin
 	}
 }
 
@@ -264,7 +248,7 @@ func (s *SVR4) Quantum(t *Thread, now sim.Time) sim.Time {
 // its level and returns to the head of its queue.
 func (s *SVR4) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 	e := s.entries.Get(t)
-	if e == nil || !e.runnable || s.picked != e {
+	if e == nil || !e.Queued() || s.picked != e {
 		panic(fmt.Sprintf("svr4: Charge of thread %v that was not picked", t))
 	}
 	s.picked = nil
@@ -295,7 +279,7 @@ func (s *SVR4) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 func (s *SVR4) Preempts(running, woken *Thread, now sim.Time) bool {
 	re := s.entries.Get(running)
 	we := s.entries.Get(woken)
-	if re == nil || we == nil || !re.runnable || !we.runnable {
+	if re == nil || we == nil || !re.Queued() || !we.Queued() {
 		return false
 	}
 	return we.globalPrio() > re.globalPrio()

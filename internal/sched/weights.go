@@ -28,7 +28,7 @@ func (l *Lottery) SetWeight(t *Thread, weight float64) {
 	if weight <= 0 {
 		panic(fmt.Sprintf("lottery: SetWeight(%v) with non-positive weight %v", t, weight))
 	}
-	if l.index(t) != -1 {
+	if l.queued(t) {
 		l.total += weight - t.Weight
 	}
 	t.Weight = weight

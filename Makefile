@@ -2,9 +2,10 @@ GO ?= go
 
 # Benchmarks covered by `make bench` — the scheduling spine, the event
 # queue under timer pressure, whole-run throughput, config build, the
-# packet algorithms, and trace recording and live following per event
-# row. Output is benchstat-compatible (`benchstat old.txt new.txt`).
-BENCH ?= BenchmarkSchedule|BenchmarkLeafSchedulers|BenchmarkMachineSimulation|BenchmarkEventStorm|BenchmarkSimThroughput|BenchmarkBuild|BenchmarkPacketAlgorithms|BenchmarkTraceRecord|BenchmarkTraceFollow
+# sweep pool on a whole grid, the packet algorithms, and trace recording
+# and live following per event row. Output is benchstat-compatible
+# (`benchstat old.txt new.txt`).
+BENCH ?= BenchmarkSchedule|BenchmarkLeafSchedulers|BenchmarkMachineSimulation|BenchmarkEventStorm|BenchmarkSimThroughput|BenchmarkBuild|BenchmarkSweepGrid|BenchmarkPacketAlgorithms|BenchmarkTraceRecord|BenchmarkTraceFollow
 BENCH_COUNT ?= 5
 BENCH_TIME ?= 200ms
 

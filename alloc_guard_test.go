@@ -2,6 +2,10 @@ package hsfq_test
 
 import (
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -11,6 +15,7 @@ import (
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
 	"hsfq/internal/simconfig"
+	"hsfq/internal/sweep"
 	"hsfq/internal/trace"
 	"hsfq/internal/tracestream"
 )
@@ -453,6 +458,66 @@ func TestMachineListenDoesNotAllocate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSweepJobAllocCeiling caps what one sweep job allocates: one
+// sweep.Execute of examples/sweeps/mesh.json's base config (an SFQ and an
+// SVR4 leaf, an MPEG decoder, a loop and Poisson interrupts, 300 ms) at
+// seed 42. A sweep pool keeps every CPU busy, so each byte a job
+// allocates is paid in GC work while jobs run. The ceilings are the job's
+// allocations once svr4 leaves shared one dispatch table and kept lists
+// only for occupied priorities, MPEG decoders stopped keeping their
+// frames, the build kept one map of leaves and the digest stopped
+// rendering through fmt (120 allocations and 12,720 B before); raise them
+// only with a reason.
+func TestSweepJobAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime adds allocations")
+	}
+	const maxAllocs, maxBytes = 91, 5256
+	f, err := os.Open(filepath.Join("examples", "sweeps", "mesh.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := sweep.ParseSpec(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func() {
+		if _, _, err := sweep.ExecuteConfig(spec.Base, 42); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs, bytes := allocsAndBytesPerRun(20, job)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Fatalf("one mesh job allocates %d times and %d B, ceilings %d and %d B", allocs, bytes, maxAllocs, maxBytes)
+	}
+}
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+// allocsAndBytesPerRun is testing.AllocsPerRun that also reports bytes:
+// the heap allocations and bytes of one call of f, averaged over batches
+// of runs calls after a warm-up call, on one P. The least batch of five
+// counts, so a runtime or test goroutine allocating meanwhile does not.
+// Both averages round down.
+func allocsAndBytesPerRun(runs int, f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	allocs, bytes = math.MaxUint64, math.MaxUint64
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, (after.Mallocs-before.Mallocs)/uint64(runs))
+		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
+	}
+	return allocs, bytes
 }
 
 // Durations for the alloc guards' mixed horizons, named so the closure

@@ -150,7 +150,7 @@ type Structure struct {
 // has no weight and no scheduler of its own; it only dispatches its
 // children by SFQ.
 func NewStructure() *Structure {
-	root := &Node{id: RootID, weight: 1, byName: make(map[string]*Node)}
+	root := &Node{id: RootID, weight: 1}
 	return &Structure{root: root, nodes: []*Node{nil, root}}
 }
 
@@ -192,11 +192,13 @@ func (s *Structure) Mknod(name string, parent NodeID, weight float64, leaf sched
 		name:   name,
 		parent: p,
 		weight: weight,
-		byName: make(map[string]*Node),
 		leaf:   leaf,
 	}
 	n.run.Item = n
 	p.children = append(p.children, n)
+	if p.byName == nil {
+		p.byName = make(map[string]*Node) // a leaf never needs one
+	}
 	p.byName[name] = n
 	s.nodes = append(s.nodes, n)
 	return n.id, nil

@@ -368,7 +368,7 @@ func (s *SVR4) SaveState(e *sim.Enc) error {
 		e.Int(en.level)
 		e.Time(en.waitFrom)
 	})
-	saveQueues(e, s.queues[:], (*svr4Entry).globalPrio, func(en *svr4Entry) *Thread { return en.t })
+	saveQueues(e, s.queues, (*svr4Entry).globalPrio, func(en *svr4Entry) *Thread { return en.t })
 	return nil
 }
 

@@ -471,16 +471,18 @@ func Build(c Config, opt BuildOptions) (*Simulation, error) {
 	if policy == cpu.PolicyGlobal || nCores == 1 {
 		nStructs = 1
 	}
+	// leaves maps each structure's leaf paths to their nodes and leaf
+	// schedulers, which threads that set rt_priority or a reserve need.
+	type leafNode struct {
+		id    core.NodeID
+		sched sched.Scheduler
+	}
 	structures := make([]*core.Structure, nStructs)
-	leaves := make([]map[string]core.NodeID, nStructs)
-	svr4s := make([]map[string]*sched.SVR4, nStructs)
-	reserves := make([]map[string]*sched.Reserves, nStructs)
+	leaves := make([]map[string]leafNode, nStructs)
 	for k := 0; k < nStructs; k++ {
 		s := core.NewStructure()
 		structures[k] = s
-		leaves[k] = map[string]core.NodeID{}
-		svr4s[k] = map[string]*sched.SVR4{}
-		reserves[k] = map[string]*sched.Reserves{}
+		leaves[k] = make(map[string]leafNode, len(c.Nodes))
 		for _, nc := range c.Nodes {
 			w := nc.Weight
 			if w == 0 {
@@ -505,13 +507,7 @@ func Build(c Config, opt BuildOptions) (*Simulation, error) {
 				return nil, fmt.Errorf("simconfig: node %q: %w", nc.Path, err)
 			}
 			if leaf != nil {
-				leaves[k][nc.Path] = id
-				if v, ok := leaf.(*sched.SVR4); ok {
-					svr4s[k][nc.Path] = v
-				}
-				if v, ok := leaf.(*sched.Reserves); ok {
-					reserves[k][nc.Path] = v
-				}
+				leaves[k][nc.Path] = leafNode{id, leaf}
 			}
 		}
 	}
@@ -533,6 +529,7 @@ func Build(c Config, opt BuildOptions) (*Simulation, error) {
 		Machine:    m,
 		Structure:  structures[0],
 		Structures: structures,
+		Threads:    make([]*sched.Thread, 0, len(c.Threads)),
 		Periodics:  map[string]*workload.Periodic{},
 		Decoders:   map[string]*workload.Decoder{},
 	}
@@ -546,7 +543,7 @@ func Build(c Config, opt BuildOptions) (*Simulation, error) {
 		if nStructs == 1 {
 			sidx = 0
 		}
-		id, ok := leaves[sidx][tc.Leaf]
+		leaf, ok := leaves[sidx][tc.Leaf]
 		if !ok {
 			return nil, fmt.Errorf("simconfig: thread %q: no leaf %q", tc.Name, tc.Leaf)
 		}
@@ -561,14 +558,14 @@ func Build(c Config, opt BuildOptions) (*Simulation, error) {
 			return nil, err
 		}
 		if tc.RTPriority != nil {
-			v, ok := svr4s[sidx][tc.Leaf]
+			v, ok := leaf.sched.(*sched.SVR4)
 			if !ok {
 				return nil, fmt.Errorf("simconfig: thread %q: rt_priority needs an svr4 leaf", tc.Name)
 			}
 			v.SetRealTime(th, *tc.RTPriority)
 		}
 		if tc.ReserveCost > 0 || tc.ReservePeriod > 0 {
-			v, ok := reserves[sidx][tc.Leaf]
+			v, ok := leaf.sched.(*sched.Reserves)
 			if !ok {
 				return nil, fmt.Errorf("simconfig: thread %q: reserve needs a reserves leaf", tc.Name)
 			}
@@ -577,7 +574,7 @@ func Build(c Config, opt BuildOptions) (*Simulation, error) {
 			}
 			v.SetReserve(th, rate.WorkFor(tc.ReserveCost.Time()), tc.ReservePeriod.Time())
 		}
-		if err := structures[sidx].Attach(th, id); err != nil {
+		if err := structures[sidx].Attach(th, leaf.id); err != nil {
 			return nil, fmt.Errorf("simconfig: thread %q: %w", tc.Name, err)
 		}
 		m.AddOn(th, prog, tc.Start.Time(), home)

@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"hsfq/internal/simconfig"
 )
@@ -17,39 +17,68 @@ import (
 // config at the same seed must produce identical canonical forms; that is
 // the determinism contract Digest checks.
 func Canonical(s *simconfig.Simulation) string {
-	var b strings.Builder
+	return string(appendCanonical(nil, s))
+}
+
+// appendCanonical appends Canonical's text to b. It renders with strconv
+// appends, byte for byte what fmt's %d and %s made of the same values.
+func appendCanonical(b []byte, s *simconfig.Simulation) []byte {
 	st := s.Machine.Stats()
-	fmt.Fprintf(&b, "machine work=%d dispatches=%d preemptions=%d interrupts=%d stolen=%d idle=%d\n",
-		int64(st.Work), st.Dispatches, st.Preemptions, st.Interrupts, int64(st.Stolen), int64(st.Idle))
+	b = appendField(append(b, "machine"...), "work", int64(st.Work))
+	b = appendField(b, "dispatches", st.Dispatches)
+	b = appendField(b, "preemptions", st.Preemptions)
+	b = appendField(b, "interrupts", st.Interrupts)
+	b = appendField(b, "stolen", int64(st.Stolen))
+	b = append(appendField(b, "idle", int64(st.Idle)), '\n')
 	// Per-core lines appear only on multicore machines so single-core
 	// digests stay byte-identical to the pre-SMP format.
 	if n := s.Machine.NumCores(); n > 1 {
-		fmt.Fprintf(&b, "machine migrations=%d\n", st.Migrations)
+		b = append(appendField(append(b, "machine"...), "migrations", st.Migrations), '\n')
 		for c := 0; c < n; c++ {
 			cs := s.Machine.CoreStats(c)
-			fmt.Fprintf(&b, "core %d work=%d dispatches=%d preemptions=%d migrations=%d idle=%d\n",
-				c, int64(cs.Work), cs.Dispatches, cs.Preemptions, cs.Migrations, int64(cs.Idle))
+			b = strconv.AppendInt(append(b, "core "...), int64(c), 10)
+			b = appendField(b, "work", int64(cs.Work))
+			b = appendField(b, "dispatches", cs.Dispatches)
+			b = appendField(b, "preemptions", cs.Preemptions)
+			b = appendField(b, "migrations", cs.Migrations)
+			b = append(appendField(b, "idle", int64(cs.Idle)), '\n')
 		}
 	}
 	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "thread %s done=%d segments=%d waited=%d state=%s\n",
-			th.Name, int64(th.Done), th.Segments, int64(th.Waited), th.State)
+		b = append(append(b, "thread "...), th.Name...)
+		b = appendField(b, "done", int64(th.Done))
+		b = appendField(b, "segments", int64(th.Segments))
+		b = appendField(b, "waited", int64(th.Waited))
+		b = append(append(append(b, " state="...), th.State.String()...), '\n')
 	}
 	horizon := s.Config.Horizon.Time()
 	for _, name := range sortedKeys(s.Periodics) {
 		p := s.Periodics[name]
-		fmt.Fprintf(&b, "periodic %s rounds=%d missed=%d minslack=%d\n", name, len(p.Slack), p.MissedDeadlines(), int64(p.MinSlack()))
+		b = append(append(b, "periodic "...), name...)
+		b = appendField(b, "rounds", int64(len(p.Slack)))
+		b = appendField(b, "missed", int64(p.MissedDeadlines()))
+		b = append(appendField(b, "minslack", int64(p.MinSlack())), '\n')
 	}
 	for _, name := range sortedKeys(s.Decoders) {
-		fmt.Fprintf(&b, "decoder %s frames=%d\n", name, s.Decoders[name].FramesDecoded(horizon))
+		b = append(append(b, "decoder "...), name...)
+		b = append(appendField(b, "frames", int64(s.Decoders[name].FramesDecoded(horizon))), '\n')
 	}
-	return b.String()
+	return b
+}
+
+// appendField appends " key=v".
+func appendField(b []byte, key string, v int64) []byte {
+	b = append(append(append(b, ' '), key...), '=')
+	return strconv.AppendInt(b, v, 10)
 }
 
 // Digest returns the hex SHA-256 of the simulation's canonical outcome.
 func Digest(s *simconfig.Simulation) string {
-	sum := sha256.Sum256([]byte(Canonical(s)))
-	return hex.EncodeToString(sum[:])
+	var buf [1024]byte
+	sum := sha256.Sum256(appendCanonical(buf[:0], s))
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:]) // one allocation; EncodeToString makes two
 }
 
 // JobKey returns the content address of a simulation request: the hex
@@ -86,14 +115,19 @@ func SweepKey(spec Spec) string {
 // Metrics extracts the per-job scalar metrics that Run aggregates across
 // seed replications.
 func Metrics(s *simconfig.Simulation) map[string]float64 {
-	m := map[string]float64{}
+	n := s.Machine.NumCores()
+	size := 5 + 2*len(s.Threads) + len(s.Periodics) + len(s.Decoders)
+	if n > 1 {
+		size += 1 + 3*n
+	}
+	m := make(map[string]float64, size) // sized once: no growth garbage per job
 	st := s.Machine.Stats()
 	m["work_total"] = float64(st.Work)
 	m["dispatches"] = float64(st.Dispatches)
 	m["preemptions"] = float64(st.Preemptions)
 	m["idle_ns"] = float64(st.Idle)
 	m["stolen_ns"] = float64(st.Stolen)
-	if n := s.Machine.NumCores(); n > 1 {
+	if n > 1 {
 		m["migrations"] = float64(st.Migrations)
 		span := float64(s.Config.Horizon.Time())
 		for c := 0; c < n; c++ {

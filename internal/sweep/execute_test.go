@@ -3,7 +3,9 @@ package sweep
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -83,20 +85,71 @@ func TestExecuteConfigListened(t *testing.T) {
 }
 
 // TestForEach checks the pool's contract over sizes around and past the
-// worker count: every index in [0, n) runs exactly once, whatever the
-// worker count, and n = 0 returns without calling fn.
+// worker count: every index in [0, n) runs exactly once, never more than
+// min(workers, n) calls are in flight or distinct goroutines make them
+// (workers <= 0 means 1), and n = 0 returns without calling fn. At one
+// worker every call runs on the calling goroutine, in index order: the
+// calls record into plain, unsynchronized state, which -race checks.
 func TestForEach(t *testing.T) {
+	caller := goid()
 	for _, n := range []int{0, 1, 7, 100} {
-		for _, workers := range []int{0, 1, 3, 200} {
+		for _, workers := range []int{-1, 0, 1, 3, 200} {
+			limit := min(max(workers, 1), n)
 			counts := make([]atomic.Int32, n)
-			ForEach(n, workers, func(i int) { counts[i].Add(1) })
+			var inFlight, peak atomic.Int32
+			var mu sync.Mutex
+			goroutines := map[string]bool{}
+			ForEach(n, workers, func(i int) {
+				now := inFlight.Add(1)
+				for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+				}
+				counts[i].Add(1)
+				mu.Lock()
+				goroutines[goid()] = true
+				mu.Unlock()
+				runtime.Gosched() // let other workers overlap this call
+				inFlight.Add(-1)
+			})
 			for i := range counts {
 				if c := counts[i].Load(); c != 1 {
 					t.Errorf("n=%d workers=%d: index %d ran %d times", n, workers, i, c)
 				}
 			}
+			if p := int(peak.Load()); p > limit {
+				t.Errorf("n=%d workers=%d: %d calls in flight, want at most %d", n, workers, p, limit)
+			}
+			if len(goroutines) > limit {
+				t.Errorf("n=%d workers=%d: calls on %d goroutines, want at most %d", n, workers, len(goroutines), limit)
+			}
+
+			if workers > 1 {
+				continue
+			}
+			var order []int
+			ForEach(n, workers, func(i int) {
+				if g := goid(); g != caller {
+					t.Errorf("n=%d workers=%d: index %d ran on goroutine %s, not the caller's %s", n, workers, i, g, caller)
+				}
+				order = append(order, i)
+			})
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("n=%d workers=%d: call %d had index %d, want index order", n, workers, i, got)
+				}
+			}
+			if len(order) != n {
+				t.Errorf("n=%d workers=%d: %d calls, want %d", n, workers, len(order), n)
+			}
 		}
 	}
+}
+
+// goid returns the calling goroutine's ID, read from the header of its
+// stack trace ("goroutine 18 [running]:").
+func goid() string {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	return string(b[:bytes.IndexByte(b, ' ')])
 }
 
 // FuzzExecute runs arbitrary valid configs through Execute: parsing,

@@ -85,14 +85,22 @@ func (m MPEG) validate() {
 // on-demand Decoder both step it, so the two produce the same costs.
 type mpegStream struct {
 	m         MPEG
-	i         int // index of the next frame
+	first     uint64 // m.Rand's state before the first frame
+	i         int    // index of the next frame
 	sceneLeft int
 	sceneMul  float64
 }
 
 func (m MPEG) stream() *mpegStream {
 	m.validate()
-	return &mpegStream{m: m, sceneMul: 1}
+	return &mpegStream{m: m, first: m.Rand.State(), sceneMul: 1}
+}
+
+// rewind returns s to its first frame, m.Rand included, so the frames it
+// draws next are the ones it drew first.
+func (s *mpegStream) rewind() {
+	s.m.Rand.SetState(s.first)
+	s.i, s.sceneLeft, s.sceneMul = 0, 0, 1
 }
 
 // next returns the decode cost of the next frame.
@@ -133,11 +141,12 @@ func (m MPEG) Trace(n int) []sched.Work {
 }
 
 // Decoder returns a decoder over the costs Trace(frames) would return. It
-// draws each frame from the generator the first time it reaches it and
-// keeps it for later passes, so memory grows with the frames decoded, not
-// with frames. If loop is true the frames repeat; otherwise the thread
-// exits after the last one. The decoder draws from m.Rand while it runs,
-// so nothing else may draw from that stream.
+// draws each frame from the generator when it reaches it and keeps none,
+// so its memory does not grow with frames. If loop is true the frames
+// repeat: each pass rewinds the generator to its first frame and draws
+// the same costs again. Otherwise the thread exits after the last one.
+// The decoder draws from m.Rand while it runs and rewinds it at every
+// loop, so nothing else may draw from that stream.
 func (m MPEG) Decoder(frames int, loop bool) *Decoder {
 	if frames <= 0 {
 		panic("workload: decoder with no frames")
@@ -149,12 +158,12 @@ func (m MPEG) Decoder(frames int, loop bool) *Decoder {
 // CPU allocation allows, like the Berkeley MPEG player free-running in the
 // paper's Fig. 10 experiment. FramesDecoded(now) is the reproduced metric.
 type Decoder struct {
-	// trace holds the costs of the frames reached so far: all of them
-	// for NewDecoder, a growing prefix for MPEG.Decoder.
+	// trace holds NewDecoder's frame costs; MPEG.Decoder draws them from
+	// gen instead.
 	trace []sched.Work
 	// frames is the frame count at which the decoder wraps or exits.
 	frames    int
-	gen       *mpegStream // extends trace; nil for NewDecoder
+	gen       *mpegStream // nil for NewDecoder
 	idx       int
 	doneTimes []sim.Time
 	loop      bool
@@ -180,14 +189,25 @@ func (d *Decoder) Next(now sim.Time) cpu.Action {
 		}
 		d.idx = 0
 	}
-	// Draw the frame on first reach. A restored position can lie past
-	// the frames drawn so far; this regenerates the prefix up to it.
-	for len(d.trace) <= d.idx {
-		d.trace = append(d.trace, d.gen.next())
-	}
-	w := d.trace[d.idx]
+	w := d.cost(d.idx)
 	d.idx++
 	return cpu.Compute(w)
+}
+
+// cost returns frame i's cost. An on-demand decoder draws it from gen,
+// rewinding gen when i lies behind it (the decoder wrapped) and drawing
+// up to i when i lies ahead of it (a restored position).
+func (d *Decoder) cost(i int) sched.Work {
+	if d.gen == nil {
+		return d.trace[i]
+	}
+	if d.gen.i > i {
+		d.gen.rewind()
+	}
+	for d.gen.i < i {
+		d.gen.next()
+	}
+	return d.gen.next()
 }
 
 // FramesDecoded returns how many frames had completed by time t.

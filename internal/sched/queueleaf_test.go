@@ -10,14 +10,10 @@ import (
 	"hsfq/internal/sim"
 )
 
-// queueLeaves are the leaves whose runnable threads wait on FIFO run
-// lists: one list for rr, fifo, lottery and drr, one per level for mlfq,
-// one per priority for svr4, and reserves' background band.
-var queueLeaves = []string{"drr", "fifo", "lottery", "mlfq", "reserves", "rr", "svr4"}
-
-// TestQueueLeavesDecisionsPinned drives each FIFO-list leaf with eight
-// threads through one seeded script and pins a SHA-256 of every answer
-// the leaf gives: each Pick, Quantum, Preempts and Len. The script mixes
+// TestQueueLeavesDecisionsPinned drives every registered leaf, on FIFO
+// run lists or on a tag heap, with eight threads through one seeded
+// script and pins a SHA-256 of every answer the leaf gives: each Pick,
+// Quantum, Preempts and Len. A leaf with no pin fails. The script mixes
 // zero, partial and full-quantum charges, blocks, wakes that land
 // mid-segment and Removes, and runs long enough that svr4 boosts several
 // threads at one Pick (two of its threads are real-time, so the others
@@ -25,18 +21,27 @@ var queueLeaves = []string{"drr", "fifo", "lottery", "mlfq", "reserves", "rr", "
 // asserts both, because those are the moves that requeue several threads
 // in one pass, in an order only this pin holds. Half of reserves'
 // threads hold reserves small enough to run out, so its threads cross
-// between the reserved heap and the background band.
+// between the reserved heap and the background band. The threads carry
+// three priorities and three periods, one in four is aperiodic and one
+// in four has a relative deadline shorter than its period, so edf, rm
+// and priority order them by keys that both differ and tie.
 func TestQueueLeavesDecisionsPinned(t *testing.T) {
 	want := map[string]string{
 		"drr":      "309616d33a1771bd2cc7a880d4506dee2ccd6aa9eafbfea40b2e380cbcac52be",
+		"edf":      "76bd28a681788bad57a33f9a2a55723241dae5190432e0e3817bfabb0adb4422",
+		"eevdf":    "f990c9ff6e29af7c47205cf1bd533f26bbf605eee23a325faf97aa029f983609",
 		"fifo":     "e4e06f580db16198d8dcf49ebe2acb4d6193d2e057c80a75ff358502af5f1431",
 		"lottery":  "391298f77c6c3715e25f39df9bac07ebd32552b415e6387410779ad00e00113e",
 		"mlfq":     "44c2af9f05d3a77d6ebe822ae8800eb7a38d52b19cc49d46031885a863e97edf",
+		"priority": "c0146f17ebc870c5537b020891310c617fad2d22b5ac51d859ae43583c969441",
 		"reserves": "484d4eaf51247fd2a4efd741a68cd86c9d6c9ace041c3c1d991ce73330a0c8e5",
+		"rm":       "d375a41a824a68645a934957bcb96aaef19f95302afd174c044b361d082a04f2",
 		"rr":       "072dc22bce9e94e70202a2871fc38e95509e663d7c9a9cf1c6e9b1db0085754d",
+		"sfq":      "8eab7bc720b8ac57a926f72dc43d5d6d6a3f004e2362e26333573a34a53b76b5",
+		"stride":   "9dfdbbd2e66a9312ab19cf52da244e7b2d9db3f8269ff67cb90a43aef78a5528",
 		"svr4":     "4600d7402ad811881932e3e85d7ef9bda58a1a349a364d195173515e4acf8c11",
 	}
-	for _, name := range queueLeaves {
+	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			got, multiMoves, agings := driveQueueLeaf(t, name)
 			if got != want[name] {
@@ -69,7 +74,15 @@ func driveQueueLeaf(t *testing.T, name string) (digest string, multiMoves, aging
 	}
 	threads := make([]*Thread, 8)
 	for i := range threads {
-		threads[i] = NewThread(i+1, fmt.Sprintf("t%d", i+1), float64(i%3+1))
+		th := NewThread(i+1, fmt.Sprintf("t%d", i+1), float64(i%3+1))
+		th.Priority = i % 3
+		if i%4 != 3 {
+			th.Period = sim.Time(i%3+1) * 40 * sim.Millisecond
+		}
+		if i%4 == 1 {
+			th.RelDeadline = 25 * sim.Millisecond
+		}
+		threads[i] = th
 	}
 	sv, _ := s.(*SVR4)
 	ml, _ := s.(*MLFQ)

@@ -597,7 +597,11 @@ func (m *Machine) finishBurst(c *coreCtx, ts *tstate) {
 }
 
 // forget lets the thread's scheduler drop per-thread state for an exited
-// thread, so tag maps do not grow without bound in long simulations.
+// thread, if it has a Forget method: only the sfq, priority and reserves
+// leaves do. A core.Structure has none and does not forward to its
+// leaves, so this frees state only on a machine run by one such leaf
+// directly; in a hierarchy, as every simconfig-built run is, an exited
+// thread keeps its leaf entry and checkpoint rows.
 func (m *Machine) forget(ts *tstate) {
 	if f, ok := m.schedOf(ts).(interface{ Forget(*sched.Thread) }); ok {
 		f.Forget(ts.t)
@@ -749,8 +753,6 @@ func (m *Machine) interruptDone() {
 // coreIntrBusy reports whether c is consumed by interrupt handling, which
 // can only ever be true of core 0.
 func (m *Machine) coreIntrBusy(c *coreCtx) bool { return c.id == 0 && m.intrEnd != nil }
-
-func (m *Machine) interruptBusy() bool { return m.intrEnd != nil }
 
 // Latency returns now minus the thread's ReadyAt, the time a runnable
 // thread has waited since it last became ready.

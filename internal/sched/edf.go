@@ -15,20 +15,11 @@ import (
 // t.Deadline(). Periodic programs wake the thread exactly at each release,
 // so the deadline of job j released at r_j is r_j + D. Threads with no
 // period and no relative deadline are treated as background (infinite
-// deadline).
+// deadline). The tag queue's Tag is the absolute deadline of the
+// thread's current job.
 type EDF struct {
+	tagQueue[sim.Time, struct{}]
 	quantum sim.Time
-	entries Table[*edfEntry]
-	heap    sim.TagHeap[sim.Time, *edfEntry]
-	seq     uint64
-}
-
-// edfEntry is one thread's current job. Tag is its absolute deadline; Seq
-// breaks ties FIFO among equal deadlines; the entry is queued while the
-// thread is runnable.
-type edfEntry struct {
-	sim.Tagged[sim.Time, *edfEntry]
-	t *Thread
 }
 
 // NewEDF returns an EDF scheduler. quantum bounds how long a job may run
@@ -39,17 +30,6 @@ func NewEDF(quantum sim.Time) *EDF {
 		quantum = sim.Time(1 << 62)
 	}
 	return &EDF{quantum: quantum}
-}
-
-// entryFor returns t's entry, creating it on first contact.
-func (s *EDF) entryFor(t *Thread) *edfEntry {
-	e := s.entries.Get(t)
-	if e == nil {
-		e = &edfEntry{t: t}
-		e.Item = e
-		s.entries.Put(t, e)
-	}
-	return e
 }
 
 // Name implements Scheduler.
@@ -66,36 +46,20 @@ func (s *EDF) Deadline(t *Thread) sim.Time {
 
 // Enqueue implements Scheduler.
 func (s *EDF) Enqueue(t *Thread, now sim.Time) {
-	e := s.entryFor(t)
-	if e.Queued() {
-		panic(fmt.Sprintf("edf: Enqueue of runnable thread %v", t))
-	}
+	e := s.admit(t, "edf")
 	if d := t.Deadline(); d > 0 {
 		e.Tag = now + d
 	} else {
 		e.Tag = sim.Time(math.MaxInt64)
 	}
-	e.Seq = s.seq
-	s.seq++
-	s.heap.Push(&e.Tagged)
+	s.push(e)
 }
 
 // Remove implements Scheduler.
-func (s *EDF) Remove(t *Thread, now sim.Time) {
-	e := s.entries.Get(t)
-	if e == nil || !e.Queued() {
-		panic(fmt.Sprintf("edf: Remove of non-runnable thread %v", t))
-	}
-	s.heap.Remove(&e.Tagged)
-}
+func (s *EDF) Remove(t *Thread, now sim.Time) { s.remove(t, "edf") }
 
 // Pick implements Scheduler: earliest absolute deadline first.
-func (s *EDF) Pick(now sim.Time) *Thread {
-	if s.heap.Len() == 0 {
-		return nil
-	}
-	return s.heap.Min().Item.t
-}
+func (s *EDF) Pick(now sim.Time) *Thread { return s.head() }
 
 // Quantum implements Scheduler.
 func (s *EDF) Quantum(t *Thread, now sim.Time) sim.Time { return s.quantum }
@@ -115,16 +79,8 @@ func (s *EDF) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 // Preempts implements Scheduler: a woken job with an earlier deadline
 // preempts immediately.
 func (s *EDF) Preempts(running, woken *Thread, now sim.Time) bool {
-	re := s.entries.Get(running)
-	we := s.entries.Get(woken)
-	if re == nil || we == nil || !re.Queued() || !we.Queued() {
-		return false
-	}
-	return we.Tag < re.Tag
+	return s.preempts(running, woken)
 }
-
-// Len implements Scheduler.
-func (s *EDF) Len() int { return s.heap.Len() }
 
 // SchedulableEDF reports whether a set of periodic demands (compute time
 // per period) is schedulable under EDF on a dedicated CPU: sum(C_i/T_i) <=

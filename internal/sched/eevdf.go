@@ -13,23 +13,21 @@ import (
 // at virtual time ve and has virtual deadline vd = ve + reqWork/weight.
 // System virtual time advances by used/totalWeight as work is served; the
 // scheduler runs the eligible request with the earliest virtual deadline.
+//
+// The tag queue's Tag is the virtual deadline vd, so its heap orders
+// requests by (vd, seq); Pick filters them for eligibility.
 type EEVDF struct {
+	tagQueue[float64, eevdfRequest]
 	quantum sim.Time
 	reqWork Work
-	entries Table[*eevdfEntry]
-	heap    sim.TagHeap[float64, *eevdfEntry] // ordered by (vd, seq); eligibility filtered at Pick
 	vtime   float64
 	total   float64
-	seq     uint64
-	picked  *eevdfEntry
+	picked  *tagEntry[float64, eevdfRequest]
 }
 
-// eevdfEntry is one thread's request. Tag is the virtual deadline vd;
-// Seq breaks ties FIFO among equal deadlines; the entry is queued while
-// the thread is runnable.
-type eevdfEntry struct {
-	sim.Tagged[float64, *eevdfEntry]
-	t      *Thread
+// eevdfRequest is what EEVDF keeps of a thread's request beside its
+// virtual deadline.
+type eevdfRequest struct {
 	ve     float64 // virtual eligible time
 	served Work    // progress within the current request
 }
@@ -46,17 +44,6 @@ func NewEEVDF(quantum sim.Time, reqWork Work) *EEVDF {
 	return &EEVDF{quantum: quantum, reqWork: reqWork}
 }
 
-// entryFor returns t's entry, creating it on first contact.
-func (s *EEVDF) entryFor(t *Thread) *eevdfEntry {
-	e := s.entries.Get(t)
-	if e == nil {
-		e = &eevdfEntry{t: t}
-		e.Item = e
-		s.entries.Put(t, e)
-	}
-	return e
-}
-
 // Name implements Scheduler.
 func (s *EEVDF) Name() string { return "eevdf" }
 
@@ -67,28 +54,19 @@ func (s *EEVDF) VirtualTime() float64 { return s.vtime }
 // eligible no earlier than the current virtual time, so sleeping banks no
 // credit.
 func (s *EEVDF) Enqueue(t *Thread, now sim.Time) {
-	e := s.entryFor(t)
-	if e.Queued() {
-		panic(fmt.Sprintf("eevdf: Enqueue of runnable thread %v", t))
+	e := s.admit(t, "eevdf")
+	if e.x.ve < s.vtime {
+		e.x.ve = s.vtime
 	}
-	if e.ve < s.vtime {
-		e.ve = s.vtime
-	}
-	e.Tag = e.ve + float64(s.reqWork)/t.Weight
-	e.served = 0
-	e.Seq = s.seq
-	s.seq++
-	s.heap.Push(&e.Tagged)
+	e.Tag = e.x.ve + float64(s.reqWork)/t.Weight
+	e.x.served = 0
+	s.push(e)
 	s.total += t.Weight
 }
 
 // Remove implements Scheduler.
 func (s *EEVDF) Remove(t *Thread, now sim.Time) {
-	e := s.entries.Get(t)
-	if e == nil || !e.Queued() {
-		panic(fmt.Sprintf("eevdf: Remove of non-runnable thread %v", t))
-	}
-	s.heap.Remove(&e.Tagged)
+	s.remove(t, "eevdf")
 	s.total -= t.Weight
 }
 
@@ -104,10 +82,10 @@ func (s *EEVDF) Pick(now sim.Time) *Thread {
 	if best == nil {
 		// Jump virtual time to the earliest eligible request.
 		items := s.heap.Items()
-		minVE := items[0].Item.ve
+		minVE := items[0].Item.x.ve
 		for _, x := range items {
-			if x.Item.ve < minVE {
-				minVE = x.Item.ve
+			if x.Item.x.ve < minVE {
+				minVE = x.Item.x.ve
 			}
 		}
 		s.vtime = minVE
@@ -117,13 +95,13 @@ func (s *EEVDF) Pick(now sim.Time) *Thread {
 	return best.t
 }
 
-func (s *EEVDF) eligibleMinVD() *eevdfEntry {
+func (s *EEVDF) eligibleMinVD() *tagEntry[float64, eevdfRequest] {
 	// The heap is ordered by vd; scan for the first eligible entry. The
 	// scan is O(n) in the worst case but the heap order makes the common
 	// case (heap top eligible) O(1).
-	var best *eevdfEntry
+	var best *tagEntry[float64, eevdfRequest]
 	for _, x := range s.heap.Items() {
-		if x.Item.ve > s.vtime {
+		if x.Item.x.ve > s.vtime {
 			continue
 		}
 		if best == nil || x.Before(&best.Tagged) {
@@ -147,17 +125,15 @@ func (s *EEVDF) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 	if s.total > 0 {
 		s.vtime += float64(used) / s.total
 	}
-	e.served += used
-	for e.served >= s.reqWork {
+	e.x.served += used
+	for e.x.served >= s.reqWork {
 		// Request fulfilled: issue the next one back to back.
-		e.served -= s.reqWork
-		e.ve = e.Tag
-		e.Tag = e.ve + float64(s.reqWork)/t.Weight
+		e.x.served -= s.reqWork
+		e.x.ve = e.Tag
+		e.Tag = e.x.ve + float64(s.reqWork)/t.Weight
 	}
 	if runnable {
-		e.Seq = s.seq
-		s.seq++
-		s.heap.Fix(&e.Tagged)
+		s.requeue(e)
 	} else {
 		s.heap.Remove(&e.Tagged)
 		s.total -= t.Weight
@@ -167,8 +143,5 @@ func (s *EEVDF) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 // Preempts implements Scheduler.
 func (s *EEVDF) Preempts(running, woken *Thread, now sim.Time) bool { return false }
 
-// Len implements Scheduler.
-func (s *EEVDF) Len() int { return s.heap.Len() }
-
-// TotalWeight implements WeightedLen.
+// TotalWeight returns the total weight of the runnable threads.
 func (s *EEVDF) TotalWeight() float64 { return s.total }

@@ -88,5 +88,5 @@ func (l *Lottery) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 // Preempts implements Scheduler.
 func (l *Lottery) Preempts(running, woken *Thread, now sim.Time) bool { return false }
 
-// TotalWeight implements WeightedLen.
+// TotalWeight returns the total weight of the runnable threads.
 func (l *Lottery) TotalWeight() float64 { return l.total }

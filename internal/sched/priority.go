@@ -13,21 +13,14 @@ import (
 // provide no protection, and hence, have been found to be unsatisfactory
 // for multimedia operating systems [15]" — the ablation-protection
 // experiment demonstrates the starvation that sentence refers to.
+//
+// The tag queue's Tag is the complement of the priority read at enqueue:
+// ^p orders exactly in reverse of p for every int (where -p overflows at
+// math.MinInt), so higher priorities pop first, and Seq round-robins
+// equal priorities FIFO.
 type Priority struct {
+	tagQueue[int, struct{}]
 	quantum sim.Time
-	entries Table[*prioEntry]
-	heap    sim.TagHeap[int, *prioEntry]
-	seq     uint64
-}
-
-// prioEntry is one thread's queue position. Tag is the complement of the
-// priority read at enqueue: ^p orders exactly in reverse of p for every
-// int (where -p overflows at math.MinInt), so higher priorities pop
-// first. Seq round-robins equal priorities FIFO. The entry is queued
-// while the thread is runnable.
-type prioEntry struct {
-	sim.Tagged[int, *prioEntry]
-	t *Thread
 }
 
 // NewPriority returns a static-priority scheduler; quantum <= 0 selects
@@ -39,49 +32,22 @@ func NewPriority(quantum sim.Time) *Priority {
 	return &Priority{quantum: quantum}
 }
 
-// entryFor returns t's entry, creating it on first contact.
-func (s *Priority) entryFor(t *Thread) *prioEntry {
-	e := s.entries.Get(t)
-	if e == nil {
-		e = &prioEntry{t: t}
-		e.Item = e
-		s.entries.Put(t, e)
-	}
-	return e
-}
-
 // Name implements Scheduler.
 func (s *Priority) Name() string { return "priority" }
 
 // Enqueue implements Scheduler. The thread's Priority field is read at
 // enqueue time.
 func (s *Priority) Enqueue(t *Thread, now sim.Time) {
-	e := s.entryFor(t)
-	if e.Queued() {
-		panic(fmt.Sprintf("priority: Enqueue of runnable thread %v", t))
-	}
+	e := s.admit(t, "priority")
 	e.Tag = ^t.Priority
-	e.Seq = s.seq
-	s.seq++
-	s.heap.Push(&e.Tagged)
+	s.push(e)
 }
 
 // Remove implements Scheduler.
-func (s *Priority) Remove(t *Thread, now sim.Time) {
-	e := s.entries.Get(t)
-	if e == nil || !e.Queued() {
-		panic(fmt.Sprintf("priority: Remove of non-runnable thread %v", t))
-	}
-	s.heap.Remove(&e.Tagged)
-}
+func (s *Priority) Remove(t *Thread, now sim.Time) { s.remove(t, "priority") }
 
 // Pick implements Scheduler.
-func (s *Priority) Pick(now sim.Time) *Thread {
-	if s.heap.Len() == 0 {
-		return nil
-	}
-	return s.heap.Min().Item.t
-}
+func (s *Priority) Pick(now sim.Time) *Thread { return s.head() }
 
 // Quantum implements Scheduler.
 func (s *Priority) Quantum(t *Thread, now sim.Time) sim.Time { return s.quantum }
@@ -97,31 +63,14 @@ func (s *Priority) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 		s.heap.Remove(&e.Tagged)
 		return
 	}
-	e.Seq = s.seq
-	s.seq++
-	s.heap.Fix(&e.Tagged)
+	s.requeue(e)
 }
 
 // Preempts implements Scheduler: a strictly higher-priority wakeup
 // preempts immediately.
 func (s *Priority) Preempts(running, woken *Thread, now sim.Time) bool {
-	re := s.entries.Get(running)
-	we := s.entries.Get(woken)
-	if re == nil || we == nil || !re.Queued() || !we.Queued() {
-		return false
-	}
-	return we.Tag < re.Tag
+	return s.preempts(running, woken)
 }
-
-// Len implements Scheduler.
-func (s *Priority) Len() int { return s.heap.Len() }
 
 // Forget drops state for an exited thread.
-func (s *Priority) Forget(t *Thread) {
-	if e := s.entries.Get(t); e != nil {
-		if e.Queued() {
-			panic(fmt.Sprintf("priority: Forget of runnable thread %v", t))
-		}
-		s.entries.Delete(t)
-	}
-}
+func (s *Priority) Forget(t *Thread) { s.forget(t, "priority") }

@@ -14,35 +14,30 @@ import (
 // leaf. Threads without a period fall back to their explicit Priority
 // (higher first), below all periodic threads.
 type RM struct {
+	tagQueue[string, rmRank]
 	quantum sim.Time
-	entries Table[*rmEntry]
-	heap    sim.TagHeap[string, *rmEntry]
-	seq     uint64
 }
 
-// rmEntry is one thread's queue position. period and prio are its key,
-// read at enqueue: periodic threads rank by period (ascending) ahead of
-// aperiodic ones, whose period is math.MaxInt64, and equal periods rank
-// by priority (descending). Tag encodes that key as an order-preserving
-// string (see setKey); Seq breaks ties FIFO. The entry is queued while
-// the thread is runnable.
-type rmEntry struct {
-	sim.Tagged[string, *rmEntry]
-	t      *Thread
+// rmRank is a thread's rate-monotonic key, read at enqueue: periodic
+// threads rank by period (ascending) ahead of aperiodic ones, whose
+// period is math.MaxInt64, and equal periods rank by priority
+// (descending). The tag queue's Tag encodes it as an order-preserving
+// string (see setRMKey).
+type rmRank struct {
 	period sim.Time
 	prio   int
 }
 
-// setKey sets e's key. Tag is 16 bytes, the big-endian period and then
+// setRMKey sets e's key. Tag is 16 bytes, the big-endian period and then
 // the big-endian complement of the priority, each with its sign bit
 // flipped, so comparing two tags as strings compares the keys exactly.
 // The tag is rebuilt only when the key changes, so re-enqueueing a
 // thread allocates nothing.
-func (e *rmEntry) setKey(period sim.Time, prio int) {
-	if e.Tag != "" && period == e.period && prio == e.prio {
+func setRMKey(e *tagEntry[string, rmRank], period sim.Time, prio int) {
+	if e.Tag != "" && period == e.x.period && prio == e.x.prio {
 		return
 	}
-	e.period, e.prio = period, prio
+	e.x = rmRank{period, prio}
 	var b [16]byte
 	binary.BigEndian.PutUint64(b[:8], uint64(period)^1<<63)
 	binary.BigEndian.PutUint64(b[8:], uint64(^prio)^1<<63)
@@ -59,52 +54,25 @@ func NewRM(quantum sim.Time) *RM {
 	return &RM{quantum: quantum}
 }
 
-// entryFor returns t's entry, creating it on first contact.
-func (s *RM) entryFor(t *Thread) *rmEntry {
-	e := s.entries.Get(t)
-	if e == nil {
-		e = &rmEntry{t: t}
-		e.Item = e
-		s.entries.Put(t, e)
-	}
-	return e
-}
-
 // Name implements Scheduler.
 func (s *RM) Name() string { return "rm" }
 
 // Enqueue implements Scheduler.
 func (s *RM) Enqueue(t *Thread, now sim.Time) {
-	e := s.entryFor(t)
-	if e.Queued() {
-		panic(fmt.Sprintf("rm: Enqueue of runnable thread %v", t))
-	}
+	e := s.admit(t, "rm")
 	period := t.Period
 	if period <= 0 {
 		period = sim.Time(math.MaxInt64)
 	}
-	e.setKey(period, t.Priority)
-	e.Seq = s.seq
-	s.seq++
-	s.heap.Push(&e.Tagged)
+	setRMKey(e, period, t.Priority)
+	s.push(e)
 }
 
 // Remove implements Scheduler.
-func (s *RM) Remove(t *Thread, now sim.Time) {
-	e := s.entries.Get(t)
-	if e == nil || !e.Queued() {
-		panic(fmt.Sprintf("rm: Remove of non-runnable thread %v", t))
-	}
-	s.heap.Remove(&e.Tagged)
-}
+func (s *RM) Remove(t *Thread, now sim.Time) { s.remove(t, "rm") }
 
 // Pick implements Scheduler: highest rate-monotonic priority first.
-func (s *RM) Pick(now sim.Time) *Thread {
-	if s.heap.Len() == 0 {
-		return nil
-	}
-	return s.heap.Min().Item.t
-}
+func (s *RM) Pick(now sim.Time) *Thread { return s.head() }
 
 // Quantum implements Scheduler.
 func (s *RM) Quantum(t *Thread, now sim.Time) sim.Time { return s.quantum }
@@ -122,16 +90,8 @@ func (s *RM) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 
 // Preempts implements Scheduler: a higher-priority wakeup preempts.
 func (s *RM) Preempts(running, woken *Thread, now sim.Time) bool {
-	re := s.entries.Get(running)
-	we := s.entries.Get(woken)
-	if re == nil || we == nil || !re.Queued() || !we.Queued() {
-		return false
-	}
-	return we.Tag < re.Tag
+	return s.preempts(running, woken)
 }
-
-// Len implements Scheduler.
-func (s *RM) Len() int { return s.heap.Len() }
 
 // SchedulableRM reports whether periodic demands are schedulable under Rate
 // Monotonic by the Liu & Layland sufficient bound:

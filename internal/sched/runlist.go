@@ -10,9 +10,11 @@ import (
 // runnable threads wait in arrival order: the one queue of rr, fifo,
 // lottery and drr, each level of mlfq, each priority of svr4 and reserves'
 // background band. It is to those queues what sim.TagHeap is to the
-// ordered ones. An owner embeds a link whose Item points back at the
-// owner, so queueing at either end and removal from the middle take O(1)
-// and allocate nothing, and a walk from Front visits the queue in order.
+// ordered ones, and threadQueue, below, is to rr, fifo and lottery what
+// tagQueue (tagqueue.go) is to the ordered leaves. An owner embeds a link
+// whose Item points back at the owner, so queueing at either end and
+// removal from the middle take O(1) and allocate nothing, and a walk from
+// Front visits the queue in order.
 
 // link is one element of a runList. The zero link is not queued.
 type link[T any] struct {

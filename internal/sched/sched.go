@@ -154,12 +154,6 @@ type Scheduler interface {
 	Len() int
 }
 
-// WeightedLen is implemented by proportional-share schedulers that can
-// report the total weight of their runnable set, used by admission control.
-type WeightedLen interface {
-	TotalWeight() float64
-}
-
 // DefaultQuantum is the quantum used by schedulers that do not take an
 // explicit one. The paper's experiments use 10–25 ms quanta.
 const DefaultQuantum = 10 * sim.Millisecond

@@ -17,26 +17,20 @@ import (
 // while the scheduler is busy, and the maximum finish tag ever assigned
 // while it is idle.
 //
-// The hot path is allocation- and map-free: per-thread entries live in an
-// ID-ordered Table, which keeps tag state across sleeps and hsfq_move
-// round-trips, and the runnable set is an intrusive sim.TagHeap.
+// The hot path is allocation- and map-free: the tag queue's entries keep
+// tag state across sleeps and hsfq_move round-trips, and its Tag is the
+// start tag S.
 type SFQ struct {
+	tagQueue[float64, sfqTags]
 	quantum   sim.Time
-	entries   Table[*sfqEntry]
-	heap      sim.TagHeap[float64, *sfqEntry]
-	inService *sfqEntry
+	inService *tagEntry[float64, sfqTags]
 	maxFinish float64
-	seq       uint64
 	total     float64        // total effective weight of runnable threads
 	donated   Table[float64] // priority-inversion weight transfers (§4)
 }
 
-// sfqEntry is one thread's tags. Tag is the start tag S; Seq breaks ties
-// FIFO among equal start tags; the entry is queued while the thread is
-// runnable.
-type sfqEntry struct {
-	sim.Tagged[float64, *sfqEntry]
-	t       *Thread
+// sfqTags is what SFQ keeps of a thread beside its start tag.
+type sfqTags struct {
 	finish  float64
 	quantum sim.Time // per-thread override; 0 selects the scheduler default
 }
@@ -50,17 +44,6 @@ func NewSFQ(quantum sim.Time) *SFQ {
 	return &SFQ{quantum: quantum}
 }
 
-// entryFor returns t's entry, creating it on first contact.
-func (s *SFQ) entryFor(t *Thread) *sfqEntry {
-	e := s.entries.Get(t)
-	if e == nil {
-		e = &sfqEntry{t: t}
-		e.Item = e
-		s.entries.Put(t, e)
-	}
-	return e
-}
-
 // SetThreadQuantum overrides the quantum for one thread. SFQ's fairness
 // and delay bounds (Eqs. 3 and 8) are expressed in per-thread maximum
 // quantum lengths l_f^max, so giving latency-sensitive threads shorter
@@ -70,7 +53,7 @@ func (s *SFQ) SetThreadQuantum(t *Thread, q sim.Time) {
 	if q < 0 {
 		panic(fmt.Sprintf("sfq: negative quantum for %v", t))
 	}
-	s.entryFor(t).quantum = q
+	s.entryFor(t).x.quantum = q
 }
 
 // Name implements Scheduler.
@@ -93,7 +76,7 @@ func (s *SFQ) VirtualTime() float64 {
 // never been enqueued report zero tags.
 func (s *SFQ) Tags(t *Thread) (start, finish float64) {
 	if e := s.entries.Get(t); e != nil {
-		return e.Tag, e.finish
+		return e.Tag, e.x.finish
 	}
 	return 0, 0
 }
@@ -102,27 +85,18 @@ func (s *SFQ) Tags(t *Thread) (start, finish float64) {
 // S = max(v(now), F), so a thread returning from sleep cannot claim service
 // for the time it was absent.
 func (s *SFQ) Enqueue(t *Thread, now sim.Time) {
-	e := s.entryFor(t)
-	if e.Queued() {
-		panic(fmt.Sprintf("sfq: Enqueue of runnable thread %v", t))
-	}
-	e.Tag = sim.Maxf(s.VirtualTime(), e.finish)
-	e.Seq = s.seq
-	s.seq++
-	s.heap.Push(&e.Tagged)
+	e := s.admit(t, "sfq")
+	e.Tag = sim.Maxf(s.VirtualTime(), e.x.finish)
+	s.push(e)
 	s.total += s.EffectiveWeight(t)
 }
 
 // Remove implements Scheduler.
 func (s *SFQ) Remove(t *Thread, now sim.Time) {
-	e := s.entries.Get(t)
-	if e == nil || !e.Queued() {
-		panic(fmt.Sprintf("sfq: Remove of non-runnable thread %v", t))
-	}
-	if s.inService == e {
+	if s.inService != nil && s.inService.t == t {
 		panic(fmt.Sprintf("sfq: Remove of in-service thread %v", t))
 	}
-	s.heap.Remove(&e.Tagged)
+	s.remove(t, "sfq")
 	s.total -= s.EffectiveWeight(t)
 }
 
@@ -139,7 +113,7 @@ func (s *SFQ) Pick(now sim.Time) *Thread {
 // entryOf returns t's entry, or nil: the in-service entry when it holds t,
 // which is every Quantum and Charge of a picked thread, else a table
 // lookup.
-func (s *SFQ) entryOf(t *Thread) *sfqEntry {
+func (s *SFQ) entryOf(t *Thread) *tagEntry[float64, sfqTags] {
 	if e := s.inService; e != nil && e.t == t {
 		return e
 	}
@@ -148,8 +122,8 @@ func (s *SFQ) entryOf(t *Thread) *sfqEntry {
 
 // Quantum implements Scheduler.
 func (s *SFQ) Quantum(t *Thread, now sim.Time) sim.Time {
-	if e := s.entryOf(t); e != nil && e.quantum != 0 {
-		return e.quantum
+	if e := s.entryOf(t); e != nil && e.x.quantum != 0 {
+		return e.x.quantum
 	}
 	return s.quantum
 }
@@ -165,16 +139,14 @@ func (s *SFQ) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 	if e == nil || !e.Queued() {
 		panic(fmt.Sprintf("sfq: Charge of non-runnable thread %v", t))
 	}
-	e.finish = e.Tag + float64(used)/s.EffectiveWeight(t)
-	if e.finish > s.maxFinish {
-		s.maxFinish = e.finish
+	e.x.finish = e.Tag + float64(used)/s.EffectiveWeight(t)
+	if e.x.finish > s.maxFinish {
+		s.maxFinish = e.x.finish
 	}
 	s.inService = nil
 	if runnable {
-		e.Tag = e.finish
-		e.Seq = s.seq
-		s.seq++
-		s.heap.Fix(&e.Tagged)
+		e.Tag = e.x.finish
+		s.requeue(e)
 	} else {
 		s.heap.Remove(&e.Tagged)
 		s.total -= s.EffectiveWeight(t)
@@ -186,19 +158,10 @@ func (s *SFQ) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 // is what bounds the paper's Fig. 9 scheduling latency by the quantum.
 func (s *SFQ) Preempts(running, woken *Thread, now sim.Time) bool { return false }
 
-// Len implements Scheduler.
-func (s *SFQ) Len() int { return s.heap.Len() }
-
-// TotalWeight implements WeightedLen.
+// TotalWeight returns the total effective weight of the runnable
+// threads, donations included.
 func (s *SFQ) TotalWeight() float64 { return s.total }
 
 // Forget discards tag state for an exited thread so the entry table does
 // not grow without bound in long simulations.
-func (s *SFQ) Forget(t *Thread) {
-	if e := s.entries.Get(t); e != nil {
-		if e.Queued() {
-			panic(fmt.Sprintf("sfq: Forget of runnable thread %v", t))
-		}
-		s.entries.Delete(t)
-	}
-}
+func (s *SFQ) Forget(t *Thread) { s.forget(t, "sfq") }

@@ -167,20 +167,18 @@ func (s *SFQ) SaveState(e *sim.Enc) error {
 	}
 
 	s.donated.SaveRows(e, e.F64)
-	s.entries.SaveRows(e, func(en *sfqEntry) {
+	s.saveRows(e, func(en *tagEntry[float64, sfqTags]) {
 		e.F64(en.Tag)
-		e.F64(en.finish)
-		e.Time(en.quantum)
-		e.U64(en.Seq)
-		e.Bool(en.Queued())
+		e.F64(en.x.finish)
+		e.Time(en.x.quantum)
 	})
 	return nil
 }
 
 // LoadState implements Stater.
 func (s *SFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
-	if s.heap.Len() != 0 {
-		return fmt.Errorf("sfq: LoadState into a scheduler with runnable threads")
+	if err := s.loadable("sfq"); err != nil {
+		return err
 	}
 	s.maxFinish = d.F64()
 	s.seq = d.U64()
@@ -197,23 +195,14 @@ func (s *SFQ) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 	}
 
 	s.inService = nil
-	err = LoadRows(d, "sfq", 41, resolve, func(t *Thread) error {
-		en := s.entryFor(t)
+	err = s.loadRows(d, "sfq", 24, resolve, func(en *tagEntry[float64, sfqTags]) error {
 		en.Tag = d.F64()
-		en.finish = d.F64()
-		en.quantum = d.Time()
-		en.Seq = d.U64()
-		runnable := d.Bool()
-		if err := d.Err(); err != nil {
-			return err
+		en.x.finish = d.F64()
+		en.x.quantum = d.Time()
+		if en.x.quantum < 0 {
+			return fmt.Errorf("sfq: negative quantum for thread %d", en.t.ID)
 		}
-		if en.quantum < 0 {
-			return fmt.Errorf("sfq: negative quantum for thread %d", t.ID)
-		}
-		if runnable {
-			s.heap.Push(&en.Tagged)
-		}
-		if t.ID == svcID {
+		if en.t.ID == svcID {
 			s.inService = en
 		}
 		return nil
@@ -256,32 +245,66 @@ func (q *threadQueue) LoadState(d *sim.Dec, resolve func(id int) *Thread) error 
 }
 
 // ---------------------------------------------------------------------------
+// Tag queues, under sfq, stride, eevdf, edf, rm and priority: every row
+// ends in the entry's (Seq, queued).
+
+// saveRows appends the queue's entries in thread-ID order: per row the
+// thread's ID, the leaf's own fields, which row writes, then Seq and
+// whether the entry is queued. Each leaf writes its counter, seq, in its
+// own header.
+func (q *tagQueue[K, X]) saveRows(e *sim.Enc, row func(*tagEntry[K, X])) {
+	q.entries.SaveRows(e, func(en *tagEntry[K, X]) {
+		row(en)
+		e.U64(en.Seq)
+		e.Bool(en.Queued())
+	})
+}
+
+// loadable refuses a load into a queue that already holds runnable
+// threads.
+func (q *tagQueue[K, X]) loadable(who string) error {
+	if q.heap.Len() != 0 {
+		return fmt.Errorf("%s: LoadState into a scheduler with runnable threads", who)
+	}
+	return nil
+}
+
+// loadRows reads rows written by saveRows through LoadRows. row decodes
+// and checks the leaf's own fields, at least fieldBytes of them, so a
+// row with its ID, Seq and queued byte is at least 17+fieldBytes long.
+// The heap is rebuilt by pushing the queued entries in thread-ID order.
+func (q *tagQueue[K, X]) loadRows(d *sim.Dec, who string, fieldBytes int, resolve func(id int) *Thread, row func(*tagEntry[K, X]) error) error {
+	return LoadRows(d, who, 17+fieldBytes, resolve, func(t *Thread) error {
+		en := q.entryFor(t)
+		if err := row(en); err != nil {
+			return err
+		}
+		en.Seq = d.U64()
+		if d.Bool() && d.Err() == nil {
+			q.heap.Push(&en.Tagged)
+		}
+		return nil
+	})
+}
+
+// ---------------------------------------------------------------------------
 // Priority
 
 // SaveState implements Stater.
 func (s *Priority) SaveState(e *sim.Enc) error {
 	e.U64(s.seq)
-	s.entries.SaveRows(e, func(en *prioEntry) {
-		e.Int(^en.Tag)
-		e.U64(en.Seq)
-		e.Bool(en.Queued())
-	})
+	s.saveRows(e, func(en *tagEntry[int, struct{}]) { e.Int(^en.Tag) })
 	return nil
 }
 
 // LoadState implements Stater.
 func (s *Priority) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
-	if s.heap.Len() != 0 {
-		return fmt.Errorf("priority: LoadState into a scheduler with runnable threads")
+	if err := s.loadable("priority"); err != nil {
+		return err
 	}
 	s.seq = d.U64()
-	return LoadRows(d, "priority", 25, resolve, func(t *Thread) error {
-		en := s.entryFor(t)
+	return s.loadRows(d, "priority", 8, resolve, func(en *tagEntry[int, struct{}]) error {
 		en.Tag = ^d.Int()
-		en.Seq = d.U64()
-		if d.Bool() && d.Err() == nil {
-			s.heap.Push(&en.Tagged)
-		}
 		return nil
 	})
 }
@@ -292,27 +315,18 @@ func (s *Priority) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 // SaveState implements Stater.
 func (s *EDF) SaveState(e *sim.Enc) error {
 	e.U64(s.seq)
-	s.entries.SaveRows(e, func(en *edfEntry) {
-		e.Time(en.Tag)
-		e.U64(en.Seq)
-		e.Bool(en.Queued())
-	})
+	s.saveRows(e, func(en *tagEntry[sim.Time, struct{}]) { e.Time(en.Tag) })
 	return nil
 }
 
 // LoadState implements Stater.
 func (s *EDF) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
-	if s.heap.Len() != 0 {
-		return fmt.Errorf("edf: LoadState into a scheduler with runnable threads")
+	if err := s.loadable("edf"); err != nil {
+		return err
 	}
 	s.seq = d.U64()
-	return LoadRows(d, "edf", 25, resolve, func(t *Thread) error {
-		en := s.entryFor(t)
+	return s.loadRows(d, "edf", 8, resolve, func(en *tagEntry[sim.Time, struct{}]) error {
 		en.Tag = d.Time()
-		en.Seq = d.U64()
-		if d.Bool() && d.Err() == nil {
-			s.heap.Push(&en.Tagged)
-		}
 		return nil
 	})
 }
@@ -323,29 +337,22 @@ func (s *EDF) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
 // SaveState implements Stater.
 func (s *RM) SaveState(e *sim.Enc) error {
 	e.U64(s.seq)
-	s.entries.SaveRows(e, func(en *rmEntry) {
-		e.Time(en.period)
-		e.Int(en.prio)
-		e.U64(en.Seq)
-		e.Bool(en.Queued())
+	s.saveRows(e, func(en *tagEntry[string, rmRank]) {
+		e.Time(en.x.period)
+		e.Int(en.x.prio)
 	})
 	return nil
 }
 
 // LoadState implements Stater.
 func (s *RM) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
-	if s.heap.Len() != 0 {
-		return fmt.Errorf("rm: LoadState into a scheduler with runnable threads")
+	if err := s.loadable("rm"); err != nil {
+		return err
 	}
 	s.seq = d.U64()
-	return LoadRows(d, "rm", 33, resolve, func(t *Thread) error {
-		en := s.entryFor(t)
+	return s.loadRows(d, "rm", 16, resolve, func(en *tagEntry[string, rmRank]) error {
 		period, prio := d.Time(), d.Int()
-		en.setKey(period, prio)
-		en.Seq = d.U64()
-		if d.Bool() && d.Err() == nil {
-			s.heap.Push(&en.Tagged)
-		}
+		setRMKey(en, period, prio)
 		return nil
 	})
 }
@@ -478,29 +485,20 @@ func (s *Stride) SaveState(e *sim.Enc) error {
 	e.F64(s.global)
 	e.U64(s.seq)
 	e.F64(s.total)
-	s.entries.SaveRows(e, func(en *strideEntry) {
-		e.F64(en.Tag)
-		e.U64(en.Seq)
-		e.Bool(en.Queued())
-	})
+	s.saveRows(e, func(en *tagEntry[float64, struct{}]) { e.F64(en.Tag) })
 	return nil
 }
 
 // LoadState implements Stater.
 func (s *Stride) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
-	if s.heap.Len() != 0 {
-		return fmt.Errorf("stride: LoadState into a scheduler with runnable threads")
+	if err := s.loadable("stride"); err != nil {
+		return err
 	}
 	s.global = d.F64()
 	s.seq = d.U64()
 	s.total = d.F64()
-	return LoadRows(d, "stride", 25, resolve, func(t *Thread) error {
-		en := s.entryFor(t)
+	return s.loadRows(d, "stride", 8, resolve, func(en *tagEntry[float64, struct{}]) error {
 		en.Tag = d.F64()
-		en.Seq = d.U64()
-		if d.Bool() && d.Err() == nil {
-			s.heap.Push(&en.Tagged)
-		}
 		return nil
 	})
 }
@@ -518,39 +516,32 @@ func (s *EEVDF) SaveState(e *sim.Enc) error {
 	} else {
 		e.Int(-1)
 	}
-	s.entries.SaveRows(e, func(en *eevdfEntry) {
-		e.F64(en.ve)
+	s.saveRows(e, func(en *tagEntry[float64, eevdfRequest]) {
+		e.F64(en.x.ve)
 		e.F64(en.Tag)
-		e.I64(int64(en.served))
-		e.U64(en.Seq)
-		e.Bool(en.Queued())
+		e.I64(int64(en.x.served))
 	})
 	return nil
 }
 
 // LoadState implements Stater.
 func (s *EEVDF) LoadState(d *sim.Dec, resolve func(id int) *Thread) error {
-	if s.heap.Len() != 0 {
-		return fmt.Errorf("eevdf: LoadState into a scheduler with runnable threads")
+	if err := s.loadable("eevdf"); err != nil {
+		return err
 	}
 	s.vtime = d.F64()
 	s.total = d.F64()
 	s.seq = d.U64()
 	pickedID := d.Int()
 	s.picked = nil
-	err := LoadRows(d, "eevdf", 41, resolve, func(t *Thread) error {
-		en := s.entryFor(t)
-		en.ve = d.F64()
+	err := s.loadRows(d, "eevdf", 24, resolve, func(en *tagEntry[float64, eevdfRequest]) error {
+		en.x.ve = d.F64()
 		en.Tag = d.F64()
-		en.served = Work(d.I64())
-		en.Seq = d.U64()
-		if d.Err() == nil && (en.served < 0 || en.served >= s.reqWork) {
-			return fmt.Errorf("eevdf: thread %d served %d outside [0, %d)", t.ID, en.served, s.reqWork)
+		en.x.served = Work(d.I64())
+		if d.Err() == nil && (en.x.served < 0 || en.x.served >= s.reqWork) {
+			return fmt.Errorf("eevdf: thread %d served %d outside [0, %d)", en.t.ID, en.x.served, s.reqWork)
 		}
-		if d.Bool() && d.Err() == nil {
-			s.heap.Push(&en.Tagged)
-		}
-		if t.ID == pickedID {
+		if en.t.ID == pickedID {
 			s.picked = en
 		}
 		return nil

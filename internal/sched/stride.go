@@ -12,20 +12,13 @@ import (
 // Each thread advances a pass value by used/weight; the minimum pass runs.
 // On wakeup a thread resumes from max(own pass, global pass), so it cannot
 // bank credit while asleep.
+//
+// The tag queue's Tag is the pass.
 type Stride struct {
+	tagQueue[float64, struct{}]
 	quantum sim.Time
-	entries Table[*strideEntry]
-	heap    sim.TagHeap[float64, *strideEntry]
 	global  float64 // pass of the most recently dispatched thread
-	seq     uint64
 	total   float64
-}
-
-// strideEntry is one thread's pass. Tag is the pass; Seq breaks ties FIFO
-// among equal passes; the entry is queued while the thread is runnable.
-type strideEntry struct {
-	sim.Tagged[float64, *strideEntry]
-	t *Thread
 }
 
 // NewStride returns a stride scheduler; quantum <= 0 selects
@@ -35,17 +28,6 @@ func NewStride(quantum sim.Time) *Stride {
 		quantum = DefaultQuantum
 	}
 	return &Stride{quantum: quantum}
-}
-
-// entryFor returns t's entry, creating it on first contact.
-func (s *Stride) entryFor(t *Thread) *strideEntry {
-	e := s.entries.Get(t)
-	if e == nil {
-		e = &strideEntry{t: t}
-		e.Item = e
-		s.entries.Put(t, e)
-	}
-	return e
 }
 
 // Name implements Scheduler.
@@ -61,26 +43,17 @@ func (s *Stride) Pass(t *Thread) float64 {
 
 // Enqueue implements Scheduler.
 func (s *Stride) Enqueue(t *Thread, now sim.Time) {
-	e := s.entryFor(t)
-	if e.Queued() {
-		panic(fmt.Sprintf("stride: Enqueue of runnable thread %v", t))
-	}
+	e := s.admit(t, "stride")
 	if e.Tag < s.global {
 		e.Tag = s.global
 	}
-	e.Seq = s.seq
-	s.seq++
-	s.heap.Push(&e.Tagged)
+	s.push(e)
 	s.total += t.Weight
 }
 
 // Remove implements Scheduler.
 func (s *Stride) Remove(t *Thread, now sim.Time) {
-	e := s.entries.Get(t)
-	if e == nil || !e.Queued() {
-		panic(fmt.Sprintf("stride: Remove of non-runnable thread %v", t))
-	}
-	s.heap.Remove(&e.Tagged)
+	s.remove(t, "stride")
 	s.total -= t.Weight
 }
 
@@ -107,9 +80,7 @@ func (s *Stride) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 	}
 	e.Tag += float64(used) / t.Weight
 	if runnable {
-		e.Seq = s.seq
-		s.seq++
-		s.heap.Fix(&e.Tagged)
+		s.requeue(e)
 	} else {
 		s.heap.Remove(&e.Tagged)
 		s.total -= t.Weight
@@ -119,8 +90,5 @@ func (s *Stride) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 // Preempts implements Scheduler.
 func (s *Stride) Preempts(running, woken *Thread, now sim.Time) bool { return false }
 
-// Len implements Scheduler.
-func (s *Stride) Len() int { return s.heap.Len() }
-
-// TotalWeight implements WeightedLen.
+// TotalWeight returns the total weight of the runnable threads.
 func (s *Stride) TotalWeight() float64 { return s.total }

@@ -26,10 +26,8 @@ func TestSetWeightWhileRunnable(t *testing.T) {
 			if a.Weight != 3 {
 				t.Fatal("weight not applied")
 			}
-			if wl, ok := s.(WeightedLen); ok {
-				if wl.TotalWeight() != 4 {
-					t.Errorf("total weight %v, want 4", wl.TotalWeight())
-				}
+			if wl := s.(interface{ TotalWeight() float64 }); wl.TotalWeight() != 4 {
+				t.Errorf("total weight %v, want 4", wl.TotalWeight())
 			}
 			got := serve(s, 8000, 1000)
 			ratio := float64(got[a]) / float64(got[b])

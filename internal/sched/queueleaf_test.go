@@ -14,10 +14,10 @@ import (
 // run lists or on a tag heap, with eight threads through one seeded
 // script and pins a SHA-256 of every answer the leaf gives: each Pick,
 // Quantum, Preempts and Len. A leaf with no pin fails. The script mixes
-// zero, partial and full-quantum charges, blocks, wakes that land
-// mid-segment and Removes, and runs long enough that svr4 boosts several
-// threads at one Pick (two of its threads are real-time, so the others
-// wait past the one-second maxwait) and mlfq's aging fires; the test
+// zero, partial and full-quantum charges, blocks and wakes that land
+// mid-segment, and runs long enough that svr4 boosts several threads at
+// one Pick (two of its threads are real-time, so the others wait past
+// the one-second maxwait) and mlfq's aging fires; the test
 // asserts both, because those are the moves that requeue several threads
 // in one pass, in an order only this pin holds. Half of reserves'
 // threads hold reserves small enough to run out, so its threads cross
@@ -27,19 +27,19 @@ import (
 // and priority order them by keys that both differ and tie.
 func TestQueueLeavesDecisionsPinned(t *testing.T) {
 	want := map[string]string{
-		"drr":      "309616d33a1771bd2cc7a880d4506dee2ccd6aa9eafbfea40b2e380cbcac52be",
-		"edf":      "76bd28a681788bad57a33f9a2a55723241dae5190432e0e3817bfabb0adb4422",
-		"eevdf":    "f990c9ff6e29af7c47205cf1bd533f26bbf605eee23a325faf97aa029f983609",
-		"fifo":     "e4e06f580db16198d8dcf49ebe2acb4d6193d2e057c80a75ff358502af5f1431",
-		"lottery":  "391298f77c6c3715e25f39df9bac07ebd32552b415e6387410779ad00e00113e",
-		"mlfq":     "44c2af9f05d3a77d6ebe822ae8800eb7a38d52b19cc49d46031885a863e97edf",
-		"priority": "c0146f17ebc870c5537b020891310c617fad2d22b5ac51d859ae43583c969441",
-		"reserves": "484d4eaf51247fd2a4efd741a68cd86c9d6c9ace041c3c1d991ce73330a0c8e5",
-		"rm":       "d375a41a824a68645a934957bcb96aaef19f95302afd174c044b361d082a04f2",
-		"rr":       "072dc22bce9e94e70202a2871fc38e95509e663d7c9a9cf1c6e9b1db0085754d",
-		"sfq":      "8eab7bc720b8ac57a926f72dc43d5d6d6a3f004e2362e26333573a34a53b76b5",
-		"stride":   "9dfdbbd2e66a9312ab19cf52da244e7b2d9db3f8269ff67cb90a43aef78a5528",
-		"svr4":     "4600d7402ad811881932e3e85d7ef9bda58a1a349a364d195173515e4acf8c11",
+		"drr":      "fac79583ea0b29b159c5585543234bd6c671e4df625d9458bc8c3806e5db3881",
+		"edf":      "6f4dc6fe0fc4a74f6d90fc9ab96e1801dcd7d3ed19697a3ecd495f30a0e93417",
+		"eevdf":    "db1fad02970542057ca73c4f29838225bfad468a11abfd46f951d28b4cbc65c3",
+		"fifo":     "1fb989064d366a4bb4c478addd7a348898f67ce018015aa5618b29e50644cb3f",
+		"lottery":  "529199f9d5aede24d6300b9e377853bd050390f651c6375ad61b97856e8f3639",
+		"mlfq":     "4cec7748cef3f6d2b5de90aac8d5b4adce78f2bcc80e855649f47be8b49bf749",
+		"priority": "148498b6cf348f1e5b5624a7e0407f3f30ad640af9f06d3e1d94b81fb6fe9e0c",
+		"reserves": "65650804aaa7392d1a58baabf644c0a7deac7bc974e749ea7c2f1e1c455a5feb",
+		"rm":       "247918cad06efbbb75bdcc39e71205099a53e7473a72592af783ba2a9e20c951",
+		"rr":       "121aed27b252c05afdf65dd90c5766474ed794b2aea1c913aef23594f20d73ac",
+		"sfq":      "3ca86ef3b9f2a2fbd109749fb41c66e2b15b0569a83f3ab8911517420bcb2d49",
+		"stride":   "72872213d91ffec9465734573cde4d368c31175401277b18a8a98abfb11568e3",
+		"svr4":     "76f4aeaa0ae2d6644a0c56550fab9bb0d58b902cf7dbb4909957902e0b7417b4",
 	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
@@ -190,12 +190,6 @@ func driveQueueLeaf(t *testing.T, name string) (digest string, multiMoves, aging
 			runnable[p.ID-1] = false
 		}
 		fmt.Fprintf(h, "charge %d block %v len %d\n", used, block, s.Len())
-
-		if i := random(true); i >= 0 && rng.Intn(12) == 0 {
-			s.Remove(threads[i], now)
-			runnable[i] = false
-			fmt.Fprintf(h, "remove %d len %d\n", threads[i].ID, s.Len())
-		}
 		now += sim.Time(rng.Intn(3)) * sim.Millisecond
 	}
 	return hex.EncodeToString(h.Sum(nil)), multiMoves, agings

@@ -181,10 +181,11 @@ func (w *opsWorld) roundTrip(tb testing.TB) *opsWorld {
 // FuzzStructureOps drives a structure whose leaves are of every
 // registered kind through a byte script of the hsfq system calls and
 // kernel entry points. Thread states follow the machine's rules: only a
-// blocked thread wakes, only a runnable one is removed, one thread at a
-// time is picked and only it is charged. The invariants are checked after
-// every operation, and a checkpoint round trip must be exact and must not
-// change the next decisions.
+// blocked thread wakes, one thread at a time is picked and only it is
+// charged, and a thread blocks only through its charge. The invariants are
+// checked after every operation, and a checkpoint round trip must be exact
+// and must not change the next decisions. Op 8 does nothing, so the other
+// ops keep the numbers the hand-written seeds use.
 func FuzzStructureOps(f *testing.F) {
 	f.Add([]byte{0, 1, 11, 1, 2, 0, 0, 7, 0, 9, 10, 3, 1, 11})
 	f.Add([]byte("\x00\x00\x04\x02\x00\x00\x0a\x01\x02\x00\x01\x02\x01\x07\x00\x07\x01\x09\x0b\x0a\x05\x01\x09\x0b"))
@@ -263,11 +264,6 @@ func FuzzStructureOps(f *testing.F) {
 				if w.s.LeafOf(th) != nil && (th.State == sched.StateNew || th.State == sched.StateBlocked) {
 					th.State, th.WokeAt, th.ReadyAt = sched.StateRunnable, w.now, w.now
 					w.s.Enqueue(th, w.now)
-				}
-			case 8: // remove
-				if th.State == sched.StateRunnable {
-					w.s.Remove(th, w.now)
-					th.State = sched.StateBlocked
 				}
 			case 9: // pick + quantum
 				if w.picked == nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // This file implements sched.Scheduler for Structure: the recursive
-// hsfq_schedule walk, the hsfq_update tag propagation, and the
-// hsfq_setrun / hsfq_sleep eligibility marking of §4.
+// hsfq_schedule walk, the hsfq_update tag propagation with the hsfq_sleep
+// marking folded into it, and the hsfq_setrun marking of §4.
 
 var _ sched.Scheduler = (*Structure)(nil)
 
@@ -50,37 +50,6 @@ func (s *Structure) setRun(n *Node) {
 		s.seq++
 		p.runq.Push(&n.run)
 		if wasRunnable {
-			return
-		}
-		n = p
-	}
-}
-
-// Remove implements sched.Scheduler: a runnable thread leaves the
-// structure's runnable set without being charged (killed while waiting, or
-// about to be moved). If it was the leaf's last runnable thread the
-// hsfq_sleep walk marks ancestors ineligible: "this function has to
-// traverse the path from the leaf only until a node that has more than one
-// runnable child nodes is found".
-func (s *Structure) Remove(t *sched.Thread, now sim.Time) {
-	n := s.byThread.Get(t)
-	if n == nil {
-		panic(fmt.Sprintf("core: Remove of unattached thread %v", t))
-	}
-	n.leaf.Remove(t, now)
-	s.runnable--
-	if n.leaf.Len() == 0 {
-		s.sleep(n)
-	}
-}
-
-// sleep removes n from its parent's runnable set and walks up while
-// parents lose their last runnable child.
-func (s *Structure) sleep(n *Node) {
-	for n.parent != nil && n.run.Queued() {
-		p := n.parent
-		p.runq.Remove(&n.run)
-		if p.runq.Len() > 0 {
 			return
 		}
 		n = p

@@ -107,12 +107,13 @@ func TestSetRunSleepPropagation(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("Len %d", s.Len())
 	}
-	s.Remove(th, 0)
+	s.Pick(0)
+	s.Charge(th, 0, 0, false)
 	if be.Runnable() || u1.Runnable() || s.Root().Runnable() {
 		t.Error("sleep did not propagate to ancestors")
 	}
 	if s.Len() != 0 {
-		t.Errorf("Len %d after remove", s.Len())
+		t.Errorf("Len %d after block", s.Len())
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -175,7 +176,6 @@ func TestQuantumComesFromLeaf(t *testing.T) {
 	if got := s.Quantum(ta, 0); got != 7*sim.Millisecond {
 		t.Errorf("quantum %v", got)
 	}
-	s.Remove(ta, 0)
 }
 
 func TestPreemptsLeafLocal(t *testing.T) {
@@ -230,7 +230,6 @@ func TestUnattachedThreadPanics(t *testing.T) {
 	th := sched.NewThread(1, "t", 1)
 	for name, fn := range map[string]func(){
 		"enqueue": func() { s.Enqueue(th, 0) },
-		"remove":  func() { s.Remove(th, 0) },
 		"charge":  func() { s.Charge(th, 1, 0, true) },
 		"quantum": func() { s.Quantum(th, 0) },
 	} {
@@ -286,8 +285,7 @@ func TestDeepHierarchyStillProportional(t *testing.T) {
 }
 
 // TestRandomOpsPreserveInvariants drives a random but legal sequence of
-// operations (enqueue, remove, pick+charge, weight changes, node
-// creation) and checks the structural invariants throughout.
+// operations (enqueue, pick+charge, weight changes, node creation) and checks the structural invariants throughout.
 func TestRandomOpsPreserveInvariants(t *testing.T) {
 	f := func(seed uint64, steps uint16) bool {
 		rng := sim.NewRand(seed)
@@ -313,25 +311,19 @@ func TestRandomOpsPreserveInvariants(t *testing.T) {
 		n := int(steps)%500 + 50
 		for i := 0; i < n; i++ {
 			now += sim.Millisecond
-			switch rng.Intn(10) {
+			switch rng.Intn(9) {
 			case 0, 1, 2: // wake a blocked thread
 				th := threads[rng.Intn(len(threads))]
 				if !runnable[th] {
 					s.Enqueue(th, now)
 					runnable[th] = true
 				}
-			case 3: // remove a runnable thread
-				th := threads[rng.Intn(len(threads))]
-				if runnable[th] {
-					s.Remove(th, now)
-					runnable[th] = false
-				}
-			case 4: // change a node weight
+			case 3: // change a node weight
 				id := leaves[rng.Intn(len(leaves))]
 				if err := s.SetNodeWeight(id, float64(rng.Intn(9)+1)); err != nil {
 					return false
 				}
-			case 5: // change a thread weight
+			case 4: // change a thread weight
 				th := threads[rng.Intn(len(threads))]
 				if err := s.SetThreadWeight(th, float64(rng.Intn(9)+1)); err != nil {
 					return false

@@ -215,7 +215,8 @@ func TestAttachMoveDetach(t *testing.T) {
 	if err := s.Detach(th); !errors.Is(err, ErrThreadRunning) {
 		t.Errorf("detach of runnable err %v", err)
 	}
-	s.Remove(th, 0)
+	s.Pick(0)
+	s.Charge(th, 0, 0, false)
 	th.State = sched.StateBlocked
 	if err := s.Move(th, ids["user1"]); err != nil {
 		t.Errorf("move after block: %v", err)

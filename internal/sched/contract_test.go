@@ -147,8 +147,9 @@ func TestContractSMPDequeueProtocol(t *testing.T) {
 	}
 }
 
-// TestContractRemove: removing a runnable (not picked) thread shrinks the
-// set and the thread is never served again.
+// TestContractRemove: a thread leaves the runnable set only by blocking,
+// a Charge with runnable=false after its Pick. That shrinks the set, and
+// the thread is never served again while the others run on.
 func TestContractRemove(t *testing.T) {
 	for name, mk := range allSchedulers() {
 		t.Run(name, func(t *testing.T) {
@@ -157,16 +158,16 @@ func TestContractRemove(t *testing.T) {
 			for _, th := range threads {
 				s.Enqueue(th, 0)
 			}
-			victim := threads[2]
-			s.Remove(victim, 0)
+			victim := s.Pick(0)
+			s.Charge(victim, 1000, 0, false)
 			if s.Len() != 3 {
-				t.Fatalf("Len=%d after remove, want 3", s.Len())
+				t.Fatalf("Len=%d after block, want 3", s.Len())
 			}
 			now := sim.Time(1)
 			for i := 0; i < 50; i++ {
 				p := s.Pick(now)
 				if p == victim {
-					t.Fatal("removed thread was served")
+					t.Fatal("blocked thread was served")
 				}
 				s.Charge(p, 1000, now, true)
 				now += sim.Millisecond
@@ -217,19 +218,30 @@ func TestContractDoubleEnqueuePanics(t *testing.T) {
 	}
 }
 
-// TestContractRemoveMissingPanics: removing a thread that is not runnable
-// is a bug.
+// TestContractRemoveMissingPanics: blocking a thread that is not
+// runnable, one the leaf never saw or one that already blocked, is a bug.
 func TestContractRemoveMissingPanics(t *testing.T) {
 	for name, mk := range allSchedulers() {
 		t.Run(name, func(t *testing.T) {
-			s := mk()
-			th := testThreads(1)[0]
-			defer func() {
-				if recover() == nil {
-					t.Error("remove of missing thread did not panic")
+			threads := testThreads(2)
+			for _, blocked := range []bool{false, true} {
+				s := mk()
+				s.Enqueue(threads[1], 0)
+				th := threads[0]
+				if blocked {
+					s.Enqueue(th, 0)
+					th = s.Pick(0)
+					s.Charge(th, 1000, 0, false)
 				}
-			}()
-			s.Remove(th, 0)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("block of non-runnable thread %v did not panic", th)
+						}
+					}()
+					s.Charge(th, 0, 0, false)
+				}()
+			}
 		})
 	}
 }

@@ -110,15 +110,6 @@ func (s *DRR) Enqueue(t *Thread, now sim.Time) {
 	s.list.PushBack(&e.link)
 }
 
-// Remove implements Scheduler.
-func (s *DRR) Remove(t *Thread, now sim.Time) {
-	e := s.entries.Get(t)
-	if e == nil || !e.Queued() {
-		panic(fmt.Sprintf("drr: Remove of non-runnable thread %v", t))
-	}
-	s.list.Remove(&e.link)
-}
-
 // Pick implements Scheduler: the head of the queue.
 func (s *DRR) Pick(now sim.Time) *Thread {
 	if x := s.list.Front(); x != nil {

@@ -55,9 +55,6 @@ func (s *EDF) Enqueue(t *Thread, now sim.Time) {
 	s.push(e)
 }
 
-// Remove implements Scheduler.
-func (s *EDF) Remove(t *Thread, now sim.Time) { s.remove(t, "edf") }
-
 // Pick implements Scheduler: earliest absolute deadline first.
 func (s *EDF) Pick(now sim.Time) *Thread { return s.head() }
 

@@ -176,10 +176,10 @@ var (
 )
 
 // TestHeapLeavesMatchReference drives each heap-ordered leaf with seeded
-// scripts of Enqueue, Pick, Charge and Remove, with a save/restore into a
-// fresh leaf now and then, and requires every Pick and every Preempts
-// answer to match a linear scan of the runnable threads under the
-// reference order. A thread's priority, period and relative deadline are
+// scripts of Enqueue, Pick and Charge, with a save/restore into a fresh
+// leaf now and then, and requires every Pick and every Preempts answer to
+// match a linear scan of the runnable threads under the reference order.
+// A thread's priority, period and relative deadline are
 // redrawn from the edge values whenever it is not runnable, so rm sees
 // its key change between enqueues. Reserves' Preempts compares budget
 // bands, not keys, so only its Picks are checked.
@@ -282,7 +282,7 @@ func runHeapLeafScript(t *testing.T, kind string, seed int64) {
 	}
 
 	for op := 0; op < 400; op++ {
-		switch r := rng.Intn(20); {
+		switch r := rng.Intn(18); {
 		case r < 7: // wake a thread
 			th := threads[rng.Intn(len(threads))]
 			if runnable[th] {
@@ -307,15 +307,7 @@ func runHeapLeafScript(t *testing.T, kind string, seed int64) {
 			ref.charge(picked, stay)
 			runnable[picked] = stay
 			picked = nil
-		case r < 17: // dequeue a waiting thread, as a kill or a move does
-			th := anyRunnable()
-			if th == nil || th == picked {
-				continue
-			}
-			leaf.Remove(th, now)
-			ref.charge(th, false)
-			runnable[th] = false
-		case r < 19:
+		case r < 17:
 			if a, b := anyRunnable(), anyRunnable(); a != nil {
 				checkPreempts(a, b)
 			}

@@ -43,12 +43,6 @@ func (l *Lottery) Enqueue(t *Thread, now sim.Time) {
 	l.total += t.Weight
 }
 
-// Remove implements Scheduler.
-func (l *Lottery) Remove(t *Thread, now sim.Time) {
-	l.threadQueue.Remove(t, now)
-	l.total -= t.Weight
-}
-
 // Pick implements Scheduler: hold a lottery over the runnable tickets,
 // walking the queue in order to the thread holding the drawn one. A draw
 // that floating-point slack lands past the last ticket goes to the last
@@ -81,7 +75,8 @@ func (l *Lottery) Charge(t *Thread, used Work, now sim.Time, runnable bool) {
 	}
 	l.picked = nil
 	if !runnable {
-		l.Remove(t, now)
+		l.list.Remove(l.links.Get(t))
+		l.total -= t.Weight
 	}
 }
 

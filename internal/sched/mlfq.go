@@ -158,15 +158,6 @@ func (s *MLFQ) unlink(e *mlfqEntry) {
 	s.count--
 }
 
-// Remove implements Scheduler.
-func (s *MLFQ) Remove(t *Thread, now sim.Time) {
-	e := s.entries.Get(t)
-	if e == nil || !e.Queued() {
-		panic(fmt.Sprintf("mlfq: Remove of non-runnable thread %v", t))
-	}
-	s.unlink(e)
-}
-
 // Pick implements Scheduler: the head of the highest non-empty level,
 // after boosting any thread that has waited past the aging bound (the lazy
 // equivalent of MLFQ's periodic priority-boost scan).

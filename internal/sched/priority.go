@@ -43,9 +43,6 @@ func (s *Priority) Enqueue(t *Thread, now sim.Time) {
 	s.push(e)
 }
 
-// Remove implements Scheduler.
-func (s *Priority) Remove(t *Thread, now sim.Time) { s.remove(t, "priority") }
-
 // Pick implements Scheduler.
 func (s *Priority) Pick(now sim.Time) *Thread { return s.head() }
 

@@ -144,17 +144,6 @@ func (s *Reserves) unlink(e *resEntry) {
 	}
 }
 
-// Remove implements Scheduler.
-func (s *Reserves) Remove(t *Thread, now sim.Time) {
-	e := s.entries.Get(t)
-	if e == nil || !e.runnable {
-		panic(fmt.Sprintf("reserves: Remove of non-runnable thread %v", t))
-	}
-	s.unlink(e)
-	e.runnable = false
-	s.count--
-}
-
 // Pick implements Scheduler: reserved threads (budget in hand) run before
 // any background thread; within the reserved band the earliest
 // replenishment runs first. Replenishments due by now are applied first,

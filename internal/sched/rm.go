@@ -68,9 +68,6 @@ func (s *RM) Enqueue(t *Thread, now sim.Time) {
 	s.push(e)
 }
 
-// Remove implements Scheduler.
-func (s *RM) Remove(t *Thread, now sim.Time) { s.remove(t, "rm") }
-
 // Pick implements Scheduler: highest rate-monotonic priority first.
 func (s *RM) Pick(now sim.Time) *Thread { return s.head() }
 

@@ -88,8 +88,8 @@ func (l *runList[T]) Remove(x *link[T]) {
 // threadQueue is the run queue of the leaves that keep no per-thread
 // state of their own, rr, fifo and lottery: a runList of threads whose
 // links live in a Table, so finding a thread's place is one lookup, not a
-// scan. It carries those leaves' Enqueue, Remove, Len and checkpoint
-// codec; who names the leaf in panics and errors.
+// scan. It carries those leaves' Enqueue, Len and checkpoint codec; who
+// names the leaf in panics and errors.
 type threadQueue struct {
 	who   string
 	list  runList[*Thread]
@@ -113,15 +113,6 @@ func (q *threadQueue) Enqueue(t *Thread, now sim.Time) {
 		panic(fmt.Sprintf("%s: Enqueue of runnable thread %v", q.who, t))
 	}
 	q.list.PushBack(x)
-}
-
-// Remove implements Scheduler.
-func (q *threadQueue) Remove(t *Thread, now sim.Time) {
-	x := q.links.Get(t)
-	if x == nil || !x.Queued() {
-		panic(fmt.Sprintf("%s: Remove of non-runnable thread %v", q.who, t))
-	}
-	q.list.Remove(x)
 }
 
 // Len implements Scheduler.

@@ -15,10 +15,13 @@
 //	Charge(t, used, runnable)  account the CPU time actually consumed
 //
 // Pick never removes the thread from the runnable set; Charge with
-// runnable=false does. Between a Pick and its matching Charge no other
-// Pick occurs. This mirrors the paper's kernel implementation, where
-// hsfq_schedule() selects a thread and hsfq_update() is invoked with the
-// duration for which the thread executed.
+// runnable=false does, and nothing else does: a thread blocks or exits
+// only while it runs, and changes class only while blocked. Between a
+// Pick and its matching Charge no other Pick occurs. This mirrors the
+// paper's kernel implementation, where hsfq_schedule() selects a thread,
+// hsfq_update() is invoked with the duration for which the thread
+// executed, and hsfq_sleep() follows the update of a thread that
+// blocked.
 package sched
 
 import (
@@ -125,11 +128,6 @@ type Scheduler interface {
 	// already runnable is a bug and panics.
 	Enqueue(t *Thread, now sim.Time)
 
-	// Remove takes a runnable (but not currently picked) thread out of the
-	// runnable set without charging it, e.g. when it is moved to another
-	// scheduling class or killed while waiting.
-	Remove(t *Thread, now sim.Time)
-
 	// Pick returns the thread that should run next, or nil if the runnable
 	// set is empty. The thread stays in the runnable set; the caller must
 	// follow up with Charge for the same thread before the next Pick.
@@ -141,9 +139,9 @@ type Scheduler interface {
 
 	// Charge accounts used CPU service to t after a run segment. If
 	// runnable is false the thread blocked or exited and leaves the
-	// runnable set; the actual quantum length is known only here, the
-	// property SFQ exploits ("the length of quantum is required only when
-	// it finishes execution").
+	// runnable set, the only way a thread leaves it; the actual quantum
+	// length is known only here, the property SFQ exploits ("the length
+	// of quantum is required only when it finishes execution").
 	Charge(t *Thread, used Work, now sim.Time, runnable bool)
 
 	// Preempts reports whether the wakeup of thread woken must cut short

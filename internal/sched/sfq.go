@@ -91,15 +91,6 @@ func (s *SFQ) Enqueue(t *Thread, now sim.Time) {
 	s.total += s.EffectiveWeight(t)
 }
 
-// Remove implements Scheduler.
-func (s *SFQ) Remove(t *Thread, now sim.Time) {
-	if s.inService != nil && s.inService.t == t {
-		panic(fmt.Sprintf("sfq: Remove of in-service thread %v", t))
-	}
-	s.remove(t, "sfq")
-	s.total -= s.EffectiveWeight(t)
-}
-
 // Pick implements Scheduler: the runnable thread with the minimum start
 // tag, ties broken in arrival order.
 func (s *SFQ) Pick(now sim.Time) *Thread {

@@ -102,7 +102,10 @@ func TestSFQNoCreditForSleeping(t *testing.T) {
 		t.Fatal("expected a first")
 	}
 	s.Charge(a, 1000, 0, true)
-	s.Remove(b, 0)
+	if s.Pick(0) != b {
+		t.Fatal("expected b second")
+	}
+	s.Charge(b, 0, 0, false)
 	for i := 0; i < 99; i++ {
 		s.Pick(0)
 		s.Charge(a, 1000, 0, true)
@@ -133,19 +136,6 @@ func TestSFQTagsFollowPaperRecurrences(t *testing.T) {
 	if _, fa := s.Tags(a); fa != 80 {
 		t.Fatalf("F after second quantum = %v, want 80", fa)
 	}
-}
-
-func TestSFQPickThenRemovePanics(t *testing.T) {
-	s := NewSFQ(0)
-	a := NewThread(1, "a", 1)
-	s.Enqueue(a, 0)
-	s.Pick(0)
-	defer func() {
-		if recover() == nil {
-			t.Error("Remove of in-service thread did not panic")
-		}
-	}()
-	s.Remove(a, 0)
 }
 
 func TestSFQChargeWithoutEnqueuePanics(t *testing.T) {
@@ -188,9 +178,10 @@ func TestSFQTotalWeightTracking(t *testing.T) {
 	if s.TotalWeight() != 4 {
 		t.Errorf("total %v", s.TotalWeight())
 	}
-	s.Remove(a, 0)
+	s.Pick(0)
+	s.Charge(a, 0, 0, false)
 	if s.TotalWeight() != 2.5 {
-		t.Errorf("total %v after remove", s.TotalWeight())
+		t.Errorf("total %v after a blocked", s.TotalWeight())
 	}
 	s.Pick(0)
 	s.Charge(b, 1, 0, false)

@@ -51,12 +51,6 @@ func (s *Stride) Enqueue(t *Thread, now sim.Time) {
 	s.total += t.Weight
 }
 
-// Remove implements Scheduler.
-func (s *Stride) Remove(t *Thread, now sim.Time) {
-	s.remove(t, "stride")
-	s.total -= t.Weight
-}
-
 // Pick implements Scheduler: minimum pass first.
 func (s *Stride) Pick(now sim.Time) *Thread {
 	if s.heap.Len() == 0 {

@@ -217,15 +217,6 @@ func (s *SVR4) unlink(e *svr4Entry) {
 	s.count--
 }
 
-// Remove implements Scheduler.
-func (s *SVR4) Remove(t *Thread, now sim.Time) {
-	e := s.entries.Get(t)
-	if e == nil || !e.Queued() {
-		panic(fmt.Sprintf("svr4: Remove of non-runnable thread %v", t))
-	}
-	s.unlink(e)
-}
-
 // Pick implements Scheduler: the head of the highest-priority non-empty
 // queue, after applying any starvation boosts that have come due (the
 // lazy equivalent of SVR4's once-a-second ts_update scan).

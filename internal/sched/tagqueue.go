@@ -12,10 +12,10 @@ import (
 // threadQueue is to the FIFO leaves. It holds one Table of entries, one
 // sim.TagHeap of the runnable ones and the counter that stamps Seq, so
 // equal tags pop FIFO. It carries those leaves' entry creation, the
-// runnable checks of Enqueue and Remove, Len, Forget, the smaller-tag
-// preemption rule and the checkpoint rows (state.go); each leaf sets the
-// Tag in its Enqueue and Charge and keeps any other per-thread state in
-// its entries' x.
+// runnable check of Enqueue, Len, Forget, the smaller-tag preemption rule
+// and the checkpoint rows (state.go); each leaf sets the Tag in its
+// Enqueue and Charge and keeps any other per-thread state in its entries'
+// x.
 //
 // Each Charge looks its entry up and calls the heap itself: a shared
 // lookup helper, with its panic, would not inline and would add a call
@@ -78,15 +78,6 @@ func (q *tagQueue[K, X]) requeue(e *tagEntry[K, X]) {
 	e.Seq = q.seq
 	q.seq++
 	q.heap.Fix(&e.Tagged)
-}
-
-// remove takes the runnable t out of the queue.
-func (q *tagQueue[K, X]) remove(t *Thread, who string) {
-	e := q.entries.Get(t)
-	if e == nil || !e.Queued() {
-		panic(fmt.Sprintf("%s: Remove of non-runnable thread %v", who, t))
-	}
-	q.heap.Remove(&e.Tagged)
 }
 
 // head returns the runnable thread with the smallest (Tag, Seq), or nil.

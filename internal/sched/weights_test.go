@@ -53,7 +53,11 @@ func TestSetWeightWhileBlocked(t *testing.T) {
 	if s.TotalWeight() != 5 {
 		t.Errorf("total %v", s.TotalWeight())
 	}
-	s.Remove(a, 0)
+	s.Pick(0)
+	s.Charge(a, 0, 0, false)
+	if s.TotalWeight() != 0 {
+		t.Errorf("total %v after block", s.TotalWeight())
+	}
 }
 
 func TestSetWeightValidation(t *testing.T) {
@@ -120,7 +124,11 @@ func TestDonationStacksAndRevokesPrecisely(t *testing.T) {
 	if s.EffectiveWeight(holder) != 1 {
 		t.Errorf("after both revokes: %v, want 1", s.EffectiveWeight(holder))
 	}
-	s.Remove(holder, 0)
+	s.Pick(0)
+	s.Charge(holder, 0, 0, false)
+	if s.TotalWeight() != 0 {
+		t.Errorf("total %v after block", s.TotalWeight())
+	}
 }
 
 func TestDonationValidation(t *testing.T) {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"hsfq/internal/sched"
@@ -172,6 +173,20 @@ func TestMachineZeroAndNegativeActionsSkipped(t *testing.T) {
 	a := m.Spawn("a", 1, Sequence(
 		Compute(0), Sleep(0), Compute(5), SleepUntil(0), Compute(5), Exit(),
 	), 0)
+	m.Run(sim.Second)
+	if a.Done != 10 || a.State != sched.StateExited {
+		t.Errorf("Done=%d state=%v", a.Done, a.State)
+	}
+}
+
+// TestMachineOverflowingSleepSkipped: a sleep whose end overflows
+// sim.Time counts as ended, both before a thread's first burst and after
+// one.
+func TestMachineOverflowingSleepSkipped(t *testing.T) {
+	m := newTestMachine(sched.NewRoundRobin(0))
+	a := m.Spawn("a", 1, Sequence(
+		Sleep(math.MaxInt64), Compute(5), Sleep(math.MaxInt64), Compute(5), Exit(),
+	), sim.Millisecond)
 	m.Run(sim.Second)
 	if a.Done != 10 || a.State != sched.StateExited {
 		t.Errorf("Done=%d state=%v", a.Done, a.State)

@@ -80,7 +80,7 @@ fuzz-smoke:
 
 # The CLIs as real processes: SIGKILL and resume, SIGTERM drain with a
 # trace stream open, saturated multi-tenant daemons, a mesh backend
-# killed mid-sweep, and every CLI run twice for identical output.
-# TestMain builds the CLIs from this tree.
+# killed mid-sweep, and every CLI and example program run twice for
+# identical output. TestMain builds them from this tree.
 e2e:
 	$(GO) test -tags e2e -count=1 ./e2e

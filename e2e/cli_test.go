@@ -122,9 +122,10 @@ func TestMeshBackendKilled(t *testing.T) {
 	}
 }
 
-// TestCLIsDeterministic runs each CLI twice and requires the same exit
-// status and the same stdout bytes, and for hsfqsweep the same JSONL
-// file. experiments runs once serially and once on two workers.
+// TestCLIsDeterministic runs each CLI and each examples/ program twice
+// and requires the same exit status and the same stdout bytes, and for
+// hsfqsweep the same JSONL file. experiments runs once serially and once
+// on two workers.
 func TestCLIsDeterministic(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -176,6 +177,11 @@ check
 			{"experiments", "-all", "-json", "-workers", "1"},
 			{"experiments", "-all", "-json", "-workers", "2"},
 		}},
+		{name: "inversion", runs: twice("inversion")},
+		{name: "overload", runs: twice("overload")},
+		{name: "qosmanager", runs: twice("qosmanager")},
+		{name: "quickstart", runs: twice("quickstart")},
+		{name: "videoserver", runs: twice("videoserver")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, file [2][]byte

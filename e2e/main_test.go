@@ -27,10 +27,10 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./cmd/...")
+	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./cmd/...", "./examples/...")
 	build.Dir = ".."
 	if out, err := build.CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "building the CLIs: %v\n%s", err, out)
+		fmt.Fprintf(os.Stderr, "building the CLIs and examples: %v\n%s", err, out)
 		os.RemoveAll(dir)
 		os.Exit(1)
 	}
